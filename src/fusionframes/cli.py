@@ -383,7 +383,7 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         return result, lines
 
     mask = ErasureMask(pair.member_count, subset)
-    value = fusion_partial_error(pair, mask, norm)
+    value = fusion_partial_error(pair, mask, norm, doc.tol)
     result = {
         "mode": "fixed",
         "norm_kind": norm,

@@ -10,6 +10,7 @@ dual.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,9 @@ from fusionframes import (
     frame_operator,
     fusion_frame,
     image_subspace,
+    matrix_norm,
     orthonormal_basis,
+    projector,
     spd_inverse,
     subspace_sum,
     synthesis_nullspace,
@@ -246,3 +249,39 @@ def random_perturbation(rng: np.random.Generator, f, scale: float = 0.5) -> Dual
     nullsp = synthesis_nullspace(f)
     coeff = scale * rng.standard_normal((nullsp.shape[1], f.ambient_dim))
     return DualPerturbation(nullsp @ coeff)
+
+
+# --- brute-force erasure reference ------------------------------------------
+
+
+def fusion_components_reference(pair) -> list[np.ndarray]:
+    """Per-member error components w_i v_i P_{V_i} S_W^{-1} P_{W_i}, one by one."""
+    w, v = pair.primal, pair.dual_candidate
+    s_inv = spd_inverse(frame_operator(w))
+    return [
+        ww * vw * projector(vs) @ s_inv @ projector(ws)
+        for (ws, ww), (vs, vw) in zip(zip(w.subspaces, w.weights), zip(v.subspaces, v.weights))
+    ]
+
+
+def discrete_components_reference(f, g) -> list[np.ndarray]:
+    """Per-vector error components g_k f_k^T."""
+    return [np.outer(g.vectors[k], f.vectors[k]) for k in range(f.count)]
+
+
+def brute_force_worst(components, r: int, norm_kind: str):
+    """(worst value, argmax subsets, table or None) from one exact norm per subset.
+
+    Every subset's error is summed onto a zero matrix and measured with
+    ``matrix_norm``; the argmax keeps every subset within the 1e-12 relative
+    tie window, and the table is kept for at most 4096 subsets.
+    """
+    table = []
+    for subset in itertools.combinations(range(1, len(components) + 1), r):
+        err = np.zeros(components[0].shape)
+        for i in subset:
+            err += components[i - 1]
+        table.append((subset, matrix_norm(err, norm_kind)))
+    worst = max(value for _, value in table)
+    argmax = tuple(s for s, value in table if value >= worst * (1.0 - 1e-12))
+    return worst, argmax, tuple(table) if len(table) <= 4096 else None

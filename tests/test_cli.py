@@ -175,6 +175,24 @@ class TestErasure:
         assert report["result"]["mode"] == "fixed"
         assert report["result"]["value"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_fusion_fixed_uses_document_tolerance(self, capsys, tmp_path):
+        # S_W = 1e-10 I: invertible under rank_eps = 1e-13, not under the default 1e-9
+        p = tmp_path / "small_weights.json"
+        p.write_text(
+            json.dumps(
+                {
+                    "ambient_dim": 3,
+                    "subspaces": [
+                        {"weight": 1e-5, "spanning_vectors": [row]} for row in np.eye(3).tolist()
+                    ],
+                    "tolerance": {"rank_eps": 1e-13, "residual_eps": 1e-13},
+                }
+            )
+        )
+        worst = run_json(capsys, ["erasure", str(p), "--r", "1"])["result"]
+        fixed = run_json(capsys, ["erasure", str(p), "--fixed", "1"])["result"]
+        assert fixed["value"] == worst["worst_value"] == pytest.approx(1.0, abs=1e-12)
+
     def test_r_equal_member_count_refused(self, capsys):
         assert main(["erasure", OVERLAP, "--r", "3"]) == 1
         assert "r must" in capsys.readouterr().err

@@ -1,8 +1,11 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fusionframes import erasures
 from fusionframes import (
     ENUMERATION_CAP,
     ErasureMask,
@@ -15,6 +18,7 @@ from fusionframes import (
     discrete_error_operator,
     discrete_frame,
     discrete_worst_case,
+    dual_from_perturbation,
     fusion_error_operator,
     fusion_frame,
     fusion_partial_error,
@@ -30,10 +34,15 @@ from helpers import (
     ORTHOBASIS_BRIDGED,
     OVERCOMPLETE_BRIDGED,
     SQRT54,
+    brute_force_worst,
+    discrete_components_reference,
+    fusion_components_reference,
     inflated_dual,
     overlap_extended_dual,
     overlap_frame_r4,
     random_fusion_frame,
+    random_perturbation,
+    random_subspace,
     random_unitary,
 )
 
@@ -237,6 +246,84 @@ class TestErasureProperties:
             for s in subsets_by_bitmask(5, 2)
         )
         assert report.worst_value == pytest.approx(oracle, abs=1e-12)
+
+
+NORMS = ("frobenius", "operator")
+
+
+def assert_matches_brute_force(report, components, r, norm):
+    worst, argmax, table = brute_force_worst(components, r, norm)
+    assert report.worst_value == worst
+    assert report.argmax_subsets == argmax
+    assert report.per_subset_values == table
+
+
+class TestEngineMatchesBruteForce:
+    """The streamed engine reproduces the per-subset exact computation bit for bit."""
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("m, r", [(12, 5), (18, 5)])
+    def test_fusion_pairs(self, rng, m, r, norm):
+        # 792 subsets keep the table; 8568 do not and, at n = 8, span two
+        # chunks with a partial last one
+        n = 8
+        chunk_rows = erasures._CHUNK_BYTES // (8 * n * n)
+        assert math.comb(18, 5) > max(chunk_rows, 4096)
+        assert math.comb(18, 5) % chunk_rows
+        w = random_fusion_frame(rng, n, m, weighted=True)
+        pair = make_dual_pair(w, inflated_dual(rng, w))
+        report = worst_case_error(pair, r, norm)
+        assert_matches_brute_force(report, fusion_components_reference(pair), r, norm)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("count, r", [(14, 4), (16, 6)])
+    def test_discrete_pairs(self, rng, count, r, norm):
+        # 1001 subsets keep the table, 8008 do not
+        f = discrete_frame(rng.standard_normal((count, 4)))
+        g = dual_from_perturbation(f, random_perturbation(rng, f))
+        report = discrete_worst_case(f, g, r, norm)
+        assert_matches_brute_force(report, discrete_components_reference(f, g), r, norm)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_many_small_chunks(self, rng, monkeypatch, norm):
+        # 7-row chunks: C(11, 4) = 330 and C(13, 5) = 1287 leave a partial
+        # last chunk, and the running maximum and its ties move across chunks
+        n = 3
+        monkeypatch.setattr(erasures, "_CHUNK_BYTES", 7 * 8 * n * n)
+        monkeypatch.setattr(erasures, "_TABLE_MAX", 100)
+        for m, r in ((11, 4), (13, 5)):
+            assert math.comb(m, r) % 7
+            w = random_fusion_frame(rng, n, m, weighted=True)
+            pair = make_dual_pair(w, inflated_dual(rng, w))
+            report = worst_case_error(pair, r, norm)
+            worst, argmax, _ = brute_force_worst(fusion_components_reference(pair), r, norm)
+            assert report.worst_value == worst
+            assert report.argmax_subsets == argmax
+            assert report.per_subset_values is None
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_orthonormal_basis_all_subsets_tie(self, norm):
+        # C(16, 5) = 4368 subsets, above the table threshold, all tied
+        w = fusion_frame([coordinate_subspace(16, [k]) for k in range(1, 17)])
+        pair = canonical_pair(w)
+        report = worst_case_error(pair, 5, norm)
+        assert len(report.argmax_subsets) == math.comb(16, 5) == 4368
+        assert report.argmax_subsets == tuple(itertools.combinations(range(1, 17), 5))
+        assert_matches_brute_force(report, fusion_components_reference(pair), 5, norm)
+
+
+def test_worst_case_memory_is_bounded(rng):
+    # C(30, 5) = 142,506 subsets: memory must not grow with the subset count
+    subs = [random_subspace(rng, 4, 2) for _ in range(30)]
+    pair = canonical_pair(fusion_frame(subs, 0.5 + rng.random(30)))
+    tracemalloc.start()
+    try:
+        report = worst_case_error(pair, 5, "frobenius")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.per_subset_values is None
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_mask_validation():
