@@ -6,20 +6,22 @@ vectors (for bridged frames, the block of all vectors of one member via
 worked examples.
 
 Every error operator is a sum of per-index components, ``w_i v_i P_{V_i}
-S_W^{-1} P_{W_i}`` for a fusion pair and ``g_k f_k^T`` for a discrete pair,
-built once into an ``(m, n, n)`` stack. Worst-case reports stream all
-C(m, r) subsets of that stack through one engine, in lexicographic chunks
-whose size is set by a fixed byte budget. Memory holds one chunk, the
-running maximum and its current ties, plus the per-subset table only when
-there are at most 4096 subsets, so it does not grow with C(m, r). Under the
-operator norm each chunk is summed and reduced by one batched SVD. Under the
-Frobenius norm each chunk is first screened through the Gram matrix of the
-components; the screen keeps every subset that a written rounding bound
-cannot exclude from the tie window, so it never drops a candidate, and only
-the kept subsets are recomputed by the exact sum-then-norm path. Reported
-values therefore do not depend on the chunking or the screen. Enumeration is
-always exhaustive; the operations refuse rather than sample once the subset
-count exceeds the cap.
+S_W^{-1} P_{W_i}`` for a fusion pair (built once into an ``(m, n, n)``
+stack) and ``g_k f_k^T`` for a discrete pair (formed per gathered chunk, so
+never all at once). Worst-case reports stream all C(m, r) subsets through
+one engine, in lexicographic chunks whose size is set by a fixed byte
+budget. Memory holds one chunk, the running maximum and its current ties,
+plus the per-subset table only when there are at most 4096 subsets, so it
+does not grow with C(m, r). Under the operator norm each chunk is summed and
+reduced by one batched SVD. Under the Frobenius norm, once there are more
+subsets than the m^2 entries of the components' Gram matrix (so m < 1000
+under the cap and the Gram matrix stays below 8 MB), each chunk is first
+screened through that Gram matrix; the screen keeps every subset that a
+written rounding bound cannot exclude from the tie window, so it never drops
+a candidate, and only the kept subsets are recomputed by the exact
+sum-then-norm path. Reported values therefore do not depend on the chunking
+or the screen. Enumeration is always exhaustive; the operations refuse
+rather than sample once the subset count exceeds the cap.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
@@ -125,31 +127,60 @@ def block_mask(f: DiscreteFrame, i: int) -> ErasureMask:
     return ErasureMask(f.count, erased)
 
 
-def _fusion_components(pair: DualPair, members: Iterable[int], tol: Tolerance) -> np.ndarray:
-    """Stack of w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} over the 1-based ``members``."""
+@dataclass(frozen=True)
+class _Components:
+    """Per-index error components E_1, ..., E_count of one pair, each n x n.
+
+    ``take`` maps an array of 0-based indices to the stack of those
+    components; ``gram`` returns the count x count matrix of <E_a, E_b>_F.
+    Rank-one components are formed per gathered chunk, so a discrete pair
+    never holds all of them at once.
+    """
+
+    count: int
+    dim: int
+    take: Callable[[np.ndarray], np.ndarray]
+    gram: Callable[[], np.ndarray]
+
+
+def _fusion_components(pair: DualPair, members: Iterable[int], tol: Tolerance) -> _Components:
+    """Components w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} over the 1-based ``members``."""
     w = pair.primal
     v = pair.dual_candidate
+    n = w.ambient_dim
     s_inv = spd_inverse(frame_operator(w), tol)
     members = list(members)
-    stack = np.empty((len(members), w.ambient_dim, w.ambient_dim))
+    stack = np.empty((len(members), n, n))
     for row, i in enumerate(members):
         ws, ww = w.member(i)
         vs, vw = v.member(i)
         stack[row] = ww * vw * projector(vs) @ s_inv @ projector(ws)
-    return stack
+    flat = stack.reshape(len(members), n * n)
+    return _Components(len(members), n, stack.__getitem__, lambda: flat @ flat.T)
 
 
-def _rank_one_components(f: DiscreteFrame, g: DiscreteFrame, rows) -> np.ndarray:
-    """Stack of g_k f_k^T over the 0-based ``rows`` (the products of ``np.outer``)."""
-    return g.vectors[rows, :, None] * f.vectors[rows, None, :]
+def _rank_one_components(fv: np.ndarray, gv: np.ndarray) -> _Components:
+    """Components g_k f_k^T over the rows of ``fv`` and ``gv`` (the products of ``np.outer``)."""
+    count, n = fv.shape
+    return _Components(
+        count,
+        n,
+        lambda rows: gv[rows, :, None] * fv[rows, None, :],
+        lambda: (gv @ gv.T) * (fv @ fv.T),
+    )
 
 
-def _chunk_sums(components: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _chunk_sums(components: _Components, idx: np.ndarray) -> np.ndarray:
     """Per row of ``idx``, the indexed components added in row order onto a zero matrix."""
-    sums = np.zeros((len(idx),) + components.shape[1:])
+    sums = np.zeros((len(idx), components.dim, components.dim))
     for j in range(idx.shape[1]):
-        sums += components[idx[:, j]]
+        sums += components.take(idx[:, j])
     return sums
+
+
+def _total(components: _Components) -> np.ndarray:
+    """Sum of all the components, added in index order onto a zero matrix."""
+    return _chunk_sums(components, np.arange(components.count)[None, :])[0]
 
 
 def fusion_error_operator(
@@ -158,8 +189,7 @@ def fusion_error_operator(
     """sum over erased i of w_i v_i proj_{V_i} S_W^{-1} proj_{W_i}."""
     if mask.total != pair.member_count:
         raise ValueError("mask total does not match the member count")
-    components = _fusion_components(pair, sorted(mask.erased), tol)
-    return _chunk_sums(components, np.arange(len(components))[None, :])[0]
+    return _total(_fusion_components(pair, sorted(mask.erased), tol))
 
 
 def fusion_partial_error(
@@ -169,23 +199,25 @@ def fusion_partial_error(
     return matrix_norm(fusion_error_operator(pair, mask, tol), norm_kind)
 
 
-def _gram_screen(components: np.ndarray, r: int) -> tuple[np.ndarray, float]:
+def _gram_screen(components: _Components, r: int) -> tuple[np.ndarray, float]:
     """Screen weights and rounding slack for squared Frobenius norms of r-subset sums.
 
     ``||sum_{a in S} E_a||_F^2`` is the sum of the Gram entries <E_a, E_b>_F
     over S x S, so the returned weights hold the Gram diagonal and twice its
-    upper triangle. The slack bounds, with a margin of about two, the
-    distance between the screened value and the square of the exact
-    sum-then-norm value: the Gram inner products and that norm's dot product
-    each err by at most n^2 u T^2, the r-term sums by at most r^2 u T^2,
-    where u = eps / 2 and T is the sum of the r largest component norms.
+    upper triangle. The slack bounds the distance between the screened value
+    and the square of the exact sum-then-norm value. With u = eps / 2 and T
+    the sum of the r largest component norms, the Gram entries err by at
+    most (n^2 + 2) u T^2 over S x S (as flat n^2-term dot products, or for
+    rank-one components as products (g_a . g_b)(f_a . f_b) of n-term ones),
+    that norm's dot product by at most n^2 u T^2 and the r-term sums by at
+    most r^2 u T^2; the slack is at least four times their total.
     """
-    m, n, _ = components.shape
-    flat = components.reshape(m, -1)
-    gram = flat @ flat.T
-    weights = 2.0 * gram
-    np.fill_diagonal(weights, np.diag(gram))
-    top = float(np.sort(np.linalg.norm(flat, axis=1))[-r:].sum())
+    n = components.dim
+    weights = components.gram()
+    diag = weights.diagonal().copy()
+    weights *= 2.0
+    np.fill_diagonal(weights, diag)
+    top = float(np.sort(np.sqrt(diag))[-r:].sum())
     slack = 8.0 * np.finfo(float).eps * (n * n + r * r) * top * top
     return weights, slack
 
@@ -201,15 +233,15 @@ def _screened(weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _worst_report(components: np.ndarray, r: int, norm_kind: NormKind) -> ErasureReport:
-    """Exhaustive worst-case report over all r-subsets of an (m, n, n) component stack.
+def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> ErasureReport:
+    """Exhaustive worst-case report over all r-subsets of the m components.
 
     Every value that reaches the report equals :func:`matrix_norm` of its
     subset's sum, added in order onto a zero matrix: the operator norm runs
     the same LAPACK SVD batched over a chunk, and the Frobenius norm is
     taken sum by sum for every subset the Gram screen keeps.
     """
-    total, n = components.shape[:2]
+    total, n = components.count, components.dim
     if not 1 <= r < total:
         raise ValueError(f"r must satisfy 1 <= r < {total}, got {r}")
     count = math.comb(total, r)
@@ -221,8 +253,10 @@ def _worst_report(components: np.ndarray, r: int, norm_kind: NormKind) -> Erasur
     if norm_kind not in ("frobenius", "operator"):
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     table: list[tuple[tuple[int, ...], float]] | None = [] if count <= _TABLE_MAX else None
-    # the table needs every exact value, so only larger enumerations are screened
-    screen = _gram_screen(components, r) if norm_kind == "frobenius" and table is None else None
+    # the table needs every exact value, and the m x m Gram matrix only pays
+    # for itself (and stays below 8 MB under the cap) past m^2 subsets
+    screened = norm_kind == "frobenius" and table is None and count > total * total
+    screen = _gram_screen(components, r) if screened else None
     chunk_rows = max(1, _CHUNK_BYTES // (8 * n * n))
     subsets = itertools.combinations(range(total), r)
     worst = -1.0
@@ -266,8 +300,7 @@ def worst_case_error(
     pair: DualPair, r: int, norm_kind: NormKind, tol: Tolerance = DEFAULT_TOL
 ) -> ErasureReport:
     """Exhaustive worst error over all C(m, r) member subsets of the pair."""
-    components = _fusion_components(pair, range(1, pair.member_count + 1), tol)
-    return _worst_report(components, r, norm_kind)
+    return _worst_report(_fusion_components(pair, range(1, pair.member_count + 1), tol), r, norm_kind)
 
 
 def discrete_error_operator(
@@ -278,8 +311,8 @@ def discrete_error_operator(
         raise ValueError(f"frame lengths differ: {f.count} vs {g.count}")
     if mask.total != f.count:
         raise ValueError("mask total does not match the frame length")
-    components = _rank_one_components(f, g, [k - 1 for k in sorted(mask.erased)])
-    return _chunk_sums(components, np.arange(len(components))[None, :])[0]
+    rows = [k - 1 for k in sorted(mask.erased)]
+    return _total(_rank_one_components(f.vectors[rows], g.vectors[rows]))
 
 
 def discrete_worst_case(
@@ -292,7 +325,7 @@ def discrete_worst_case(
     """Exhaustive worst error over all C(m, r) vector subsets."""
     if f.count != g.count:
         raise ValueError(f"frame lengths differ: {f.count} vs {g.count}")
-    return _worst_report(_rank_one_components(f, g, slice(None)), r, norm_kind)
+    return _worst_report(_rank_one_components(f.vectors, g.vectors), r, norm_kind)
 
 
 def partial_erasure_error(

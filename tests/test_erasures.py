@@ -312,17 +312,44 @@ class TestEngineMatchesBruteForce:
         assert_matches_brute_force(report, fusion_components_reference(pair), 5, norm)
 
 
+def traced_peak(run):
+    """(result of ``run()``, peak traced bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_worst_case_memory_is_bounded(rng):
     # C(30, 5) = 142,506 subsets: memory must not grow with the subset count
     subs = [random_subspace(rng, 4, 2) for _ in range(30)]
     pair = canonical_pair(fusion_frame(subs, 0.5 + rng.random(30)))
-    tracemalloc.start()
-    try:
-        report = worst_case_error(pair, 5, "frobenius")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: worst_case_error(pair, 5, "frobenius"))
     assert report.per_subset_values is None
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_single_erasures_of_many_members_skip_the_gram_matrix(rng):
+    # 4500 members give 4500 subsets at r = 1, past the table threshold but
+    # far fewer than the 4500^2 Gram entries (150 MB), which must not be built
+    m = 4500
+    subs = [coordinate_subspace(2, [1 + k % 2]) for k in range(m)]
+    pair = canonical_pair(fusion_frame(subs, 0.5 + rng.random(m)))
+    report, peak = traced_peak(lambda: worst_case_error(pair, 1, "frobenius"))
+    assert report.per_subset_values is None
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_discrete_worst_case_forms_rank_one_components_per_chunk(rng):
+    # all 2048 products g_k f_k^T in R^32 would take 16 MB at once
+    f = discrete_frame(rng.standard_normal((2048, 32)))
+    g = discrete_frame(rng.standard_normal((2048, 32)))
+    report, peak = traced_peak(lambda: discrete_worst_case(f, g, 1, "operator"))
+    oracle = max(np.linalg.norm(np.outer(g.vectors[k], f.vectors[k]), 2) for k in range(2048))
+    assert report.worst_value == oracle
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
