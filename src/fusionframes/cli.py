@@ -132,7 +132,7 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
     if field != "real":
         raise DocumentError(f'field: only "real" is supported, got {field!r}')
     ambient_dim = raw.get("ambient_dim")
-    if not isinstance(ambient_dim, int) or ambient_dim <= 0:
+    if isinstance(ambient_dim, bool) or not isinstance(ambient_dim, int) or ambient_dim <= 0:
         raise DocumentError("ambient_dim: expected a positive integer")
 
     tol = DEFAULT_TOL
@@ -245,10 +245,6 @@ def _certificate_lines(cert: Certificate) -> list[str]:
     ]
 
 
-def _standard_basis(n: int) -> np.ndarray:
-    return np.eye(n)
-
-
 def _dual_or_canonical(doc: ParsedDocument) -> tuple[FusionFrame, str]:
     if doc.dual is not None:
         return doc.dual, "file"
@@ -298,7 +294,7 @@ def _cmd_verify_dual(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
     if doc.dual is None:
         raise DocumentError("verify-dual requires a dual section in the document")
     pair = make_dual_pair(doc.frame, doc.dual, doc.tol)
-    ok, residual, recon = verify_dual(pair, doc.tol)
+    ok, residual, recon = verify_dual(pair)
     result = {
         "is_dual": ok,
         "residual": residual,
@@ -320,7 +316,7 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
     pair = make_dual_pair(doc.frame, dual, doc.tol)
     norm = args.norm
     if args.fixed is None:
-        report = worst_case_error(pair, args.r, norm, doc.tol)
+        report = worst_case_error(pair, args.r, norm)
         result = {
             "mode": "worst",
             "r": report.r,
@@ -383,7 +379,7 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         return result, lines
 
     mask = ErasureMask(pair.member_count, subset)
-    value = fusion_partial_error(pair, mask, norm, doc.tol)
+    value = fusion_partial_error(pair, mask, norm)
     result = {
         "mode": "fixed",
         "norm_kind": norm,
@@ -407,7 +403,7 @@ def _cmd_certify(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         if doc.dual is None:
             raise DocumentError("certify --which dual requires a dual section in the document")
         pair = make_dual_pair(doc.frame, doc.dual, doc.tol)
-        cert = certify_dual_optimal(pair, doc.tol)
+        cert = certify_dual_optimal(pair)
     else:
         dual, _ = _dual_or_canonical(doc)
         cert = certify_tight_uniform(doc.frame, dual, doc.tol)
@@ -427,7 +423,7 @@ def _frame_listing(vectors: np.ndarray, labels=None) -> list[str]:
 def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
     w = doc.frame
     if args.what == "bridge":
-        basis = doc.basis if doc.basis is not None else _standard_basis(w.ambient_dim)
+        basis = doc.basis if doc.basis is not None else np.eye(w.ambient_dim)
         bridged = bridge_fusion_to_discrete(w, basis, "canonical_weighted", doc.tol)
         compacted, kept = compact_nonzero(bridged, doc.tol)
         canonical = discrete_canonical_dual(compacted, doc.tol)
@@ -454,8 +450,8 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             raise DocumentError("construct --what expand requires --index")
         dual, dual_source = _dual_or_canonical(doc)
         pair = make_dual_pair(w, dual, doc.tol)
-        variants = expand_optimal_family(pair, args.index, doc.tol)
-        d1 = worst_case_error(pair, 1, "frobenius", doc.tol).worst_value if pair.member_count > 1 else None
+        variants = expand_optimal_family(pair, args.index)
+        d1 = worst_case_error(pair, 1, "frobenius").worst_value if pair.member_count > 1 else None
         entries = []
         for variant in variants:
             vpair = make_dual_pair(w, variant, doc.tol)
@@ -465,7 +461,7 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
                 "residual": vpair.duality_residual,
             }
             if d1 is not None:
-                entry["d1_frobenius"] = worst_case_error(vpair, 1, "frobenius", doc.tol).worst_value
+                entry["d1_frobenius"] = worst_case_error(vpair, 1, "frobenius").worst_value
             entries.append(entry)
         result = {
             "what": "expand",
@@ -498,7 +494,7 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
     dual_entries = []
     for g in duals:
         ok, residual = verify_discrete_dual(f, g, doc.tol)
-        d1 = discrete_worst_case(f, g, 1, "operator", doc.tol).worst_value
+        d1 = discrete_worst_case(f, g, 1, "operator").worst_value
         dual_entries.append(
             {"vectors": g.vectors, "residual": residual, "is_dual": ok, "d1_operator": d1}
         )

@@ -38,48 +38,59 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DualPair:
-    """A fusion frame together with a candidate dual family.
+    """A fusion frame, a candidate dual family, and their error components.
 
-    ``duality_residual`` is the Frobenius distance of the reconstruction map
-    from the identity; ``reconstruction`` caches the map for diagnostics.
+    Built only by :func:`make_dual_pair`, at the tolerance ``tol`` that every
+    analysis of the pair uses. ``s_inv`` is S_W^{-1}, and ``components`` is
+    the read-only ``(m, n, n)`` stack whose row i - 1 is
+    ``w_i v_i proj_{V_i} S_W^{-1} proj_{W_i}``; every erasure quantity of the
+    pair is a sum or a norm of these rows. ``reconstruction`` is the rows
+    added in member order onto a zero matrix, and ``duality_residual`` its
+    Frobenius distance from the identity.
     """
 
     primal: FusionFrame
     dual_candidate: FusionFrame
-    duality_residual: float
+    tol: Tolerance
+    s_inv: np.ndarray
+    components: np.ndarray
     reconstruction: np.ndarray
+    duality_residual: float
 
     @property
     def member_count(self) -> int:
         return self.primal.member_count
 
 
-def reconstruction_matrix(
+def make_dual_pair(
     primal: FusionFrame, dual_candidate: FusionFrame, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """sum_i w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} as a dense matrix."""
+) -> DualPair:
+    """Pair ``dual_candidate`` with ``primal``, computing S_W^{-1} and the components once."""
     if primal.member_count != dual_candidate.member_count:
         raise ValueError(
             f"member counts differ: {primal.member_count} vs {dual_candidate.member_count}"
         )
     if primal.ambient_dim != dual_candidate.ambient_dim:
         raise ValueError("ambient dimension mismatch between primal and dual")
+    n = primal.ambient_dim
     s_inv = spd_inverse(frame_operator(primal), tol)
-    recon = np.zeros((primal.ambient_dim, primal.ambient_dim))
-    for (ws, ww), (vs, vw) in zip(
-        zip(primal.subspaces, primal.weights),
-        zip(dual_candidate.subspaces, dual_candidate.weights),
-    ):
-        recon += ww * vw * projector(vs) @ s_inv @ projector(ws)
-    return recon
+    components = np.empty((primal.member_count, n, n))
+    recon = np.zeros((n, n))
+    members = zip(primal.subspaces, primal.weights, dual_candidate.subspaces, dual_candidate.weights)
+    for row, (ws, ww, vs, vw) in enumerate(members):
+        components[row] = ww * vw * projector(vs) @ s_inv @ projector(ws)
+        recon += components[row]
+    for a in (s_inv, components, recon):
+        a.setflags(write=False)
+    residual = float(np.linalg.norm(recon - np.eye(n), "fro"))
+    return DualPair(primal, dual_candidate, tol, s_inv, components, recon, residual)
 
 
-def make_dual_pair(
+def reconstruction_matrix(
     primal: FusionFrame, dual_candidate: FusionFrame, tol: Tolerance = DEFAULT_TOL
-) -> DualPair:
-    recon = reconstruction_matrix(primal, dual_candidate, tol)
-    residual = float(np.linalg.norm(recon - np.eye(primal.ambient_dim), "fro"))
-    return DualPair(primal, dual_candidate, residual, recon)
+) -> np.ndarray:
+    """sum_i w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} as a dense matrix."""
+    return make_dual_pair(primal, dual_candidate, tol).reconstruction
 
 
 def canonical_pair(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> DualPair:
@@ -87,9 +98,9 @@ def canonical_pair(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> DualPair:
     return make_dual_pair(w, canonical_dual(w, tol), tol)
 
 
-def verify_dual(pair: DualPair, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, np.ndarray]:
-    """Returns (passed, residual, reconstruction matrix)."""
-    return pair.duality_residual <= tol.residual_eps, pair.duality_residual, pair.reconstruction
+def verify_dual(pair: DualPair) -> tuple[bool, float, np.ndarray]:
+    """Returns (passed, residual, reconstruction matrix), judged at the pair's residual_eps."""
+    return pair.duality_residual <= pair.tol.residual_eps, pair.duality_residual, pair.reconstruction
 
 
 def riesz_dual_family_check(
@@ -102,15 +113,13 @@ def riesz_dual_family_check(
     """
     if not classify(w, tol).is_riesz_fusion_basis:
         raise ValueError("the primal family is not a Riesz fusion basis")
-    if w.member_count != v.member_count:
-        raise ValueError("member counts differ")
-    s_inv = spd_inverse(frame_operator(w), tol)
+    pair = make_dual_pair(w, v, tol)
     contained = all(
-        subspace_contains(vs, image_subspace(s_inv, ws, tol), tol)
+        subspace_contains(vs, image_subspace(pair.s_inv, ws, tol), tol)
         for ws, vs in zip(w.subspaces, v.subspaces)
     )
     if contained:
-        ok, residual, _ = verify_dual(make_dual_pair(w, v, tol), tol)
+        ok, residual, _ = verify_dual(pair)
         if not ok:
             raise ArithmeticError(
                 f"containment holds but the duality residual is {residual:.3e}"
@@ -170,17 +179,16 @@ def component_preserving_check(
     return True
 
 
-def lift_to_component_preserving(pair: DualPair, tol: Tolerance = DEFAULT_TOL) -> FusionFrame:
+def lift_to_component_preserving(pair: DualPair) -> FusionFrame:
     """Replace each dual member by the image of S_W^{-1} W_i under proj_{V_i}.
 
     The lifted family keeps the dual weights, is again a valid dual, and has
     exactly the same per-component error operators as the input pair.
     """
-    ok, residual, _ = verify_dual(pair, tol)
+    ok, residual, _ = verify_dual(pair)
     if not ok:
         raise ValueError(f"pair is not a verified dual (residual {residual:.3e})")
-    s_inv = spd_inverse(frame_operator(pair.primal), tol)
     lifted = []
     for ws, vs in zip(pair.primal.subspaces, pair.dual_candidate.subspaces):
-        lifted.append(image_subspace(projector(vs) @ s_inv, ws, tol))
+        lifted.append(image_subspace(projector(vs) @ pair.s_inv, ws, pair.tol))
     return FusionFrame(pair.primal.ambient_dim, tuple(lifted), pair.dual_candidate.weights)

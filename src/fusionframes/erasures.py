@@ -5,23 +5,23 @@ vectors (for bridged frames, the block of all vectors of one member via
 :func:`block_mask`). Indices are 1-based everywhere, matching the bundled
 worked examples.
 
-Every error operator is a sum of per-index components, ``w_i v_i P_{V_i}
-S_W^{-1} P_{W_i}`` for a fusion pair (built once into an ``(m, n, n)``
-stack) and ``g_k f_k^T`` for a discrete pair (formed per gathered chunk, so
-never all at once). Worst-case reports stream all C(m, r) subsets through
-one engine, in lexicographic chunks whose size is set by a fixed byte
-budget. Memory holds one chunk, the running maximum and its current ties,
-plus the per-subset table only when there are at most 4096 subsets, so it
-does not grow with C(m, r). Under the operator norm each chunk is summed and
-reduced by one batched SVD. Under the Frobenius norm, once there are more
-subsets than the m^2 entries of the components' Gram matrix (so m < 1000
-under the cap and the Gram matrix stays below 8 MB), each chunk is first
-screened through that Gram matrix; the screen keeps every subset that a
-written rounding bound cannot exclude from the tie window, so it never drops
-a candidate, and only the kept subsets are recomputed by the exact
-sum-then-norm path. Reported values therefore do not depend on the chunking
-or the screen. Enumeration is always exhaustive; the operations refuse
-rather than sample once the subset count exceeds the cap.
+Every error operator is a sum of per-index components: for a fusion pair the
+rows ``w_i v_i P_{V_i} S_W^{-1} P_{W_i}`` of the component stack that
+:func:`~fusionframes.duality.make_dual_pair` built once, for a discrete pair
+``g_k f_k^T``, formed per gathered chunk, so never all at once. Worst-case
+reports stream all C(m, r) subsets through one engine, in lexicographic
+chunks whose size is set by a fixed byte budget. Memory holds one chunk, the
+running maximum and its current ties, plus the per-subset table only when
+there are at most 4096 subsets, so it does not grow with C(m, r). Under the
+operator norm each chunk is summed and reduced by one batched SVD. Under the
+Frobenius norm, once there are more subsets than the m^2 entries of the
+components' Gram matrix (so m < 1000 under the cap and the Gram matrix stays
+below 8 MB), each chunk is first screened through that Gram matrix; the
+screen keeps every subset that a written rounding bound cannot exclude from
+the tie window, so it never drops a candidate, and only the kept subsets are
+recomputed by the exact sum-then-norm path. Reported values therefore do not
+depend on the chunking or the screen. Enumeration is always exhaustive; the
+operations refuse rather than sample once the subset count exceeds the cap.
 """
 
 from __future__ import annotations
@@ -35,15 +35,7 @@ import numpy as np
 
 from .discrete import DiscreteFrame
 from .duality import DualPair
-from .fusion import frame_operator
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    frobenius_norm,
-    operator_norm,
-    projector,
-    spd_inverse,
-)
+from .linalg import DEFAULT_TOL, Tolerance, frobenius_norm, operator_norm
 
 __all__ = [
     "NormKind",
@@ -143,20 +135,11 @@ class _Components:
     gram: Callable[[], np.ndarray]
 
 
-def _fusion_components(pair: DualPair, members: Iterable[int], tol: Tolerance) -> _Components:
-    """Components w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} over the 1-based ``members``."""
-    w = pair.primal
-    v = pair.dual_candidate
-    n = w.ambient_dim
-    s_inv = spd_inverse(frame_operator(w), tol)
-    members = list(members)
-    stack = np.empty((len(members), n, n))
-    for row, i in enumerate(members):
-        ws, ww = w.member(i)
-        vs, vw = v.member(i)
-        stack[row] = ww * vw * projector(vs) @ s_inv @ projector(ws)
-    flat = stack.reshape(len(members), n * n)
-    return _Components(len(members), n, stack.__getitem__, lambda: flat @ flat.T)
+def _fusion_components(pair: DualPair) -> _Components:
+    """The pair's component stack, w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} per member."""
+    stack = pair.components
+    flat = stack.reshape(len(stack), -1)
+    return _Components(len(stack), pair.primal.ambient_dim, stack.__getitem__, lambda: flat @ flat.T)
 
 
 def _rank_one_components(fv: np.ndarray, gv: np.ndarray) -> _Components:
@@ -178,25 +161,22 @@ def _chunk_sums(components: _Components, idx: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _total(components: _Components) -> np.ndarray:
-    """Sum of all the components, added in index order onto a zero matrix."""
-    return _chunk_sums(components, np.arange(components.count)[None, :])[0]
+def _erased_sum(components: _Components, mask: ErasureMask) -> np.ndarray:
+    """Sum of the erased components, added in index order onto a zero matrix."""
+    rows = np.array(sorted(mask.erased), dtype=np.intp) - 1
+    return _chunk_sums(components, rows[None, :])[0]
 
 
-def fusion_error_operator(
-    pair: DualPair, mask: ErasureMask, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def fusion_error_operator(pair: DualPair, mask: ErasureMask) -> np.ndarray:
     """sum over erased i of w_i v_i proj_{V_i} S_W^{-1} proj_{W_i}."""
     if mask.total != pair.member_count:
         raise ValueError("mask total does not match the member count")
-    return _total(_fusion_components(pair, sorted(mask.erased), tol))
+    return _erased_sum(_fusion_components(pair), mask)
 
 
-def fusion_partial_error(
-    pair: DualPair, mask: ErasureMask, norm_kind: NormKind, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def fusion_partial_error(pair: DualPair, mask: ErasureMask, norm_kind: NormKind) -> float:
     """Error norm for one fixed, known erasure set (no max over subsets)."""
-    return matrix_norm(fusion_error_operator(pair, mask, tol), norm_kind)
+    return matrix_norm(fusion_error_operator(pair, mask), norm_kind)
 
 
 def _gram_screen(components: _Components, r: int) -> tuple[np.ndarray, float]:
@@ -296,11 +276,9 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     )
 
 
-def worst_case_error(
-    pair: DualPair, r: int, norm_kind: NormKind, tol: Tolerance = DEFAULT_TOL
-) -> ErasureReport:
+def worst_case_error(pair: DualPair, r: int, norm_kind: NormKind) -> ErasureReport:
     """Exhaustive worst error over all C(m, r) member subsets of the pair."""
-    return _worst_report(_fusion_components(pair, range(1, pair.member_count + 1), tol), r, norm_kind)
+    return _worst_report(_fusion_components(pair), r, norm_kind)
 
 
 def discrete_error_operator(
@@ -311,8 +289,7 @@ def discrete_error_operator(
         raise ValueError(f"frame lengths differ: {f.count} vs {g.count}")
     if mask.total != f.count:
         raise ValueError("mask total does not match the frame length")
-    rows = [k - 1 for k in sorted(mask.erased)]
-    return _total(_rank_one_components(f.vectors[rows], g.vectors[rows]))
+    return _erased_sum(_rank_one_components(f.vectors, g.vectors), mask)
 
 
 def discrete_worst_case(
@@ -322,7 +299,11 @@ def discrete_worst_case(
     norm_kind: NormKind,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ErasureReport:
-    """Exhaustive worst error over all C(m, r) vector subsets."""
+    """Exhaustive worst error over all C(m, r) vector subsets.
+
+    ``tol`` is accepted for call compatibility and unused: no decision here
+    depends on a tolerance.
+    """
     if f.count != g.count:
         raise ValueError(f"frame lengths differ: {f.count} vs {g.count}")
     return _worst_report(_rank_one_components(f.vectors, g.vectors), r, norm_kind)

@@ -7,6 +7,7 @@ as 0) so callers can diagnose bad inputs instead of losing them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -56,8 +57,8 @@ class FusionFrame:
         for i, (s, w) in enumerate(zip(self.subspaces, self.weights), start=1):
             if s.ambient_dim != self.ambient_dim:
                 raise ValueError(f"member {i} lives in R^{s.ambient_dim}, expected R^{self.ambient_dim}")
-            if not w > 0:
-                raise ValueError(f"weight of member {i} must be positive, got {w}")
+            if not 0 < w < math.inf:
+                raise ValueError(f"weight of member {i} must be positive and finite, got {w}")
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 

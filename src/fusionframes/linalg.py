@@ -215,7 +215,7 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(_as_matrix(a), "fro"))
 
 
-def operator_norm(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
+def operator_norm(a: np.ndarray) -> float:
     """Largest singular value of ``a``."""
     a = _as_matrix(a)
     if a.size == 0:

@@ -31,6 +31,7 @@ from .duality import (
     verify_dual,
 )
 from .erasures import (
+    _TIE_REL,
     block_mask,
     discrete_worst_case,
     partial_erasure_error,
@@ -72,8 +73,6 @@ __all__ = [
     "transport_by_invertible",
     "probe_duals",
 ]
-
-_TIE_REL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,30 +157,23 @@ def certify_canonical_optimal(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> C
     )
 
 
-def certify_dual_optimal(pair: DualPair, tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def certify_dual_optimal(pair: DualPair) -> Certificate:
     """Certify a verified dual pair as 1-loss optimal.
 
     Unlike the canonical certificate, the Riesz hypothesis here sits on the
     extremal side: the members attaining the worst single-erasure value must
     form a Riesz fusion basis of their span, and that span must intersect
-    the complementary span trivially.
+    the complementary span trivially. Member i's single-erasure value is the
+    Frobenius norm of the pair's component w_i v_i proj_{V_i} S_W^{-1} proj_{W_i}.
     """
-    ok, residual, _ = verify_dual(pair, tol)
+    ok, residual, _ = verify_dual(pair)
     if not ok:
         raise ValueError(f"pair is not a verified dual (residual {residual:.3e})")
     w = pair.primal
-    v = pair.dual_candidate
-    s_inv = spd_inverse(frame_operator(w), tol)
-    values = [
-        ww * vw * frobenius_norm(projector(vs) @ s_inv @ projector(ws))
-        for (ws, ww), (vs, vw) in zip(
-            zip(w.subspaces, w.weights), zip(v.subspaces, v.weights)
-        )
-    ]
-    c, lambda1, lambda2 = _argmax_split(values)
+    c, lambda1, lambda2 = _argmax_split([frobenius_norm(e) for e in pair.components])
     h1 = _span_of_members(w, lambda1)
     h2 = _span_of_members(w, lambda2)
-    inter = subspace_intersection(h1, h2, tol)
+    inter = subspace_intersection(h1, h2, pair.tol)
     dims_add = sum(w.subspaces[i - 1].dim for i in lambda1) == h1.dim
     certified = inter.dim == 0 and dims_add
     reasons = []
@@ -229,7 +221,7 @@ def certify_tight_uniform(
     if spread > tol.residual_eps * max(1.0, c):
         reasons.append("member value w_i^2 sqrt(dim W_i) is not constant")
     pair = make_dual_pair(w, v, tol)
-    ok, residual, _ = verify_dual(pair, tol)
+    ok, residual, _ = verify_dual(pair)
     if not ok:
         reasons.append(f"dual verification failed (residual {residual:.3e})")
     if w.member_count != v.member_count:
@@ -241,7 +233,7 @@ def certify_tight_uniform(
     if certified:
         note = f"certified; bound c/alpha = {c / alpha:.12g}"
         if w.member_count >= 2:
-            d1 = worst_case_error(pair, 1, "frobenius", tol).worst_value
+            d1 = worst_case_error(pair, 1, "frobenius").worst_value
             note += f"; worst single-erasure Frobenius error {d1:.12g}"
     else:
         note = "; ".join(reasons)
@@ -260,9 +252,7 @@ def certify_tight_uniform(
     )
 
 
-def expand_optimal_family(
-    pair: DualPair, i: int, tol: Tolerance = DEFAULT_TOL, check_r_max: int = 2
-) -> list[FusionFrame]:
+def expand_optimal_family(pair: DualPair, i: int, check_r_max: int = 2) -> list[FusionFrame]:
     """All single-member rewrites of an optimal dual that keep every erasure value.
 
     At member ``i`` (1-based) this emits, when applicable: the zero-member
@@ -273,15 +263,15 @@ def expand_optimal_family(
     its worst-case reports are checked against the input for r up to
     ``check_r_max``; an empty list means no variant applies.
     """
-    ok, residual, _ = verify_dual(pair, tol)
+    ok, residual, _ = verify_dual(pair)
     if not ok:
         raise ValueError(f"pair is not a verified dual (residual {residual:.3e})")
+    tol = pair.tol
     w = pair.primal
     v = pair.dual_candidate
     ws, _ = w.member(i)
     vs, _ = v.member(i)
-    s_inv = spd_inverse(frame_operator(w), tol)
-    canonical_i = image_subspace(s_inv, ws, tol)
+    canonical_i = image_subspace(pair.s_inv, ws, tol)
     comp = orthogonal_complement(canonical_i)
 
     variants: list[FusionFrame] = []
@@ -299,17 +289,17 @@ def expand_optimal_family(
 
     m = w.member_count
     reference = {
-        (r, kind): worst_case_error(pair, r, kind, tol).worst_value
+        (r, kind): worst_case_error(pair, r, kind).worst_value
         for r in range(1, min(check_r_max, m - 1) + 1)
         for kind in ("frobenius", "operator")
     }
     for variant in variants:
         new_pair = make_dual_pair(w, variant, tol)
-        ok, residual, _ = verify_dual(new_pair, tol)
+        ok, residual, _ = verify_dual(new_pair)
         if not ok:
             raise ArithmeticError(f"emitted variant failed dual verification ({residual:.3e})")
         for (r, kind), value in reference.items():
-            got = worst_case_error(new_pair, r, kind, tol).worst_value
+            got = worst_case_error(new_pair, r, kind).worst_value
             if abs(got - value) > 1e-9 * max(1.0, value):
                 raise ArithmeticError(
                     f"emitted variant changed the worst {kind} error for r={r}: "
@@ -399,7 +389,7 @@ def parseval_optimal_family(
         ok, residual = verify_discrete_dual(f, g, tol)
         if not ok:
             raise ArithmeticError(f"emitted dual failed verification (residual {residual:.3e})")
-        d1 = discrete_worst_case(f, g, 1, "operator", tol).worst_value
+        d1 = discrete_worst_case(f, g, 1, "operator").worst_value
         if abs(d1 - 1.0) > max(tol.residual_eps, 1e-9):
             raise ValueError(
                 f"basis does not attain unit worst single-erasure error (got {d1!r})"
@@ -436,7 +426,8 @@ def riesz_bridge_partial_optimal(
     return out
 
 
-def _transport(pair: DualPair, u: np.ndarray, tol: Tolerance) -> DualPair:
+def _transport(pair: DualPair, u: np.ndarray) -> DualPair:
+    tol = pair.tol
     w = pair.primal
     v = pair.dual_candidate
     new_w = FusionFrame(
@@ -452,26 +443,25 @@ def _transport(pair: DualPair, u: np.ndarray, tol: Tolerance) -> DualPair:
     return make_dual_pair(new_w, new_v, tol)
 
 
-def transport_by_unitary(pair: DualPair, u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> DualPair:
+def transport_by_unitary(pair: DualPair, u: np.ndarray) -> DualPair:
     """Transport a dual pair by a unitary map; every erasure value is preserved."""
     u = np.asarray(u, dtype=float)
     n = pair.primal.ambient_dim
     if u.shape != (n, n):
         raise ValueError(f"operator must be {n} x {n}, got {u.shape}")
-    if np.linalg.norm(u.T @ u - np.eye(n), "fro") > max(tol.residual_eps, 1e-9):
+    if np.linalg.norm(u.T @ u - np.eye(n), "fro") > max(pair.tol.residual_eps, 1e-9):
         raise ValueError("operator is not unitary within tolerance")
-    return _transport(pair, u, tol)
+    return _transport(pair, u)
 
 
-def transport_by_invertible(
-    pair: DualPair, u: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> DualPair:
+def transport_by_invertible(pair: DualPair, u: np.ndarray) -> DualPair:
     """Transport by an invertible map leaving u^T u invariant on every member.
 
     Duality is preserved (no optimality claim). The invariance precondition
     u^T u W_i inside W_i and u^T u V_i inside V_i is checked per index and
     all failures are reported together.
     """
+    tol = pair.tol
     u = np.asarray(u, dtype=float)
     n = pair.primal.ambient_dim
     if u.shape != (n, n):
@@ -491,15 +481,10 @@ def transport_by_invertible(
         raise ValueError(
             "u^T u does not leave these members invariant: " + ", ".join(failures)
         )
-    return _transport(pair, u, tol)
+    return _transport(pair, u)
 
 
-def probe_duals(
-    pair: DualPair,
-    count: int,
-    rng: np.random.Generator,
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[FusionFrame]:
+def probe_duals(pair: DualPair, count: int, rng: np.random.Generator) -> list[FusionFrame]:
     """Randomized family of verified duals used to challenge optimality claims.
 
     Draws member-wise enlargements of the canonical dual by directions
@@ -508,10 +493,10 @@ def probe_duals(
     lifts. Refutation by a probe is sound; exhausting probes without finding
     a better dual is inconclusive.
     """
+    tol = pair.tol
     w = pair.primal
     base = canonical_pair(w, tol)
-    s_inv = spd_inverse(frame_operator(w), tol)
-    canonical_members = [image_subspace(s_inv, s, tol) for s in w.subspaces]
+    canonical_members = base.dual_candidate.subspaces
     probes: list[FusionFrame] = [base.dual_candidate]
     m = w.member_count
     while len(probes) < count:
@@ -533,9 +518,9 @@ def probe_duals(
             probes.append(FusionFrame(w.ambient_dim, tuple(members), base.dual_candidate.weights))
         elif mode == 1 and probes:
             source = make_dual_pair(w, probes[int(rng.integers(0, len(probes)))], tol)
-            variants = expand_optimal_family(source, int(rng.integers(1, m + 1)), tol, check_r_max=1)
+            variants = expand_optimal_family(source, int(rng.integers(1, m + 1)), check_r_max=1)
             probes.extend(variants[: max(0, count - len(probes))])
         else:
             source = make_dual_pair(w, probes[int(rng.integers(0, len(probes)))], tol)
-            probes.append(lift_to_component_preserving(source, tol))
+            probes.append(lift_to_component_preserving(source))
     return probes[:count]

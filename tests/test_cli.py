@@ -102,6 +102,19 @@ class TestParsing:
         with pytest.raises(DocumentError, match="real"):
             parse_document(p)
 
+    def test_infinite_weight_exits_nonzero(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        members = [{"weight": float("inf"), "spanning_vectors": [[1, 0]]}, {"spanning_vectors": [[0, 1]]}]
+        p.write_text(json.dumps({"ambient_dim": 2, "subspaces": members}))
+        assert main(["classify", str(p)]) == 1
+        assert "error: weight of member 1 must be positive and finite" in capsys.readouterr().err
+
+    def test_boolean_ambient_dim_exits_nonzero(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"ambient_dim": True, "subspaces": [{"spanning_vectors": [[1]]}]}))
+        assert main(["classify", str(p)]) == 1
+        assert "error: ambient_dim" in capsys.readouterr().err
+
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

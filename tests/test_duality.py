@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from fusionframes import (
+    ErasureMask,
     LeftInverseMap,
+    Tolerance,
     canonical_dual,
     canonical_pair,
+    certify_dual_optimal,
     component_preserving_check,
+    coordinate_subspace,
     frame_operator,
     full_subspace,
     fusion_frame,
+    fusion_partial_error,
     image_subspace,
     left_inverse_residual,
     lift_to_component_preserving,
@@ -33,6 +38,31 @@ from helpers import (
     preserving_pair_r3,
     random_fusion_frame,
 )
+
+
+class TestPairState:
+    def test_pair_is_analysed_at_its_own_tolerance(self):
+        # S_W = 1e-10 I: invertible under rank_eps = 1e-13, not under the default 1e-9
+        tol = Tolerance(rank_eps=1e-13, residual_eps=1e-13)
+        w = fusion_frame([coordinate_subspace(3, [k]) for k in (1, 2, 3)], [1e-5] * 3)
+        pair = canonical_pair(w, tol)
+        assert pair.tol is tol
+        assert worst_case_error(pair, 1, "frobenius").worst_value == pytest.approx(1.0, abs=1e-12)
+        assert fusion_partial_error(pair, ErasureMask(3, [2]), "operator") == pytest.approx(1.0, abs=1e-12)
+        assert certify_dual_optimal(pair).lambda1 == (1, 2, 3)
+        lifted = lift_to_component_preserving(pair)
+        assert all(subspaces_equal(a, b) for a, b in zip(lifted.subspaces, w.subspaces))
+
+    def test_components_add_up_to_the_reconstruction(self, rng):
+        w = random_fusion_frame(rng, 4, 5, weighted=True)
+        pair = make_dual_pair(w, inflated_dual(rng, w))
+        total = np.zeros((4, 4))
+        for component in pair.components:
+            total += component
+        assert pair.components.shape == (5, 4, 4)
+        assert np.array_equal(total, pair.reconstruction)
+        with pytest.raises(ValueError, match="read-only"):
+            pair.components[0, 0, 0] = 1.0
 
 
 class TestVerifyDual:

@@ -199,7 +199,8 @@ def test_riesz_constants_overcomplete_lower_zero():
 
 
 def test_member_validation():
-    with pytest.raises(ValueError, match="positive"):
-        fusion_frame([full_subspace(2)], [0.0])
+    for weight in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fusion_frame([full_subspace(2)], [weight])
     with pytest.raises(ValueError, match="at least one"):
         fusion_frame([])
