@@ -28,7 +28,7 @@ from .discrete import (
     halving_dual,
     verify_discrete_dual,
 )
-from .duality import make_dual_pair, verify_dual
+from .duality import DualPair, canonical_pair, make_dual_pair, verify_dual
 from .erasures import (
     ErasureMask,
     discrete_worst_case,
@@ -78,19 +78,25 @@ class ParsedDocument:
 def _scalar(x, where: str) -> float:
     if isinstance(x, bool):
         raise DocumentError(f"{where}: expected a number, got a boolean")
-    if isinstance(x, (int, float)):
-        return float(x)
-    if isinstance(x, str):
-        try:
-            return float(Fraction(x))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{where}: cannot parse scalar {x!r}") from exc
-    raise DocumentError(f"{where}: expected a number or fraction string, got {type(x).__name__}")
+    if not isinstance(x, (int, float, str)):
+        raise DocumentError(f"{where}: expected a number or fraction string, got {type(x).__name__}")
+    try:
+        return float(Fraction(x)) if isinstance(x, str) else float(x)
+    except OverflowError as exc:
+        raise DocumentError(f"{where}: number too large for a float") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(f"{where}: cannot parse scalar {x!r}") from exc
 
 
 def _vector(entry, dim: int, where: str) -> np.ndarray:
     if not isinstance(entry, list) or len(entry) != dim:
         raise DocumentError(f"{where}: expected a list of {dim} scalars")
+    # plain numbers convert in one call; anything else goes entry by entry for a located message
+    if set(map(type, entry)) <= {int, float}:
+        try:
+            return np.array(entry, dtype=float)
+        except OverflowError:
+            pass
     return np.array([_scalar(v, f"{where}[{k}]") for k, v in enumerate(entry)])
 
 
@@ -188,22 +194,15 @@ def _fmt_vector(v: np.ndarray) -> str:
     return "(" + ", ".join(_fmt(x) for x in v) + ")"
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+def _json_default(x):
+    """``json.dumps`` hook for numpy values (``np.float64`` is a float) and frozensets."""
     if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
+        return x.tolist()
+    if isinstance(x, np.generic):
+        return x.item()
     if isinstance(x, frozenset):
         return sorted(x)
-    return x
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _frame_document(frame: FusionFrame) -> dict:
@@ -245,10 +244,11 @@ def _certificate_lines(cert: Certificate) -> list[str]:
     ]
 
 
-def _dual_or_canonical(doc: ParsedDocument) -> tuple[FusionFrame, str]:
+def _document_pair(doc: ParsedDocument) -> tuple[DualPair, str]:
+    """The document's dual pair, or the canonical one; S_W^{-1} is inverted once."""
     if doc.dual is not None:
-        return doc.dual, "file"
-    return canonical_dual(doc.frame, doc.tol), "canonical"
+        return make_dual_pair(doc.frame, doc.dual, doc.tol), "file"
+    return canonical_pair(doc.frame, doc.tol), "canonical"
 
 
 # --- commands ---------------------------------------------------------------
@@ -279,7 +279,6 @@ def _cmd_classify(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         "is_orthonormal_fusion_basis": cls.is_orthonormal_fusion_basis,
         "nontrivial": is_nontrivial(doc.frame),
         "member_dims": [s.dim for s in doc.frame.subspaces],
-        "frame_document": _frame_document(doc.frame),
     }
     lines = [
         f"classification:  {summary}",
@@ -300,7 +299,6 @@ def _cmd_verify_dual(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         "residual": residual,
         "reconstruction": recon,
         "member_count": pair.member_count,
-        "frame_document": _frame_document(doc.frame),
     }
     lines = [
         f"dual verification: {'PASS' if ok else 'FAIL'}",
@@ -312,10 +310,9 @@ def _cmd_verify_dual(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
 
 
 def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
-    dual, dual_source = _dual_or_canonical(doc)
-    pair = make_dual_pair(doc.frame, dual, doc.tol)
-    norm = args.norm
-    if args.fixed is None:
+    norm, subset = args.norm, args.fixed
+    if subset is None:
+        pair, dual_source = _document_pair(doc)
         report = worst_case_error(pair, args.r, norm)
         result = {
             "mode": "worst",
@@ -327,7 +324,6 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             "table": [
                 {"subset": list(s), "value": v} for s, v in (report.per_subset_values or ())
             ],
-            "frame_document": _frame_document(doc.frame),
         }
         lines = [
             f"worst-case erasure error (r={report.r}, norm={report.norm_kind}, dual={dual_source})",
@@ -342,7 +338,6 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             ]
         return result, lines
 
-    subset = args.fixed
     if doc.basis is not None:
         # fixed erasures of a bridged frame: compare the canonical dual with
         # the halving construction on the same lost set
@@ -357,7 +352,6 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             "subset": sorted(subset),
             "kept_raw_indices": list(kept),
             "canonical_value": value_canonical,
-            "frame_document": _frame_document(doc.frame),
         }
         lines = [
             f"fixed erasure on bridged frame (norm={norm})",
@@ -378,6 +372,7 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             lines.append(f"halving dual:      infeasible ({exc})")
         return result, lines
 
+    pair, dual_source = _document_pair(doc)
     mask = ErasureMask(pair.member_count, subset)
     value = fusion_partial_error(pair, mask, norm)
     result = {
@@ -386,7 +381,6 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         "dual_source": dual_source,
         "subset": sorted(subset),
         "value": value,
-        "frame_document": _frame_document(doc.frame),
     }
     lines = [
         f"fixed erasure error (norm={norm}, dual={dual_source})",
@@ -405,11 +399,9 @@ def _cmd_certify(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         pair = make_dual_pair(doc.frame, doc.dual, doc.tol)
         cert = certify_dual_optimal(pair)
     else:
-        dual, _ = _dual_or_canonical(doc)
+        dual = doc.dual if doc.dual is not None else canonical_dual(doc.frame, doc.tol)
         cert = certify_tight_uniform(doc.frame, dual, doc.tol)
-    result = _certificate_dict(cert)
-    result["frame_document"] = _frame_document(doc.frame)
-    return result, _certificate_lines(cert)
+    return _certificate_dict(cert), _certificate_lines(cert)
 
 
 def _frame_listing(vectors: np.ndarray, labels=None) -> list[str]:
@@ -434,7 +426,6 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             "compact_vectors": compacted.vectors,
             "kept_raw_indices": list(kept),
             "canonical_dual_vectors": canonical.vectors,
-            "frame_document": _frame_document(w),
         }
         lines = ["bridged frame (raw, zero vectors flagged by omission below):"]
         lines += _frame_listing(bridged.vectors, bridged.labels)
@@ -448,8 +439,7 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
     if args.what == "expand":
         if args.index is None:
             raise DocumentError("construct --what expand requires --index")
-        dual, dual_source = _dual_or_canonical(doc)
-        pair = make_dual_pair(w, dual, doc.tol)
+        pair, dual_source = _document_pair(doc)
         variants = expand_optimal_family(pair, args.index)
         d1 = worst_case_error(pair, 1, "frobenius").worst_value if pair.member_count > 1 else None
         entries = []
@@ -470,7 +460,6 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             "variant_count": len(variants),
             "d1_frobenius_input": d1,
             "variants": entries,
-            "frame_document": _frame_document(w),
         }
         lines = [f"expansion variants at member {args.index}: {len(variants)}"]
         if d1 is not None:
@@ -506,7 +495,6 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         "kept_raw_indices": list(kept),
         "parseval_residual": parseval_residual,
         "duals": dual_entries,
-        "frame_document": _frame_document(w),
     }
     lines = [
         f"parseval family (residual {_fmt(parseval_residual)}):",
@@ -531,18 +519,24 @@ _COMMANDS = {
 }
 
 
-def run(args) -> tuple[dict, list[str]]:
-    """Run one parsed command line; returns (json-ready report, text lines)."""
+def run(args) -> str:
+    """Run one parsed command line; returns the text report, or the JSON one under ``--json``.
+
+    Only the JSON report echoes the frame document and the input's sha256.
+    """
     doc = parse_document(args.file, args.tol)
     result, lines = _COMMANDS[args.command](doc, args)
+    if not args.json:
+        return "\n".join(lines)
+    result["frame_document"] = _frame_document(doc.frame)
     digest = hashlib.sha256(Path(args.file).read_bytes()).hexdigest()
     report = {
         "command": args.command,
         "input": {"path": str(args.file), "sha256": digest},
         "tolerance": {"rank_eps": doc.tol.rank_eps, "residual_eps": doc.tol.residual_eps},
-        "result": _jsonable(result),
+        "result": result,
     }
-    return report, lines
+    return json.dumps(report, sort_keys=True, indent=2, default=_json_default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -587,14 +581,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report, lines = run(args)
+        output = run(args)
     except (DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
+    print(output)
     return 0
 
 

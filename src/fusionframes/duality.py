@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .fusion import FusionFrame, canonical_dual, classify, frame_operator
+from .fusion import FusionFrame, _canonical_dual_and_inverse, classify, frame_operator
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -72,8 +72,11 @@ def make_dual_pair(
         )
     if primal.ambient_dim != dual_candidate.ambient_dim:
         raise ValueError("ambient dimension mismatch between primal and dual")
+    return _pair(primal, dual_candidate, tol, spd_inverse(frame_operator(primal), tol))
+
+
+def _pair(primal: FusionFrame, dual_candidate: FusionFrame, tol: Tolerance, s_inv: np.ndarray) -> DualPair:
     n = primal.ambient_dim
-    s_inv = spd_inverse(frame_operator(primal), tol)
     components = np.empty((primal.member_count, n, n))
     recon = np.zeros((n, n))
     members = zip(primal.subspaces, primal.weights, dual_candidate.subspaces, dual_candidate.weights)
@@ -94,8 +97,9 @@ def reconstruction_matrix(
 
 
 def canonical_pair(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> DualPair:
-    """The frame paired with its canonical dual."""
-    return make_dual_pair(w, canonical_dual(w, tol), tol)
+    """The frame paired with its canonical dual; S_W^{-1} is inverted once for both."""
+    dual, s_inv = _canonical_dual_and_inverse(w, tol)
+    return _pair(w, dual, tol, s_inv)
 
 
 def verify_dual(pair: DualPair) -> tuple[bool, float, np.ndarray]:

@@ -169,13 +169,17 @@ def classify(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FrameClassificatio
     )
 
 
-def canonical_dual(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FusionFrame:
-    """Canonical dual family {(S_W^{-1} W_i, w_i)}; member dimensions are preserved."""
+def _canonical_dual_and_inverse(w: FusionFrame, tol: Tolerance) -> tuple[FusionFrame, np.ndarray]:
     if not classify(w, tol).is_frame:
         raise ValueError("canonical dual requires a fusion frame (family does not span)")
     s_inv = spd_inverse(frame_operator(w), tol)
     duals = tuple(image_subspace(s_inv, sub, tol) for sub in w.subspaces)
-    return FusionFrame(w.ambient_dim, duals, w.weights)
+    return FusionFrame(w.ambient_dim, duals, w.weights), s_inv
+
+
+def canonical_dual(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FusionFrame:
+    """Canonical dual family {(S_W^{-1} W_i, w_i)}; member dimensions are preserved."""
+    return _canonical_dual_and_inverse(w, tol)[0]
 
 
 def riesz_constants(w: FusionFrame) -> tuple[float, float]:

@@ -8,6 +8,7 @@ function here is pure, so concurrent use is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -60,13 +61,6 @@ def _as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a matrix, got array of ndim {arr.ndim}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
-    return arr
-
-
-def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("vector has non-finite entries")
     return arr
 
 
@@ -136,45 +130,55 @@ def coordinate_subspace(ambient_dim: int, axes: Iterable[int]) -> Subspace:
 def orthonormal_basis(
     vectors: Sequence, tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | None = None
 ) -> Subspace:
-    """Orthonormal basis of the span of ``vectors``.
+    """Orthonormal basis of the span of ``vectors`` (one vector per row).
 
-    Twice-reorthogonalized Gram-Schmidt with column pivoting; a candidate is
-    discarded once its residual norm falls to ``rank_eps`` times the largest
-    input norm, which keeps rank decisions reproducible on exact fixtures.
+    Twice-reorthogonalized Gram-Schmidt with column pivoting on a ``(k, n)``
+    matrix: the row of largest residual norm is projected twice off the
+    accepted block, then one rank-one update removes it from the other rows.
+    A candidate is discarded once its residual norm falls to ``rank_eps``
+    times the largest input norm, which keeps rank decisions reproducible on
+    exact fixtures.
     """
-    cols = [_as_vector(v) for v in vectors]
-    dims = {c.shape[0] for c in cols}
-    if len(dims) > 1:
-        raise ValueError(f"vectors have mismatched dimensions: {sorted(dims)}")
-    if ambient_dim is None:
-        if not cols:
+    if len(vectors) == 0:
+        if ambient_dim is None:
             raise ValueError("ambient_dim is required for an empty vector list")
-        ambient_dim = cols[0].shape[0]
-    elif dims and dims != {ambient_dim}:
+        return zero_subspace(ambient_dim)
+    try:
+        work = np.array(vectors, dtype=float, order="C").reshape(len(vectors), -1)
+    except ValueError as exc:
+        raise ValueError(f"vectors have mismatched dimensions: {exc}") from exc
+    if not np.all(np.isfinite(work)):
+        raise ValueError("vector has non-finite entries")
+    if ambient_dim not in (None, work.shape[1]):
         raise ValueError("vectors do not match the requested ambient dimension")
+    ambient_dim = work.shape[1]
 
-    max_norm = max((float(np.linalg.norm(c)) for c in cols), default=0.0)
-    thresh = tol.rank_eps * max_norm
-    accepted: list[np.ndarray] = []
-    work = [c.astype(float, copy=True) for c in cols]
-    while work:
-        norms = [float(np.linalg.norm(w)) for w in work]
-        j = int(np.argmax(norms))
+    # np.vecdot rounds like a per-row ``q @ w``; einsum, unlike a BLAS
+    # matrix-vector product, keeps the exact zeros of the bundled fixtures
+    norms = np.sqrt(np.vecdot(work, work))
+    thresh = tol.rank_eps * norms.max()
+    accepted = np.empty_like(work)
+    rank = 0
+    while True:
+        j = norms.argmax()
         if norms[j] <= thresh:
             break
-        v = work.pop(j)
+        v = work[j].copy()
+        work[j] = 0.0
+        norms[j] = 0.0
         for _ in range(2):
-            for q in accepted:
-                v -= (q @ v) * q
-        nv = float(np.linalg.norm(v))
+            v -= np.einsum("i,ij->j", np.vecdot(accepted[:rank], v), accepted[:rank])
+        nv = math.sqrt(v @ v)
         if nv <= thresh:
             continue
         q = v / nv
-        accepted.append(q)
-        work = [w - (q @ w) * q for w in work]
-    if not accepted:
+        accepted[rank] = q
+        rank += 1
+        work -= np.multiply.outer(np.vecdot(work, q), q)
+        norms = np.sqrt(np.vecdot(work, work))
+    if not rank:
         return zero_subspace(ambient_dim)
-    return Subspace(ambient_dim, np.column_stack(accepted))
+    return Subspace(ambient_dim, accepted[:rank].T)
 
 
 def projector(s: Subspace) -> np.ndarray:
@@ -270,8 +274,7 @@ def subspace_sum(parts: Sequence[Subspace], ambient_dim: int | None = None) -> S
         _check_same_ambient(parts[0], p)
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("parts do not match the requested ambient dimension")
-    columns = [p.basis[:, j] for p in parts for j in range(p.dim)]
-    return orthonormal_basis(columns, ambient_dim=n)
+    return orthonormal_basis(np.vstack([p.basis.T for p in parts]), ambient_dim=n)
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
@@ -294,6 +297,4 @@ def image_subspace(u: np.ndarray, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> 
         )
     if s.is_zero:
         return zero_subspace(s.ambient_dim)
-    mapped = u @ s.basis
-    return orthonormal_basis([mapped[:, j] for j in range(mapped.shape[1])],
-                             tol, ambient_dim=s.ambient_dim)
+    return orthonormal_basis((u @ s.basis).T, tol, ambient_dim=s.ambient_dim)

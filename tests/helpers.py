@@ -16,8 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from fusionframes import (
+    DEFAULT_TOL,
     DualPerturbation,
     FusionFrame,
+    Subspace,
+    Tolerance,
     coordinate_subspace,
     classify,
     frame_operator,
@@ -285,3 +288,59 @@ def brute_force_worst(components, r: int, norm_kind: str):
     worst = max(value for _, value in table)
     argmax = tuple(s for s, value in table if value >= worst * (1.0 - 1e-12))
     return worst, argmax, tuple(table) if len(table) <= 4096 else None
+
+
+# --- loop references for vectorized code -------------------------------------
+
+
+def orthonormal_basis_reference(vectors, tol: Tolerance = DEFAULT_TOL, *, ambient_dim=None) -> Subspace:
+    """Gram-Schmidt one vector at a time, as ``orthonormal_basis`` did before it was vectorized.
+
+    Same pivoting (largest residual norm first), same discard rule (residual
+    at most ``rank_eps`` times the largest input norm), and the pivot is
+    projected off the accepted vectors one at a time, twice.
+    """
+    cols = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
+    if ambient_dim is None:
+        ambient_dim = cols[0].shape[0]
+    max_norm = max((float(np.linalg.norm(c)) for c in cols), default=0.0)
+    thresh = tol.rank_eps * max_norm
+    accepted: list[np.ndarray] = []
+    work = [c.copy() for c in cols]
+    while work:
+        norms = [float(np.linalg.norm(w)) for w in work]
+        j = int(np.argmax(norms))
+        if norms[j] <= thresh:
+            break
+        v = work.pop(j)
+        for _ in range(2):
+            for q in accepted:
+                v -= (q @ v) * q
+        nv = float(np.linalg.norm(v))
+        if nv <= thresh:
+            continue
+        q = v / nv
+        accepted.append(q)
+        work = [w - (q @ w) * q for w in work]
+    if not accepted:
+        return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
+    return Subspace(ambient_dim, np.column_stack(accepted))
+
+
+def jsonable_reference(x):
+    """Recursive conversion of a report to plain JSON types, as the CLI did before ``default=``."""
+    if isinstance(x, dict):
+        return {k: jsonable_reference(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable_reference(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return jsonable_reference(x.tolist())
+    if isinstance(x, np.floating):
+        return float(x)
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, frozenset):
+        return sorted(x)
+    return x

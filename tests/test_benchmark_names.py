@@ -22,10 +22,12 @@ DERIVED = {
     "trace.overhead_frac": (),
 }
 
-# arguments that the tracer reads by name to count enumerated subsets
+# arguments that the tracer reads by name to count enumerated subsets and
+# orthonormalized columns
 BOUND_BY_NAME = {
     "erasures.worst_case_error": ("pair", "r"),
     "erasures.discrete_worst_case": ("f", "r"),
+    "linalg.orthonormal_basis": ("vectors",),
 }
 
 

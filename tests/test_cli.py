@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fusionframes.cli as cli
 from fusionframes import subspaces_equal
 from fusionframes.cli import DocumentError, main, parse_document
 from helpers import (
@@ -12,6 +13,7 @@ from helpers import (
     OVERCOMPLETE_BRIDGED,
     PRESERVING_RECON,
     SQRT54,
+    jsonable_reference,
 )
 
 OVERLAP = str(FIXTURES / "overlap_r4.json")
@@ -19,6 +21,9 @@ OVERLAP_DUAL = str(FIXTURES / "overlap_r4_extended_dual.json")
 ORTHOBASIS = str(FIXTURES / "orthobasis_r3.json")
 OVERCOMPLETE = str(FIXTURES / "overcomplete_r3.json")
 PRESERVING = str(FIXTURES / "preserving_nondual_r3.json")
+
+# a JSON integer beyond the range of a float
+HUGE = 10**400
 
 
 def run_json(capsys, argv):
@@ -115,6 +120,31 @@ class TestParsing:
         assert main(["classify", str(p)]) == 1
         assert "error: ambient_dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "first, extra, where",
+        [
+            ({"spanning_vectors": [[HUGE, 0]]}, {}, "subspaces[0].spanning_vectors[0][0]"),
+            ({"spanning_vectors": [["1/2", -HUGE]]}, {}, "subspaces[0].spanning_vectors[0][1]"),
+            ({"spanning_vectors": [[f"{HUGE}/3", 0]]}, {}, "subspaces[0].spanning_vectors[0][0]"),
+            ({"spanning_vectors": [[1, 0]], "weight": HUGE}, {}, "subspaces[0].weight"),
+            ({"spanning_vectors": [[1, 0]]}, {"tolerance": {"rank_eps": HUGE}}, "tolerance.rank_eps"),
+        ],
+    )
+    def test_huge_integer_exits_nonzero(self, tmp_path, capsys, first, extra, where):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"ambient_dim": 2, "subspaces": [first, {"spanning_vectors": [[0, 1]]}], **extra}))
+        assert main(["classify", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+    def test_boolean_vector_entry_names_its_location(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        members = [{"spanning_vectors": [[1, 0]]}, {"spanning_vectors": [[0, 1], [True, 0]]}]
+        p.write_text(json.dumps({"ambient_dim": 2, "subspaces": members}))
+        assert main(["classify", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: subspaces[1].spanning_vectors[1][0]: expected a number, got a boolean\n"
+
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -206,6 +236,17 @@ class TestErasure:
         fixed = run_json(capsys, ["erasure", str(p), "--fixed", "1"])["result"]
         assert fixed["value"] == worst["worst_value"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_bridged_fixed_builds_no_fusion_pair(self, capsys, monkeypatch):
+        argv = ["erasure", OVERCOMPLETE, "--norm", "frobenius", "--fixed", "1,2"]
+        expected = run_json(capsys, argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bridged fixed-set path reads no fusion dual pair")
+
+        monkeypatch.setattr(cli, "make_dual_pair", refuse)
+        monkeypatch.setattr(cli, "canonical_pair", refuse)
+        assert run_json(capsys, argv) == expected
+
     def test_r_equal_member_count_refused(self, capsys):
         assert main(["erasure", OVERLAP, "--r", "3"]) == 1
         assert "r must" in capsys.readouterr().err
@@ -288,6 +329,21 @@ class TestReportContracts:
         assert doc.frame.member_count == original.frame.member_count
         for a, b in zip(doc.frame.subspaces, original.frame.subspaces):
             assert subspaces_equal(a, b)
+
+    def test_json_hook_matches_recursive_conversion(self):
+        result = {
+            "array": np.arange(6.0).reshape(2, 3) / 7,
+            "float": np.float64(0.1),
+            "special": [np.float64("inf"), np.float64("nan"), np.float64(-0.0)],
+            "int": np.int64(-7),
+            "flag": np.bool_(True),
+            "set": frozenset({3, 1, 2}),
+            "nested": ((1, (2.5, np.float64(1 / 3))), [np.int64(4), (np.bool_(False), np.eye(2))]),
+            "plain": {"x": [1, 2.0, None, "s", True]},
+        }
+        report = {"command": "classify", "result": result}
+        hooked = json.dumps(report, sort_keys=True, indent=2, default=cli._json_default)
+        assert hooked == json.dumps(jsonable_reference(report), sort_keys=True, indent=2)
 
     def test_digest_present(self, capsys):
         report = run_json(capsys, ["classify", OVERLAP])

@@ -23,7 +23,14 @@ from fusionframes import (
     subspaces_equal,
     zero_subspace,
 )
-from helpers import SQRT54, OVERCOMPLETE_SINV, random_spd, random_subspace, random_unitary
+from helpers import (
+    SQRT54,
+    OVERCOMPLETE_SINV,
+    orthonormal_basis_reference,
+    random_spd,
+    random_subspace,
+    random_unitary,
+)
 
 
 class TestOrthonormalBasis:
@@ -51,6 +58,79 @@ class TestOrthonormalBasis:
         assert orthonormal_basis([], ambient_dim=3).is_zero
         with pytest.raises(ValueError):
             orthonormal_basis([])
+
+
+def _matches_reference(vectors, tol=Tolerance(), ambient_dim=None):
+    """The array form and the loop reference agree on dimension and projector."""
+    got = orthonormal_basis(vectors, tol, ambient_dim=ambient_dim)
+    ref = orthonormal_basis_reference(vectors, tol, ambient_dim=ambient_dim)
+    assert got.dim == ref.dim
+    assert np.abs(projector(got) - projector(ref)).max(initial=0.0) <= 1e-12
+    assert np.abs(got.basis.T @ got.basis - np.eye(got.dim)).max(initial=0.0) <= 1e-12
+    return got
+
+
+class TestOrthonormalBasisMatchesLoop:
+    @pytest.mark.parametrize("k, n", [(1, 3), (3, 3), (5, 3), (8, 64), (12, 6), (40, 8), (200, 16)])
+    def test_random(self, rng, k, n):
+        for _ in range(5):
+            s = _matches_reference(rng.standard_normal((k, n)))
+            assert s.dim == min(k, n)
+
+    def test_duplicates_and_zero_vectors(self, rng):
+        v = rng.standard_normal((3, 6))
+        cases = [
+            (np.vstack([v, v]), 3),
+            (np.vstack([v[:1], 2.0 * v[:1], -v[:1]]), 1),
+            (np.vstack([np.zeros(6), v, np.zeros(6)]), 3),
+            (np.zeros((4, 6)), 0),
+            (np.vstack([v, rng.standard_normal((5, 3)) @ v]), 3),
+        ]
+        for vectors, dim in cases:
+            assert _matches_reference(vectors).dim == dim
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    @pytest.mark.parametrize("factor, dim", [(1.5, 3), (0.5, 2)])
+    def test_residual_around_the_discard_threshold(self, rng, scale, factor, dim):
+        # the third residual is factor * rank_eps * (largest input norm)
+        tol = Tolerance(rank_eps=1e-9)
+        vectors = scale * np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [1.0, 0, factor * 1e-9, 0]])
+        assert _matches_reference(vectors, tol).dim == dim
+        u = random_unitary(rng, 4)
+        assert _matches_reference(vectors @ u.T, tol).dim == dim
+
+    def test_pivots_on_the_largest_residual(self):
+        vectors = [[1.0, 0, 0], [0, 3.0, 0], [0, 0, 2.0]]
+        s = orthonormal_basis(vectors)
+        assert np.array_equal(s.basis, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        assert np.array_equal(s.basis, orthonormal_basis_reference(vectors).basis)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e5])
+    def test_scaled_inputs(self, rng, scale):
+        for k, n in [(4, 3), (8, 64), (6, 6)]:
+            v = rng.standard_normal((k, n))
+            v[-1] = v[0] + v[1]
+            s = _matches_reference(scale * v)
+            assert s.dim == min(k - 1, n)
+            assert np.abs(projector(s) - projector(orthonormal_basis(v))).max() <= 1e-12
+
+    def test_columns_of_a_transposed_matrix(self, rng):
+        m = rng.standard_normal((5, 3))
+        assert np.array_equal(orthonormal_basis(m.T).basis, orthonormal_basis(list(m.T)).basis)
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(
+    mat=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(1, 6)),
+        elements=st.integers(-3, 3).map(float)
+        | st.floats(min_value=-10, max_value=10).filter(lambda x: x == 0 or abs(x) > 1e-3),
+    )
+)
+def test_orthonormal_basis_matches_loop(mat):
+    _matches_reference(mat)
 
 
 class TestProjector:
