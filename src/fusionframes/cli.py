@@ -3,9 +3,12 @@
 Input documents are UTF-8 JSON; scalars may be numbers or exact-fraction
 strings like ``"5/7"``. Reports come in an aligned plain-text form (decimals
 to 12 significant digits) and, with ``--json``, a machine-readable form that
-is bitwise reproducible for identical inputs. Exit status 0 means the
-analysis completed (even with a negative verdict); nonzero is reserved for
-input and usage errors.
+is bitwise reproducible for identical inputs.
+
+Exit status 0 means the analysis completed (even with a negative verdict),
+1 an input error (an ``error:`` line on stderr), 2 a usage error (from
+argparse), and 3 a failed internal cross-check, such as an emitted dual that
+does not verify (an ``error: internal check failed:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -585,6 +588,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
     print(output)
     return 0
 

@@ -12,16 +12,18 @@ rows ``w_i v_i P_{V_i} S_W^{-1} P_{W_i}`` of the component stack that
 reports stream all C(m, r) subsets through one engine, in lexicographic
 chunks whose size is set by a fixed byte budget. Memory holds one chunk, the
 running maximum and its current ties, plus the per-subset table only when
-there are at most 4096 subsets, so it does not grow with C(m, r). Under the
-operator norm each chunk is summed and reduced by one batched SVD. Under the
-Frobenius norm, once there are more subsets than the m^2 entries of the
-components' Gram matrix (so m < 1000 under the cap and the Gram matrix stays
-below 8 MB), each chunk is first screened through that Gram matrix; the
-screen keeps every subset that a written rounding bound cannot exclude from
-the tie window, so it never drops a candidate, and only the kept subsets are
-recomputed by the exact sum-then-norm path. Reported values therefore do not
-depend on the chunking or the screen. Enumeration is always exhaustive; the
-operations refuse rather than sample once the subset count exceeds the cap.
+there are at most 4096 subsets, so it does not grow with C(m, r). Once there
+are more subsets than the m^2 entries of the components' Gram matrix (so
+m < 1000 under the cap and the Gram matrix stays below 8 MB), each chunk is
+first screened, under either norm, through that Gram matrix: it gives every
+subset's squared Frobenius norm, which bounds the operator norm from above
+too. The screen keeps every subset that a written rounding bound cannot
+exclude from the tie window, so it never drops a candidate. Only the kept
+subsets are summed and measured exactly: by one batched SVD under the
+operator norm, by one flat dot product per sum under the Frobenius norm.
+Reported values therefore do not depend on the chunking or the screen.
+Enumeration is always exhaustive; the operations refuse rather than sample
+once the subset count exceeds the cap.
 """
 
 from __future__ import annotations
@@ -184,13 +186,25 @@ def _gram_screen(components: _Components, r: int) -> tuple[np.ndarray, float]:
 
     ``||sum_{a in S} E_a||_F^2`` is the sum of the Gram entries <E_a, E_b>_F
     over S x S, so the returned weights hold the Gram diagonal and twice its
-    upper triangle. The slack bounds the distance between the screened value
-    and the square of the exact sum-then-norm value. With u = eps / 2 and T
-    the sum of the r largest component norms, the Gram entries err by at
-    most (n^2 + 2) u T^2 over S x S (as flat n^2-term dot products, or for
-    rank-one components as products (g_a . g_b)(f_a . f_b) of n-term ones),
-    that norm's dot product by at most n^2 u T^2 and the r-term sums by at
-    most r^2 u T^2; the slack is at least four times their total.
+    upper triangle. The slack bounds how far a screened value can sit below
+    the square of the exact value that the report would hold for the subset.
+    With u = eps / 2 and T the sum of the r largest component norms (so
+    every subset sum has Frobenius norm at most T, up to rounding):
+
+    * the Gram entries err by at most (n^2 + 2) u T^2 over S x S (as flat
+      n^2-term dot products, or for rank-one components as products
+      (g_a . g_b)(f_a . f_b) of n-term ones), the Frobenius norm's dot
+      product by at most n^2 u T^2 and the r-term sums by at most
+      r^2 u T^2, together below 2 (n^2 + r^2) eps T^2;
+    * the operator norm of a computed sum is at most its Frobenius norm,
+      and LAPACK's SVD returns sigma_1 within p(n) eps sigma_1, which
+      raises its square by at most (2 p(n) + 1) eps T^2 while p(n)^2 eps <= 1;
+    * squaring the floor and the tie factor, and the report's own tie
+      test, round by at most 4 eps T^2 together.
+
+    The slack, 16 (n^2 + r^2) eps T^2, covers their total for every p(n) up
+    to 6 n^2, well above the O(n^2) growth of the backward error of the
+    Householder bidiagonalization behind the SVD.
     """
     n = components.dim
     weights = components.gram()
@@ -198,7 +212,7 @@ def _gram_screen(components: _Components, r: int) -> tuple[np.ndarray, float]:
     weights *= 2.0
     np.fill_diagonal(weights, diag)
     top = float(np.sort(np.sqrt(diag))[-r:].sum())
-    slack = 8.0 * np.finfo(float).eps * (n * n + r * r) * top * top
+    slack = 16.0 * np.finfo(float).eps * (n * n + r * r) * top * top
     return weights, slack
 
 
@@ -213,13 +227,22 @@ def _screened(weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _norms(components: _Components, idx: np.ndarray, norm_kind: NormKind) -> np.ndarray:
+    """Per row of ``idx``, :func:`matrix_norm` of the subset's sum (rounding identically)."""
+    sums = _chunk_sums(components, idx)
+    if norm_kind == "operator":
+        return np.linalg.svd(sums, compute_uv=False)[:, 0]
+    flat = sums.reshape(len(sums), components.dim**2)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> ErasureReport:
     """Exhaustive worst-case report over all r-subsets of the m components.
 
     Every value that reaches the report equals :func:`matrix_norm` of its
     subset's sum, added in order onto a zero matrix: the operator norm runs
-    the same LAPACK SVD batched over a chunk, and the Frobenius norm is
-    taken sum by sum for every subset the Gram screen keeps.
+    the same LAPACK SVD batched over the kept rows of a chunk, and the
+    Frobenius norm takes the same flat dot product as ``np.linalg.norm``.
     """
     total, n = components.count, components.dim
     if not 1 <= r < total:
@@ -235,8 +258,7 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     table: list[tuple[tuple[int, ...], float]] | None = [] if count <= _TABLE_MAX else None
     # the table needs every exact value, and the m x m Gram matrix only pays
     # for itself (and stays below 8 MB under the cap) past m^2 subsets
-    screened = norm_kind == "frobenius" and table is None and count > total * total
-    screen = _gram_screen(components, r) if screened else None
+    screen = _gram_screen(components, r) if table is None and count > total * total else None
     chunk_rows = max(1, _CHUNK_BYTES // (8 * n * n))
     subsets = itertools.combinations(range(total), r)
     worst = -1.0
@@ -250,13 +272,10 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
             sq = _screened(weights, idx)
             # the final worst value is at least the running one and at least
             # the exact value of the chunk's best-screened subset
-            floor = max(max(worst, 0.0) ** 2, sq.max() - slack)
-            idx = idx[sq >= floor * (1.0 - _TIE_REL) ** 2 - slack]
-        sums = _chunk_sums(components, idx)
-        if norm_kind == "operator":
-            values = np.linalg.svd(sums, compute_uv=False)[:, 0]
-        else:
-            values = np.array([np.linalg.norm(s, "fro") for s in sums])
+            best = float(_norms(components, idx[[int(sq.argmax())]], norm_kind)[0])
+            floor = max(worst, best)
+            idx = idx[sq >= floor * floor * (1.0 - _TIE_REL) ** 2 - slack]
+        values = _norms(components, idx, norm_kind)
         if not values.size:
             continue
         chunk_worst = float(values.max())

@@ -170,9 +170,11 @@ def classify(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FrameClassificatio
 
 
 def _canonical_dual_and_inverse(w: FusionFrame, tol: Tolerance) -> tuple[FusionFrame, np.ndarray]:
-    if not classify(w, tol).is_frame:
+    s = frame_operator(w)
+    # the frame test of classify, lower frame bound above rank_eps, on the same S_W
+    if not np.linalg.eigvalsh(s)[0] > tol.rank_eps:
         raise ValueError("canonical dual requires a fusion frame (family does not span)")
-    s_inv = spd_inverse(frame_operator(w), tol)
+    s_inv = spd_inverse(s, tol)
     duals = tuple(image_subspace(s_inv, sub, tol) for sub in w.subspaces)
     return FusionFrame(w.ambient_dim, duals, w.weights), s_inv
 

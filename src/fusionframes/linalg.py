@@ -89,8 +89,9 @@ class Subspace:
         if b.size:
             if not np.all(np.isfinite(b)):
                 raise ValueError("basis has non-finite entries")
-            gram = b.T @ b
-            if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-8):
+            # np.allclose(gram, eye, atol=1e-8) written out: |gram - eye| <= 1e-8 + 1e-5 eye
+            eye = np.eye(b.shape[1])
+            if not (np.abs(b.T @ b - eye) <= 1e-8 + 1e-5 * eye).all():
                 raise ValueError("basis columns are not orthonormal")
         b = b.copy()
         b.setflags(write=False)

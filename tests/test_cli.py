@@ -309,6 +309,28 @@ class TestConstruct:
         assert main(["construct", OVERLAP, "--what", "parseval-family"]) == 1
         assert "Riesz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("expand_optimal_family", ["construct", OVERLAP, "--what", "expand", "--index", "1"]),
+            ("parseval_optimal_family", ["construct", ORTHOBASIS, "--what", "parseval-family"]),
+        ],
+    )
+    def test_internal_check_failure_exits_three(self, capsys, monkeypatch, name, argv):
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise ArithmeticError("emitted dual failed verification (residual 1.000e-03)")
+
+        monkeypatch.setattr(cli, name, fail)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal check failed: emitted dual failed verification (residual 1.000e-03)\n"
+        )
+
 
 class TestReportContracts:
     def test_json_reports_are_reproducible(self, capsys):

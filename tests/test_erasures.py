@@ -312,6 +312,90 @@ class TestEngineMatchesBruteForce:
         assert_matches_brute_force(report, fusion_components_reference(pair), 5, norm)
 
 
+def counting_svd(monkeypatch):
+    """Route ``np.linalg.svd`` through a wrapper; returns the list of matrix counts per call."""
+    batches = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        batches.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(erasures.np.linalg, "svd", counted)
+    return batches
+
+
+class TestGramScreen:
+    """Past m^2 subsets without a table, chunks are screened by squared Frobenius norms."""
+
+    def test_operator_norm_equal_to_frobenius_norm(self, rng, monkeypatch):
+        # parallel f_k and parallel g_k make every subset sum rank one, so
+        # ||X||_2 = ||X||_F and the screen sits on its bound; the 210 subsets
+        # of six near-unit products tie within the window, not bit for bit
+        n, m, r = 4, 16, 6
+        u, v = (x / np.linalg.norm(x) for x in rng.standard_normal((2, n)))
+        a = np.concatenate([1.0 + 5e-13 * rng.random(10), -0.5 - rng.random(6)])
+        rng.shuffle(a)
+        f = discrete_frame(a[:, None] * u)
+        g = discrete_frame(np.tile(v, (m, 1)))
+        assert math.comb(m, r) > max(4096, m * m)
+        batches = counting_svd(monkeypatch)
+        report = discrete_worst_case(f, g, r, "operator")
+        assert sum(batches) < math.comb(m, r)
+        components = discrete_components_reference(f, g)
+        assert_matches_brute_force(report, components, r, "operator")
+        assert len(report.argmax_subsets) == math.comb(10, 6)
+        tied = {matrix_norm(sum(components[k - 1] for k in s), "operator") for s in report.argmax_subsets}
+        assert len(tied) > 1
+
+    def test_floor_moves_across_chunks(self, rng, monkeypatch):
+        # in R^3: four unit vectors along one axis (together the operator-norm
+        # argmax, 4), one of squared norm 3 along a second axis (with three of
+        # the four: Frobenius norm 18^(1/2) > 4, operator norm 3) and short
+        # ones along the third; in 5-row chunks the argmax shares chunk 36
+        # of 42 with that larger-Frobenius subset, after the floor has risen
+        rows, r = 5, 4
+        monkeypatch.setattr(erasures, "_CHUNK_BYTES", rows * 8 * 3 * 3)
+        monkeypatch.setattr(erasures, "_TABLE_MAX", 100)
+        axes = [2, 2, 2, 0, 0, 0, 0, 1, 2, 2]
+        sq_norms = [0.3, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0, 3.0, 0.3, 0.3]
+        f = discrete_frame(np.sqrt(sq_norms)[:, None] * random_unitary(rng, 3)[:, axes].T)
+        components = discrete_components_reference(f, f)
+        assert math.comb(10, r) > max(100, 10 * 10)
+        fro = brute_force_worst(components, r, "frobenius")
+        op = brute_force_worst(components, r, "operator")
+        assert op[1] == ((4, 5, 6, 7),)
+        assert (4, 5, 6, 8) in fro[1]
+        subsets = [s for s, _ in op[2]]
+        assert subsets.index((4, 5, 6, 7)) // rows == subsets.index((4, 5, 6, 8)) // rows == 35
+        for norm, (worst, argmax, _) in (("frobenius", fro), ("operator", op)):
+            report = discrete_worst_case(f, f, r, norm)
+            assert report.worst_value == worst
+            assert report.argmax_subsets == argmax
+            assert report.per_subset_values is None
+
+    def test_screen_skips_svds(self, rng, monkeypatch):
+        # a seeded (6, 40, 2) frame: C(40, 4) = 91,390 subsets, most of
+        # which cannot reach the operator-norm tie window
+        m = 40
+        subs = [random_subspace(rng, 6, 2) for _ in range(m)]
+        pair = canonical_pair(fusion_frame(subs, 0.5 + rng.random(m)))
+        batches = counting_svd(monkeypatch)
+        report = worst_case_error(pair, 4, "operator")
+        assert sum(batches) < math.comb(m, 4)
+        # C(40, 2) = 780 subsets keep the table, so every one is measured
+        batches.clear()
+        assert len(worst_case_error(pair, 2, "operator").per_subset_values) == math.comb(m, 2)
+        assert sum(batches) == math.comb(m, 2)
+        # every subset through the table path, unscreened, gives the same report
+        batches.clear()
+        monkeypatch.setattr(erasures, "_TABLE_MAX", 10**6)
+        unscreened = worst_case_error(pair, 4, "operator")
+        assert sum(batches) == math.comb(m, 4)
+        assert unscreened.worst_value == report.worst_value
+        assert unscreened.argmax_subsets == report.argmax_subsets
+
+
 def traced_peak(run):
     """(result of ``run()``, peak traced bytes while it ran)."""
     tracemalloc.start()
