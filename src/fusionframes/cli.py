@@ -341,6 +341,9 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             ]
         return result, lines
 
+    repeated = sorted({i for i in subset if subset.count(i) > 1})
+    if repeated:
+        raise ValueError(f"--fixed repeats index {', '.join(map(str, repeated))}")
     if doc.basis is not None:
         # fixed erasures of a bridged frame: compare the canonical dual with
         # the halving construction on the same lost set

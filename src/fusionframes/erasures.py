@@ -9,26 +9,25 @@ Every error operator is a sum of per-index components: for a fusion pair the
 rows ``w_i v_i P_{V_i} S_W^{-1} P_{W_i}`` of the component stack that
 :func:`~fusionframes.duality.make_dual_pair` built once, for a discrete pair
 ``g_k f_k^T``, formed per gathered chunk, so never all at once. Worst-case
-reports stream all C(m, r) subsets through one engine, in lexicographic
-chunks whose size is set by a fixed byte budget. Memory holds one chunk, the
-running maximum and its current ties, plus the per-subset table only when
-there are at most 4096 subsets, so it does not grow with C(m, r). Once there
-are more subsets than the m^2 entries of the components' Gram matrix (so
-m < 1000 under the cap and the Gram matrix stays below 8 MB), each chunk is
-first screened, under either norm, through that Gram matrix: it gives every
-subset's squared Frobenius norm, which bounds the operator norm from above
-too. The screen keeps every subset that a written rounding bound cannot
-exclude from the tie window, so it never drops a candidate. Only the kept
-subsets are summed and measured exactly: by one batched SVD under the
-operator norm, by one flat dot product per sum under the Frobenius norm.
-Reported values therefore do not depend on the chunking or the screen.
-Enumeration is always exhaustive; the operations refuse rather than sample
-once the subset count exceeds the cap.
+reports come from one exact branch-and-bound search over the lexicographic
+tree of subset prefixes. By the triangle inequality, which holds for both
+norms, no subset below a prefix P can exceed ``||S_P||`` plus the largest
+component norms still available. A prefix whose bound, widened by a written
+rounding slack, falls below the tie window of an exact value already found
+is skipped with its whole subtree; every other subset is summed and measured
+exactly. The result is the maximum over all C(m, r) subsets, proved rather
+than sampled, with complete argmax sets. Values are bitwise those of summing
+each subset onto a zero matrix in index order and measuring it, so they do
+not depend on the search order or the pruning. With at most 4096 subsets the
+report lists every value, so the same search runs with nothing pruned. Memory
+holds one batch of prefix sums per level of the tree, the levels sharing a
+fixed byte budget, so it does not grow with C(m, r). The operations refuse
+rather than sample once the subset count exceeds the cap.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
@@ -126,33 +125,25 @@ class _Components:
     """Per-index error components E_1, ..., E_count of one pair, each n x n.
 
     ``take`` maps an array of 0-based indices to the stack of those
-    components; ``gram`` returns the count x count matrix of <E_a, E_b>_F.
-    Rank-one components are formed per gathered chunk, so a discrete pair
-    never holds all of them at once.
+    components. Rank-one components are formed per gathered chunk, so a
+    discrete pair never holds all of them at once.
     """
 
     count: int
     dim: int
     take: Callable[[np.ndarray], np.ndarray]
-    gram: Callable[[], np.ndarray]
 
 
 def _fusion_components(pair: DualPair) -> _Components:
     """The pair's component stack, w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} per member."""
     stack = pair.components
-    flat = stack.reshape(len(stack), -1)
-    return _Components(len(stack), pair.primal.ambient_dim, stack.__getitem__, lambda: flat @ flat.T)
+    return _Components(len(stack), pair.primal.ambient_dim, stack.__getitem__)
 
 
 def _rank_one_components(fv: np.ndarray, gv: np.ndarray) -> _Components:
     """Components g_k f_k^T over the rows of ``fv`` and ``gv`` (the products of ``np.outer``)."""
     count, n = fv.shape
-    return _Components(
-        count,
-        n,
-        lambda rows: gv[rows, :, None] * fv[rows, None, :],
-        lambda: (gv @ gv.T) * (fv @ fv.T),
-    )
+    return _Components(count, n, lambda rows: gv[rows, :, None] * fv[rows, None, :])
 
 
 def _chunk_sums(components: _Components, idx: np.ndarray) -> np.ndarray:
@@ -181,116 +172,262 @@ def fusion_partial_error(pair: DualPair, mask: ErasureMask, norm_kind: NormKind)
     return matrix_norm(fusion_error_operator(pair, mask), norm_kind)
 
 
-def _gram_screen(components: _Components, r: int) -> tuple[np.ndarray, float]:
-    """Screen weights and rounding slack for squared Frobenius norms of r-subset sums.
+def _sum_norms(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
+    """:func:`matrix_norm` of each matrix in the stack ``sums``, rounding identically.
 
-    ``||sum_{a in S} E_a||_F^2`` is the sum of the Gram entries <E_a, E_b>_F
-    over S x S, so the returned weights hold the Gram diagonal and twice its
-    upper triangle. The slack bounds how far a screened value can sit below
-    the square of the exact value that the report would hold for the subset.
-    With u = eps / 2 and T the sum of the r largest component norms (so
-    every subset sum has Frobenius norm at most T, up to rounding):
-
-    * the Gram entries err by at most (n^2 + 2) u T^2 over S x S (as flat
-      n^2-term dot products, or for rank-one components as products
-      (g_a . g_b)(f_a . f_b) of n-term ones), the Frobenius norm's dot
-      product by at most n^2 u T^2 and the r-term sums by at most
-      r^2 u T^2, together below 2 (n^2 + r^2) eps T^2;
-    * the operator norm of a computed sum is at most its Frobenius norm,
-      and LAPACK's SVD returns sigma_1 within p(n) eps sigma_1, which
-      raises its square by at most (2 p(n) + 1) eps T^2 while p(n)^2 eps <= 1;
-    * squaring the floor and the tie factor, and the report's own tie
-      test, round by at most 4 eps T^2 together.
-
-    The slack, 16 (n^2 + r^2) eps T^2, covers their total for every p(n) up
-    to 6 n^2, well above the O(n^2) growth of the backward error of the
-    Householder bidiagonalization behind the SVD.
+    The operator norm runs the same LAPACK SVD as ``matrix_norm``, batched;
+    the Frobenius norm takes the same flat dot product as ``np.linalg.norm``.
     """
-    n = components.dim
-    weights = components.gram()
-    diag = weights.diagonal().copy()
-    weights *= 2.0
-    np.fill_diagonal(weights, diag)
-    top = float(np.sort(np.sqrt(diag))[-r:].sum())
-    slack = 16.0 * np.finfo(float).eps * (n * n + r * r) * top * top
-    return weights, slack
-
-
-def _screened(weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Screen values of the subsets given as rows of ascending 0-based indices."""
-    flat = weights.ravel()
-    base = idx * weights.shape[0]
-    sq = np.zeros(len(idx))
-    for a in range(idx.shape[1]):
-        for b in range(a, idx.shape[1]):
-            sq += flat[base[:, a] + idx[:, b]]
-    return sq
-
-
-def _norms(components: _Components, idx: np.ndarray, norm_kind: NormKind) -> np.ndarray:
-    """Per row of ``idx``, :func:`matrix_norm` of the subset's sum (rounding identically)."""
-    sums = _chunk_sums(components, idx)
     if norm_kind == "operator":
         return np.linalg.svd(sums, compute_uv=False)[:, 0]
-    flat = sums.reshape(len(sums), components.dim**2)
+    flat = sums.reshape(len(sums), -1)
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> ErasureReport:
-    """Exhaustive worst-case report over all r-subsets of the m components.
+def _norms(components: _Components, idx: np.ndarray, norm_kind: NormKind) -> np.ndarray:
+    """Per row of ``idx``, the norm of the subset's sum, one chunk of sums at a time."""
+    rows = max(1, _CHUNK_BYTES // (8 * components.dim**2))
+    return np.concatenate(
+        [_sum_norms(_chunk_sums(components, idx[lo : lo + rows]), norm_kind) for lo in range(0, len(idx), rows)]
+    )
 
-    Every value that reaches the report equals :func:`matrix_norm` of its
-    subset's sum, added in order onto a zero matrix: the operator norm runs
-    the same LAPACK SVD batched over the kept rows of a chunk, and the
-    Frobenius norm takes the same flat dot product as ``np.linalg.norm``.
+
+def _tail_sums(norms: np.ndarray, k: int) -> np.ndarray:
+    """``tails[t, p]``, the sum of the t largest of ``norms[p:]``, for t <= k and p <= len(norms)."""
+    m = len(norms)
+    tails = [[0.0] * (m + 1) for _ in range(k + 1)]
+    top: list[float] = []  # the k largest of norms[p:], negated and ascending
+    for p in range(m - 1, -1, -1) if k else ():
+        bisect.insort(top, -float(norms[p]))
+        del top[k:]
+        acc = 0.0
+        for t, value in enumerate(top, 1):
+            acc -= value
+            tails[t][p] = acc
+    return np.array(tails)
+
+
+def _greedy_leaf(components: _Components, norms: np.ndarray, r: int, norm_kind: NormKind) -> float:
+    """Exact value of one r-subset found by a local search.
+
+    Starting from the r largest components, the search replaces one member
+    by one outsider, taking the best such swap, while that raises the value.
     """
-    total, n = components.count, components.dim
-    if not 1 <= r < total:
-        raise ValueError(f"r must satisfy 1 <= r < {total}, got {r}")
-    count = math.comb(total, r)
+    chosen = np.sort(np.argsort(norms, kind="stable")[-r:])
+    best = float(_norms(components, chosen[None, :], norm_kind)[0])
+    while r > 1:  # a single largest component is already the best single member
+        outside = np.ones(components.count, dtype=bool)
+        outside[chosen] = False
+        rest = np.flatnonzero(outside)
+        swaps = np.repeat(chosen[None, :], r * len(rest), axis=0)
+        swaps[np.arange(len(swaps)), np.repeat(np.arange(r), len(rest))] = np.tile(rest, r)
+        swaps.sort(axis=1)
+        values = _norms(components, swaps, norm_kind)
+        k = int(values.argmax())
+        if values[k] <= best:
+            break
+        best, chosen = float(values[k]), swaps[k]
+    return best
+
+
+def _binomials(s: int, r: int) -> list[np.ndarray]:
+    """``tabs[k][i] = C(k - 1 + i, k)`` for 1 <= k <= r and 0 <= i <= s (``tabs[0]`` is unused).
+
+    Each row is the running sum of the one before, by the hockey-stick
+    identity C(k + i, k + 1) = sum_{x <= i} C(k - 1 + x, k).
+    """
+    tabs = [np.zeros(s + 1, dtype=np.int64), np.arange(s + 1, dtype=np.int64)]
+    for _ in range(r - 1):
+        tabs.append(tabs[-1].cumsum())
+    return tabs
+
+
+def _unrank(tabs: list[np.ndarray], ranks: np.ndarray, r: int) -> list[tuple[int, ...]]:
+    """The 1-based r-subsets {c_1 < ... < c_r} (0-based c_k) whose colex ranks sum_k C(c_k, k) are ``ranks``."""
+    out = np.empty((len(ranks), r), dtype=np.intp)
+    rest = ranks.copy()
+    for k in range(r, 0, -1):
+        i = tabs[k].searchsorted(rest, side="right") - 1
+        out[:, k - 1] = i + k
+        rest -= tabs[k][i]
+    return list(zip(*out.T.tolist()))
+
+
+def _level_rows(need: list[int], total: int) -> list[int]:
+    """Rows per level: min(need_d, c) for the largest c keeping the sum within ``total`` (``need`` nondecreasing)."""
+    for d, wanted in enumerate(need):
+        share = total // (len(need) - d)
+        if share < wanted:
+            return need[:d] + [max(1, share)] * (len(need) - d)
+        total -= wanted
+    return need
+
+
+def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> ErasureReport:
+    """Exact worst-case report over all r-subsets of the m components, by branch and bound.
+
+    The search walks the lexicographic tree of prefixes P = (p_1 < ... < p_d)
+    level by level. Level d gathers the children of level d - 1 into one
+    batch, across as many parent batches as it takes, until the batch is
+    full or no level above can add to it, and then hands it on: leaves (the r-subsets) are measured, other prefixes
+    become the parents that fill level d + 1. The deepest level with
+    parents left always expands first, so leaves arrive in lexicographic
+    order, and deep or unpruned trees still move in full batches. A child's
+    sum is its parent's sum plus its own member, so every subset sum is
+    built as ``_chunk_sums`` builds it, (0 + E_{p_1}) + E_{p_2} + ..., and
+    every leaf value is :func:`_sum_norms` of it: each reported value equals
+    :func:`matrix_norm` of that subset's sum bit for bit.
+
+    Bound: a leaf below P adds t more members after p_d to S_P, so by the
+    triangle inequality, in either norm, its value is at most
+    ``||S_P|| + ||E_j|| + top_{t-1}(> j)`` for its next member j, where
+    top_s(> j) sums the s largest ``||E_i||`` with i > j. Every prefix is
+    measured when its batch is handed on, and a child (P, j) whose bound
+    plus ``slack`` is below ``floor * (1 - _TIE_REL)`` is pruned before its
+    sum is formed. The floor starts at the exact value of one leaf found by
+    a greedy local search (:func:`_greedy_leaf`) and rises with every
+    measured leaf, so it never exceeds the final worst value.
+
+    Slack: let u = eps / 2, c_j the computed ``||E_j||`` and T the sum of
+    the r largest c_j; every partial sum, norm and bound below is at most
+    2 T. (i) A leaf L below P is computed as S_L = S_P + sum of its other
+    members + D, each elementwise addition erring by at most u times its
+    result, so ||D|| <= 2 r u sqrt(n) T in either norm (an n x n matrix has
+    ||X||_2 <= ||X||_F <= sqrt(n) ||X||_2). (ii) A computed norm is within
+    p(n) eps of the true one, relatively: p(n) <= n^2 / 2 + 2 for the flat
+    dot product, and O(n^2) for the backward-stable SVD. This enters three
+    times: for S_P, for the c_j and for the leaf. (iii) The bound and the
+    test add at most r + 1 computed nonnegative numbers (one prefix norm
+    and at most one norm per member) and the slack,
+    erring by at most 2 (r + 2) u T. So the computed value of any leaf
+    below P exceeds the computed bound by at most
+    2 (3 p(n) + r sqrt(n) + r + 2) eps T, which the slack
+    ``32 eps (n^2 + r^2) T`` covers for every p(n) up to 4 n^2. A leaf whose
+    computed value is in the final tie window is therefore never pruned:
+    the reported worst value and argmax sets are those of exhaustive
+    enumeration, proved over every subset, not sampled.
+
+    With at most ``_TABLE_MAX`` subsets the report lists every value, so
+    the same expansion runs with nothing pruned and only leaves measured.
+    A prefix is stored as its sum, its last member, its norm and its colex
+    rank sum_k C(p_k, k), from which a leaf's subset is read back
+    (:func:`_unrank`); a child's rank is its parent's plus C(j, d + 1).
+    The levels share the chunk budget, none getting more rows than the tree
+    has prefixes of its length, so memory never holds the whole frontier.
+    """
+    m, n = components.count, components.dim
+    if not 1 <= r < m:
+        raise ValueError(f"r must satisfy 1 <= r < {m}, got {r}")
+    count = math.comb(m, r)
     if count > ENUMERATION_CAP:
         raise ValueError(
-            f"C({total},{r}) = {count} subsets exceeds the enumeration cap "
+            f"C({m},{r}) = {count} subsets exceeds the enumeration cap "
             f"{ENUMERATION_CAP}; refusing to sample"
         )
     if norm_kind not in ("frobenius", "operator"):
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     table: list[tuple[tuple[int, ...], float]] | None = [] if count <= _TABLE_MAX else None
-    # the table needs every exact value, and the m x m Gram matrix only pays
-    # for itself (and stays below 8 MB under the cap) past m^2 subsets
-    screen = _gram_screen(components, r) if table is None and count > total * total else None
-    chunk_rows = max(1, _CHUNK_BYTES // (8 * n * n))
-    subsets = itertools.combinations(range(total), r)
+    s = m - r  # a prefix of length d has a completion iff p_d <= s + d - 1 (0-based)
+    tabs = _binomials(s, r)
+    # level d of the tree has C(s + d, d) prefixes; a row takes its sum and
+    # three 8-byte entries, and a window of candidate children (about 64
+    # bytes each in index, mask and bound arrays while screened, 24 while
+    # waiting) may wait at every level
+    rows = [1] + _level_rows([math.comb(s + d, d) for d in range(1, r + 1)], _CHUNK_BYTES // (8 * n * n + 24))
+    # parents screened at once: enough to fill the next level's batch, and
+    # at least a share of the budget
+    windows = [max(k // (s + 1), _CHUNK_BYTES // (64 * (s + 1) * r), 1) for k in rows[1:]]
+    steps = np.arange(1, s + 2)
+    # the running worst value is the floor; when pruning it starts at the
+    # exact value of a leaf that the search is bound to measure again
     worst = -1.0
+    if table is None:
+        norms = _norms(components, np.arange(m)[:, None], norm_kind)
+        gain = norms + _tail_sums(norms, r - 1)[:, 1:]  # own norm + t - 1 largest after, row t - 1
+        slack = 32.0 * np.finfo(float).eps * (n * n + r * r) * float(np.sort(norms)[-r:].sum())
+        worst = _greedy_leaf(components, norms, r, norm_kind)
     ties: list[tuple[tuple[int, ...], float]] = []
-    for start in range(0, count, chunk_rows):
-        rows = min(chunk_rows, count - start)
-        flat = itertools.chain.from_iterable(itertools.islice(subsets, rows))
-        idx = np.fromiter(flat, np.intp, count=rows * r).reshape(rows, r)
-        if screen is not None:
-            weights, slack = screen
-            sq = _screened(weights, idx)
-            # the final worst value is at least the running one and at least
-            # the exact value of the chunk's best-screened subset
-            best = float(_norms(components, idx[[int(sq.argmax())]], norm_kind)[0])
-            floor = max(worst, best)
-            idx = idx[sq >= floor * floor * (1.0 - _TIE_REL) ** 2 - slack]
-        values = _norms(components, idx, norm_kind)
-        if not values.size:
-            continue
-        chunk_worst = float(values.max())
-        if chunk_worst > worst:
-            worst = chunk_worst
+
+    sums = [np.zeros((1, n, n))] + [np.empty((k, n, n)) for k in rows[1:]]
+    ranks = [np.zeros(1, dtype=np.int64)] + [np.empty(k, dtype=np.int64) for k in rows[1:]]
+    last = [np.array([-1])] + [np.empty(k, dtype=np.intp) for k in rows[1:]]
+    bound = [np.zeros(1)] + [np.empty(k) for k in rows[1:]]
+    size, pos = [1] + [0] * r, [0] * (r + 1)
+    waiting: list[list | None] = [None] * (r + 1)  # candidate children not yet moved down, per level
+
+    def expand(d: int) -> None:
+        """Move the next children of level d's parents that can reach the tie window into level d + 1."""
+        if waiting[d] is None:
+            lo = pos[d]
+            pos[d] = hi = min(size[d], lo + windows[d])
+            j = last[d][lo:hi, None] + steps
+            valid = j <= s + d
+            reach = None
+            if table is None:
+                reach = bound[d][lo:hi, None] + gain[r - d - 1].take(j, mode="clip")
+                valid &= reach + slack >= worst * (1.0 - _TIE_REL)
+            par, col = np.nonzero(valid)
+            waiting[d] = [par + lo, j[par, col], None if reach is None else reach[par, col], 0]
+        par, j, reach, a = waiting[d]
+        b = a + rows[d + 1] - size[d + 1]
+        waiting[d] = None if b >= len(par) else [par, j, reach, b]
+        p, q = par[a:b], j[a:b]
+        if reach is not None:
+            # the floor may have risen since the window was screened
+            keep = reach[a:b] + slack >= worst * (1.0 - _TIE_REL)
+            p, q = p[keep], q[keep]
+        lo = size[d + 1]
+        size[d + 1] = hi = lo + len(q)
+        sums[d].take(p, axis=0, out=sums[d + 1][lo:hi])
+        sums[d + 1][lo:hi] += components.take(q)
+        ranks[d + 1][lo:hi] = ranks[d][p] + tabs[d + 1][q - d]
+        last[d + 1][lo:hi] = q
+
+    def hand_on(d: int) -> None:
+        """Measure level d's batch: leaves go into the report, prefixes become parents."""
+        nonlocal worst, ties
+        k = size[d]
+        if d < r:
+            if table is None:
+                bound[d][:k] = _sum_norms(sums[d][:k], norm_kind)
+            pos[d] = 0
+            active.append(d)
+            return
+        values = _sum_norms(sums[r][:k], norm_kind)
+        size[r] = 0
+        if table is not None:
+            worst = max(worst, float(values.max()))
+            table.extend(zip(_unrank(tabs, ranks[r][:k], r), values.tolist()))
+            return
+        batch_worst = float(values.max())
+        if batch_worst > worst:
+            worst = batch_worst
             ties = [t for t in ties if t[1] >= worst * (1.0 - _TIE_REL)]
         hits = np.flatnonzero(values >= worst * (1.0 - _TIE_REL))
-        ties += zip(map(tuple, (idx[hits] + 1).tolist()), values[hits].tolist())
-        if table is not None:
-            table += zip(map(tuple, (idx + 1).tolist()), values.tolist())
+        ties += zip(_unrank(tabs, ranks[r][hits], r), values[hits].tolist())
+
+    active = [0]  # levels expanding, shallowest first; the rest gather
+    while active:
+        d = active[-1]
+        if pos[d] < size[d] or waiting[d] is not None:
+            expand(d)
+            if size[d + 1] == rows[d + 1]:
+                hand_on(d + 1)
+            continue
+        active.pop()
+        size[d] = 0
+        if not active:
+            # nothing can reach the deeper levels any more: hand on the shallowest gathered batch
+            k = next((k for k in range(d + 1, r + 1) if size[k]), None)
+            if k is not None:
+                hand_on(k)
+    if table is not None:
+        ties = [t for t in table if t[1] >= worst * (1.0 - _TIE_REL)]
     return ErasureReport(
         r=r,
         norm_kind=norm_kind,
         worst_value=worst,
-        argmax_subsets=tuple(s for s, _ in ties),
+        argmax_subsets=tuple(subset for subset, _ in ties),
         per_subset_values=None if table is None else tuple(table),
     )
 

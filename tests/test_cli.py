@@ -247,6 +247,18 @@ class TestErasure:
         monkeypatch.setattr(cli, "canonical_pair", refuse)
         assert run_json(capsys, argv) == expected
 
+    @pytest.mark.parametrize(
+        "fixture, fixed", [("overlap_r4", "1,1"), ("overlap_r4", "3,1,3"), ("overcomplete_r3", "2,2")]
+    )
+    def test_repeated_fixed_index_refused(self, capsys, fixture, fixed):
+        # the lost set would silently collapse to its distinct indices, on
+        # the fusion path and on the bridged path of a document with a basis
+        path = str(FIXTURES / f"{fixture}.json")
+        assert main(["--json", "erasure", path, "--fixed", fixed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --fixed repeats index ")
+
     def test_r_equal_member_count_refused(self, capsys):
         assert main(["erasure", OVERLAP, "--r", "3"]) == 1
         assert "r must" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fusionframes import erasures
 from fusionframes import (
@@ -326,7 +328,7 @@ def counting_svd(monkeypatch):
 
 
 class TestGramScreen:
-    """Past m^2 subsets without a table, chunks are screened by squared Frobenius norms."""
+    """Operator-norm searches that must skip most SVDs without losing a tied subset."""
 
     def test_operator_norm_equal_to_frobenius_norm(self, rng, monkeypatch):
         # parallel f_k and parallel g_k make every subset sum rank one, so
@@ -396,6 +398,134 @@ class TestGramScreen:
         assert unscreened.argmax_subsets == report.argmax_subsets
 
 
+def counting_norms(monkeypatch):
+    """Route the engine's exact norms through a wrapper; returns the list of matrix counts per call."""
+    counts = []
+    norms = erasures._sum_norms
+
+    def counted(sums, norm_kind):
+        counts.append(len(sums))
+        return norms(sums, norm_kind)
+
+    monkeypatch.setattr(erasures, "_sum_norms", counted)
+    return counts
+
+
+@seed(6)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed_=st.integers(0, 2**32 - 1),
+    fusion=st.booleans(),
+    n=st.integers(2, 4),
+    m=st.integers(5, 9),
+    r_frac=st.floats(0.0, 1.0),
+    norm=st.sampled_from(NORMS),
+    copies=st.integers(0, 3),
+)
+def test_pruned_search_matches_brute_force(seed_, fusion, n, m, r_frac, norm, copies):
+    # with no table every search prunes; copied members make exact ties
+    rng = np.random.default_rng(seed_)
+    r = 1 + int(r_frac * (m - 2))
+    if fusion:
+        w = random_fusion_frame(rng, n, m, weighted=True)
+        pair = make_dual_pair(w, inflated_dual(rng, w) if rng.random() < 0.5 else canonical_pair(w).dual_candidate)
+        components = fusion_components_reference(pair)
+        search = lambda: worst_case_error(pair, r, norm)
+    else:
+        vectors = rng.standard_normal((m, n))
+        vectors[1 : 1 + min(copies, m - n)] = vectors[0]
+        f = discrete_frame(vectors)
+        g = f if rng.random() < 0.5 else dual_from_perturbation(f, random_perturbation(rng, f))
+        components = discrete_components_reference(f, g)
+        search = lambda: discrete_worst_case(f, g, r, norm)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(erasures, "_TABLE_MAX", 0)
+        report = search()
+    worst, argmax, _ = brute_force_worst(components, r, norm)
+    assert report.worst_value == worst
+    assert report.argmax_subsets == argmax
+    assert report.per_subset_values is None
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_bound_is_tight(self, monkeypatch, norm):
+        # every component is a_k v u^T with a_k > 0, so each subset sum is
+        # (sum of its a_k) v u^T, the triangle inequality is an equality and
+        # every bound on the argmax's path equals the worst value; dyadic
+        # entries make sums exact, so equal a-sums tie bit for bit: the four
+        # 3s with any of the four 2s give 14
+        a = np.array([3, 1, 3, 2, 1, 3, 2, 1, 1, 2, 3, 1, 2, 1], dtype=float)
+        u, v = np.array([1.0, 0.5, -0.25]), np.array([0.5, 1.0, 0.75])
+        f = discrete_frame(a[:, None] * u)
+        g = discrete_frame(np.tile(v, (len(a), 1)))
+        monkeypatch.setattr(erasures, "_TABLE_MAX", 0)
+        rows = counting_norms(monkeypatch)
+        report = discrete_worst_case(f, g, 5, norm)
+        worst, argmax, _ = brute_force_worst(discrete_components_reference(f, g), 5, norm)
+        assert report.worst_value == worst
+        assert worst == pytest.approx(14.0 * np.linalg.norm(u) * np.linalg.norm(v), rel=1e-14)
+        assert report.argmax_subsets == argmax == ((1, 3, 4, 6, 11), (1, 3, 6, 7, 11), (1, 3, 6, 10, 11), (1, 3, 6, 11, 13))
+        assert sum(rows) < math.comb(len(a), 5)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_ties_within_the_window_are_kept(self, rng, norm):
+        # in R^2 the rounding slack is about 1e-13 of the worst value, far
+        # inside the 1e-12 tie window: the 1770 pairs of 60 near-unit
+        # parallel products tie within the window but not bit for bit, and
+        # each sits on its bound, so only the window keeps them all
+        a = np.concatenate([1.0 + 4e-13 * rng.random(60), 0.1 + 0.4 * rng.random(40)])
+        rng.shuffle(a)
+        u, v = (x / np.linalg.norm(x) for x in rng.standard_normal((2, 2)))
+        f = discrete_frame(a[:, None] * u)
+        g = discrete_frame(np.tile(v, (100, 1)))
+        assert math.comb(100, 2) > 4096
+        report = discrete_worst_case(f, g, 2, norm)
+        components = discrete_components_reference(f, g)
+        worst, argmax, _ = brute_force_worst(components, 2, norm)
+        assert report.worst_value == worst
+        assert report.argmax_subsets == argmax
+        assert len(argmax) == math.comb(60, 2)
+        assert len({matrix_norm(components[i - 1] + components[j - 1], norm) for i, j in argmax}) > 1
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_deep_table_moves_in_full_batches(self, rng, monkeypatch, norm):
+        # C(200, 199) = 200 subsets under a tree of 199 levels and about
+        # 20,000 prefixes: each level gathers its children across parent
+        # batches, so sums are formed in a few steps per level, not in
+        # thousands of small batches
+        m, r = 200, 199
+        pair = canonical_pair(fusion_frame([random_subspace(rng, 2, 1) for _ in range(m)], 0.5 + rng.random(m)))
+        steps = []
+        source = erasures._fusion_components
+
+        def counted(p):
+            components = source(p)
+
+            def take(rows):
+                steps.append(len(rows))
+                return components.take(rows)
+
+            return erasures._Components(components.count, components.dim, take)
+
+        monkeypatch.setattr(erasures, "_fusion_components", counted)
+        rows = counting_norms(monkeypatch)
+        report = worst_case_error(pair, r, norm)
+        assert_matches_brute_force(report, fusion_components_reference(pair), r, norm)
+        assert sum(rows) == m and len(rows) <= 2
+        assert len(steps) < 3 * r
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_prunes_most_of_a_large_enumeration(self, rng, monkeypatch, norm):
+        # a seeded (6, 40, 2) frame at r = 5: C(40, 5) = 658,008 subsets
+        m = 40
+        subs = [random_subspace(rng, 6, 2) for _ in range(m)]
+        pair = canonical_pair(fusion_frame(subs, 0.5 + rng.random(m)))
+        rows = counting_norms(monkeypatch)
+        worst_case_error(pair, 5, norm)
+        assert sum(rows) < math.comb(m, 5) / 10
+
+
 def traced_peak(run):
     """(result of ``run()``, peak traced bytes while it ran)."""
     tracemalloc.start()
@@ -434,6 +564,17 @@ def test_discrete_worst_case_forms_rank_one_components_per_chunk(rng):
     report, peak = traced_peak(lambda: discrete_worst_case(f, g, 1, "operator"))
     oracle = max(np.linalg.norm(np.outer(g.vectors[k], f.vectors[k]), 2) for k in range(2048))
     assert report.worst_value == oracle
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_search_memory_is_bounded_when_nothing_prunes(norm):
+    # the orthonormal basis of R^16 at r = 6: all 8008 subsets tie, and
+    # their 16 x 16 sums would take 16 MB at once
+    pair = canonical_pair(fusion_frame([coordinate_subspace(16, [k]) for k in range(1, 17)]))
+    report, peak = traced_peak(lambda: worst_case_error(pair, 6, norm))
+    assert len(report.argmax_subsets) == math.comb(16, 6) == 8008
+    assert 8 * 16 * 16 * 8008 > 16 * 10**6
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
