@@ -146,9 +146,9 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
 
     tol = DEFAULT_TOL
     tol_raw = raw.get("tolerance", {})
+    if not isinstance(tol_raw, dict):
+        raise DocumentError("tolerance: expected an object")
     if tol_raw:
-        if not isinstance(tol_raw, dict):
-            raise DocumentError("tolerance: expected an object")
         tol = Tolerance(
             rank_eps=_scalar(tol_raw.get("rank_eps", DEFAULT_TOL.rank_eps), "tolerance.rank_eps"),
             residual_eps=_scalar(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
@@ -267,22 +268,23 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     """Exact worst-case report over all r-subsets of the m components, by branch and bound.
 
     The search walks the lexicographic tree of prefixes P = (p_1 < ... < p_d)
-    level by level. Level d gathers the children of level d - 1 into one
-    batch, across as many parent batches as it takes, until the batch is
-    full or no level above can add to it, and then hands it on: leaves (the r-subsets) are measured, other prefixes
-    become the parents that fill level d + 1. The deepest level with
-    parents left always expands first, so leaves arrive in lexicographic
-    order, and deep or unpruned trees still move in full batches. A child's
-    sum is its parent's sum plus its own member, so every subset sum is
-    built as ``_chunk_sums`` builds it, (0 + E_{p_1}) + E_{p_2} + ..., and
-    every leaf value is :func:`_sum_norms` of it: each reported value equals
+    with one generator per depth. ``level(d, parents)`` gathers the
+    children of the batches that ``parents``, the generator of depth d - 1,
+    yields into one batch of its own, across as many parent batches as it
+    takes, and yields it once it is full, or once ``parents`` is exhausted.
+    Each parent batch is used up before the next is asked for, so the
+    leaves (the r-subsets, from depth r) arrive in lexicographic order, and
+    deep or unpruned trees still move in full batches. A child's sum is its
+    parent's sum plus its own member, so every subset sum is built as
+    ``_chunk_sums`` builds it, (0 + E_{p_1}) + E_{p_2} + ..., and every leaf
+    value is :func:`_sum_norms` of it: each reported value equals
     :func:`matrix_norm` of that subset's sum bit for bit.
 
     Bound: a leaf below P adds t more members after p_d to S_P, so by the
     triangle inequality, in either norm, its value is at most
     ``||S_P|| + ||E_j|| + top_{t-1}(> j)`` for its next member j, where
     top_s(> j) sums the s largest ``||E_i||`` with i > j. Every prefix is
-    measured when its batch is handed on, and a child (P, j) whose bound
+    measured when its batch is yielded, and a child (P, j) whose bound
     plus ``slack`` is below ``floor * (1 - _TIE_REL)`` is pruned before its
     sum is formed. The floor starts at the exact value of one leaf found by
     a greedy local search (:func:`_greedy_leaf`) and rises with every
@@ -346,81 +348,71 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
         gain = norms + _tail_sums(norms, r - 1)[:, 1:]  # own norm + t - 1 largest after, row t - 1
         slack = 32.0 * np.finfo(float).eps * (n * n + r * r) * float(np.sort(norms)[-r:].sum())
         worst = _greedy_leaf(components, norms, r, norm_kind)
+
+    def level(d: int, parents: Iterable[tuple]) -> Iterable[tuple]:
+        """Batches (sums, last members, colex ranks, prefix norms or None) of the depth-d children of ``parents`` that can reach the tie window."""
+        k = rows[d]
+        sums, last, ranks = np.empty((k, n, n)), np.empty(k, dtype=np.intp), np.empty(k, dtype=np.int64)
+        size = 0
+
+        def batch():
+            bounds = _sum_norms(sums[:size], norm_kind) if table is None and d < r else None
+            return sums[:size], last[:size], ranks[:size], bounds
+
+        for up_sums, up_last, up_ranks, up_norms in parents:
+            for lo in range(0, len(up_last), windows[d - 1]):
+                j = up_last[lo : lo + windows[d - 1], None] + steps
+                valid = j <= s + d - 1
+                if table is None:
+                    reach = up_norms[lo : lo + windows[d - 1], None] + gain[r - d].take(j, mode="clip")
+                    valid &= reach + slack >= worst * (1.0 - _TIE_REL)
+                    reach = reach[valid]
+                par, j = valid.nonzero()[0] + lo, j[valid]
+                a = 0
+                while a < len(par):
+                    b = a + k - size
+                    p, q = par[a:b], j[a:b]
+                    if table is None:
+                        # the floor may have risen since the window was screened
+                        keep = reach[a:b] + slack >= worst * (1.0 - _TIE_REL)
+                        p, q = p[keep], q[keep]
+                    a, hi = b, size + len(q)
+                    up_sums.take(p, axis=0, out=sums[size:hi])
+                    sums[size:hi] += components.take(q)
+                    ranks[size:hi] = up_ranks[p] + tabs[d][q - d + 1]
+                    last[size:hi] = q
+                    size = hi
+                    if size == k:
+                        yield batch()
+                        size = 0
+        if size:
+            yield batch()
+
     ties: list[tuple[tuple[int, ...], float]] = []
-
-    sums = [np.zeros((1, n, n))] + [np.empty((k, n, n)) for k in rows[1:]]
-    ranks = [np.zeros(1, dtype=np.int64)] + [np.empty(k, dtype=np.int64) for k in rows[1:]]
-    last = [np.array([-1])] + [np.empty(k, dtype=np.intp) for k in rows[1:]]
-    bound = [np.zeros(1)] + [np.empty(k) for k in rows[1:]]
-    size, pos = [1] + [0] * r, [0] * (r + 1)
-    waiting: list[list | None] = [None] * (r + 1)  # candidate children not yet moved down, per level
-
-    def expand(d: int) -> None:
-        """Move the next children of level d's parents that can reach the tie window into level d + 1."""
-        if waiting[d] is None:
-            lo = pos[d]
-            pos[d] = hi = min(size[d], lo + windows[d])
-            j = last[d][lo:hi, None] + steps
-            valid = j <= s + d
-            reach = None
-            if table is None:
-                reach = bound[d][lo:hi, None] + gain[r - d - 1].take(j, mode="clip")
-                valid &= reach + slack >= worst * (1.0 - _TIE_REL)
-            par, col = np.nonzero(valid)
-            waiting[d] = [par + lo, j[par, col], None if reach is None else reach[par, col], 0]
-        par, j, reach, a = waiting[d]
-        b = a + rows[d + 1] - size[d + 1]
-        waiting[d] = None if b >= len(par) else [par, j, reach, b]
-        p, q = par[a:b], j[a:b]
-        if reach is not None:
-            # the floor may have risen since the window was screened
-            keep = reach[a:b] + slack >= worst * (1.0 - _TIE_REL)
-            p, q = p[keep], q[keep]
-        lo = size[d + 1]
-        size[d + 1] = hi = lo + len(q)
-        sums[d].take(p, axis=0, out=sums[d + 1][lo:hi])
-        sums[d + 1][lo:hi] += components.take(q)
-        ranks[d + 1][lo:hi] = ranks[d][p] + tabs[d + 1][q - d]
-        last[d + 1][lo:hi] = q
-
-    def hand_on(d: int) -> None:
-        """Measure level d's batch: leaves go into the report, prefixes become parents."""
-        nonlocal worst, ties
-        k = size[d]
-        if d < r:
-            if table is None:
-                bound[d][:k] = _sum_norms(sums[d][:k], norm_kind)
-            pos[d] = 0
-            active.append(d)
-            return
-        values = _sum_norms(sums[r][:k], norm_kind)
-        size[r] = 0
-        if table is not None:
-            worst = max(worst, float(values.max()))
-            table.extend(zip(_unrank(tabs, ranks[r][:k], r), values.tolist()))
-            return
-        batch_worst = float(values.max())
-        if batch_worst > worst:
-            worst = batch_worst
-            ties = [t for t in ties if t[1] >= worst * (1.0 - _TIE_REL)]
-        hits = np.flatnonzero(values >= worst * (1.0 - _TIE_REL))
-        ties += zip(_unrank(tabs, ranks[r][hits], r), values[hits].tolist())
-
-    active = [0]  # levels expanding, shallowest first; the rest gather
-    while active:
-        d = active[-1]
-        if pos[d] < size[d] or waiting[d] is not None:
-            expand(d)
-            if size[d + 1] == rows[d + 1]:
-                hand_on(d + 1)
-            continue
-        active.pop()
-        size[d] = 0
-        if not active:
-            # nothing can reach the deeper levels any more: hand on the shallowest gathered batch
-            k = next((k for k in range(d + 1, r + 1) if size[k]), None)
-            if k is not None:
-                hand_on(k)
+    # chained here rather than by ``level`` calling itself: a closure that
+    # refers to itself is a reference cycle, and would keep the components
+    # and the batches alive until the cyclic collector runs
+    batches = iter([(np.zeros((1, n, n)), np.array([-1]), np.zeros(1, dtype=np.int64), np.zeros(1))])
+    for d in range(1, r + 1):
+        batches = level(d, batches)
+    # the generators nest r deep, one interpreter frame each
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + r)
+    try:
+        for sums, _, ranks, _ in batches:
+            values = _sum_norms(sums, norm_kind)
+            if table is not None:
+                worst = max(worst, float(values.max()))
+                table.extend(zip(_unrank(tabs, ranks, r), values.tolist()))
+                continue
+            batch_worst = float(values.max())
+            if batch_worst > worst:
+                worst = batch_worst
+                ties = [t for t in ties if t[1] >= worst * (1.0 - _TIE_REL)]
+            hits = np.flatnonzero(values >= worst * (1.0 - _TIE_REL))
+            ties += zip(_unrank(tabs, ranks[hits], r), values[hits].tolist())
+    finally:
+        sys.setrecursionlimit(limit)
     if table is not None:
         ties = [t for t in table if t[1] >= worst * (1.0 - _TIE_REL)]
     return ErasureReport(

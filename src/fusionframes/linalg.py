@@ -48,8 +48,8 @@ class Tolerance:
     residual_eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.rank_eps > 0 and self.residual_eps > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.rank_eps < math.inf and 0 < self.residual_eps < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fusionframes.cli as cli
-from fusionframes import subspaces_equal
+from fusionframes import DEFAULT_TOL, subspaces_equal
 from fusionframes.cli import DocumentError, main, parse_document
 from helpers import (
     FIXTURES,
@@ -150,6 +150,29 @@ class TestParsing:
         p.write_text("{not json")
         assert main(["classify", str(p)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", [None, 0, False, "", []], ids=["null", "zero", "false", "empty-string", "empty-list"]
+    )
+    def test_non_object_tolerance_exits_nonzero(self, tmp_path, capsys, value):
+        p = tmp_path / "bad.json"
+        doc = {"ambient_dim": 2, "subspaces": [{"spanning_vectors": [[1, 0]]}, {"spanning_vectors": [[0, 1]]}]}
+        p.write_text(json.dumps({**doc, "tolerance": value}))
+        assert main(["classify", str(p)]) == 1
+        assert capsys.readouterr().err == "error: tolerance: expected an object\n"
+        p.write_text(json.dumps({**doc, "tolerance": {}}))
+        assert parse_document(p).tol == DEFAULT_TOL
+
+    @pytest.mark.parametrize(
+        "tolerance, flags", [('{"residual_eps": 1e400}', []), ("{}", ["--tol", "inf"])], ids=["document", "flag"]
+    )
+    def test_infinite_tolerance_exits_nonzero(self, tmp_path, capsys, tolerance, flags):
+        # 1e400 reads as an infinite float; overlap_r4's bounds are (1, 2),
+        # so an infinite residual tolerance would call it Parseval
+        p = tmp_path / "inf.json"
+        p.write_text((FIXTURES / "overlap_r4.json").read_text().rstrip()[:-1] + f', "tolerance": {tolerance}}}')
+        assert main([*flags, "classify", str(p)]) == 1
+        assert capsys.readouterr().err == "error: tolerances must be positive and finite\n"
 
 
 class TestClassify:

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -493,7 +495,7 @@ class TestBranchAndBound:
         # C(200, 199) = 200 subsets under a tree of 199 levels and about
         # 20,000 prefixes: each level gathers its children across parent
         # batches, so sums are formed in a few steps per level, not in
-        # thousands of small batches
+        # thousands of small batches, with or without pruning
         m, r = 200, 199
         pair = canonical_pair(fusion_frame([random_subspace(rng, 2, 1) for _ in range(m)], 0.5 + rng.random(m)))
         steps = []
@@ -514,6 +516,28 @@ class TestBranchAndBound:
         assert_matches_brute_force(report, fusion_components_reference(pair), r, norm)
         assert sum(rows) == m and len(rows) <= 2
         assert len(steps) < 3 * r
+        monkeypatch.setattr(erasures, "_TABLE_MAX", 0)
+        rows.clear()
+        report = worst_case_error(pair, r, norm)
+        worst, argmax, _ = brute_force_worst(fusion_components_reference(pair), r, norm)
+        assert report.worst_value == worst
+        assert report.argmax_subsets == argmax
+        assert len(rows) < 2 * r
+
+    def test_deep_tree_needs_no_recursion_headroom(self, rng):
+        # one generator per level nests 199 deep here, more than the caller
+        # leaves room for
+        m, r = 200, 199
+        pair = canonical_pair(fusion_frame([random_subspace(rng, 2, 1) for _ in range(m)], 0.5 + rng.random(m)))
+        limit, tight = sys.getrecursionlimit(), len(inspect.stack(0)) + 50
+        sys.setrecursionlimit(tight)
+        try:
+            report = worst_case_error(pair, r, "frobenius")
+            restored = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert restored == tight
+        assert_matches_brute_force(report, fusion_components_reference(pair), r, "frobenius")
 
     @pytest.mark.parametrize("norm", NORMS)
     def test_prunes_most_of_a_large_enumeration(self, rng, monkeypatch, norm):

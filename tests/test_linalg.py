@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -370,6 +372,11 @@ def test_tolerance_validation():
         Tolerance(rank_eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(residual_eps=-1e-9)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Tolerance(rank_eps=eps)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Tolerance(residual_eps=eps)
 
 
 def test_subspace_rejects_non_orthonormal():
