@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -43,16 +43,13 @@ from .fusion import (
     FusionFrame,
     canonical_dual,
     classify,
-    frame_operator,
     is_nontrivial,
 )
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    image_subspace,
     orthonormal_basis,
-    spd_inv_sqrt,
 )
 from .optimality import (
     Certificate,
@@ -219,21 +216,6 @@ def _frame_document(frame: FusionFrame) -> dict:
     }
 
 
-def _certificate_dict(cert: Certificate) -> dict:
-    return {
-        "kind": cert.kind,
-        "c_value": cert.c_value,
-        "lambda1": list(cert.lambda1),
-        "lambda2": list(cert.lambda2),
-        "h1_dim": cert.h1_dim,
-        "h2_dim": cert.h2_dim,
-        "intersection_dim": cert.intersection_dim,
-        "lambda_side_riesz": cert.lambda_side_riesz,
-        "verdict": cert.verdict,
-        "notes": cert.notes,
-    }
-
-
 def _certificate_lines(cert: Certificate) -> list[str]:
     return [
         f"certificate kind:    {cert.kind}",
@@ -252,6 +234,13 @@ def _document_pair(doc: ParsedDocument) -> tuple[DualPair, str]:
     if doc.dual is not None:
         return make_dual_pair(doc.frame, doc.dual, doc.tol), "file"
     return canonical_pair(doc.frame, doc.tol), "canonical"
+
+
+def _bridged(doc: ParsedDocument, basis: np.ndarray):
+    """Canonical-weighted bridge over ``basis``, its nonzero rows, their raw indices and canonical dual."""
+    bridged = bridge_fusion_to_discrete(doc.frame, basis, "canonical_weighted", doc.tol)
+    compacted, kept = compact_nonzero(bridged, doc.tol)
+    return bridged, compacted, kept, discrete_canonical_dual(compacted, doc.tol)
 
 
 # --- commands ---------------------------------------------------------------
@@ -273,13 +262,7 @@ def _cmd_classify(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         summary = f"fusion frame, not Riesz, bounds ({_fmt(cls.lower_bound)}, {_fmt(cls.upper_bound)})"
     result = {
         "summary": summary,
-        "is_frame": cls.is_frame,
-        "lower_bound": cls.lower_bound,
-        "upper_bound": cls.upper_bound,
-        "is_tight": cls.is_tight,
-        "is_parseval": cls.is_parseval,
-        "is_riesz_fusion_basis": cls.is_riesz_fusion_basis,
-        "is_orthonormal_fusion_basis": cls.is_orthonormal_fusion_basis,
+        **asdict(cls),
         "nontrivial": is_nontrivial(doc.frame),
         "member_dims": [s.dim for s in doc.frame.subspaces],
     }
@@ -341,16 +324,16 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             ]
         return result, lines
 
+    if not subset:
+        raise ValueError("--fixed needs at least one index")
     repeated = sorted({i for i in subset if subset.count(i) > 1})
     if repeated:
         raise ValueError(f"--fixed repeats index {', '.join(map(str, repeated))}")
     if doc.basis is not None:
         # fixed erasures of a bridged frame: compare the canonical dual with
         # the halving construction on the same lost set
-        bridged = bridge_fusion_to_discrete(doc.frame, doc.basis, "canonical_weighted", doc.tol)
-        compacted, kept = compact_nonzero(bridged, doc.tol)
+        _, compacted, kept, canonical = _bridged(doc, doc.basis)
         mask = ErasureMask(compacted.count, subset)
-        canonical = discrete_canonical_dual(compacted, doc.tol)
         value_canonical = partial_erasure_error(compacted, canonical, mask, norm)
         result = {
             "mode": "fixed-discrete",
@@ -407,7 +390,7 @@ def _cmd_certify(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
     else:
         dual = doc.dual if doc.dual is not None else canonical_dual(doc.frame, doc.tol)
         cert = certify_tight_uniform(doc.frame, dual, doc.tol)
-    return _certificate_dict(cert), _certificate_lines(cert)
+    return asdict(cert), _certificate_lines(cert)
 
 
 def _frame_listing(vectors: np.ndarray, labels=None) -> list[str]:
@@ -422,9 +405,7 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
     w = doc.frame
     if args.what == "bridge":
         basis = doc.basis if doc.basis is not None else np.eye(w.ambient_dim)
-        bridged = bridge_fusion_to_discrete(w, basis, "canonical_weighted", doc.tol)
-        compacted, kept = compact_nonzero(bridged, doc.tol)
-        canonical = discrete_canonical_dual(compacted, doc.tol)
+        bridged, compacted, kept, canonical = _bridged(doc, basis)
         result = {
             "what": "bridge",
             "raw_vectors": bridged.vectors,
@@ -477,14 +458,9 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         return result, lines
 
     # parseval-family
-    if doc.dual is not None:
-        extensions = list(doc.dual.subspaces)
-    else:
-        root_inv = spd_inv_sqrt(frame_operator(w), doc.tol)
-        extensions = [image_subspace(root_inv, s, doc.tol) for s in w.subspaces]
+    extensions = None if doc.dual is None else list(doc.dual.subspaces)
     f, duals = parseval_optimal_family(w, extensions, doc.tol, basis=doc.basis)
-    s_f = f.vectors.T @ f.vectors
-    parseval_residual = float(np.linalg.norm(s_f - np.eye(w.ambient_dim), "fro"))
+    _, parseval_residual = verify_discrete_dual(f, f, doc.tol)  # F is its own dual iff Parseval
     compacted, kept = compact_nonzero(f, doc.tol)
     dual_entries = []
     for g in duals:

@@ -13,11 +13,11 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .fusion import FusionFrame, frame_operator
+from .fusion import FusionFrame, _image_frame, frame_operator
 from .linalg import (
     DEFAULT_TOL,
+    Subspace,
     Tolerance,
-    image_subspace,
     projector,
     spd_inv_sqrt,
     spd_inverse,
@@ -171,6 +171,21 @@ def _check_orthonormal_basis(basis: Sequence, ambient_dim: int, tol: Tolerance) 
     return b
 
 
+def _whitened_members(w: FusionFrame, tol: Tolerance) -> tuple[Subspace, ...]:
+    """The members S_W^{-1/2} W_i; for a Riesz fusion basis they are mutually orthogonal."""
+    return _image_frame(spd_inv_sqrt(frame_operator(w), tol), w, tol).subspaces
+
+
+def _bridge_rows(
+    members: Sequence[Subspace], weights: Sequence[float], xs: Sequence[np.ndarray]
+) -> DiscreteFrame:
+    """Rows weight_i * (proj_{members_i} x_j), i-major and j-minor, with 1-based (i, j) labels."""
+    projectors = [projector(sub) for sub in members]
+    rows = [weight * (p @ x) for p, weight in zip(projectors, weights) for x in xs]
+    labels = [(i, j) for i in range(1, len(members) + 1) for j in range(1, len(xs) + 1)]
+    return DiscreteFrame(members[0].ambient_dim, np.vstack(rows), tuple(labels))
+
+
 def bridge_fusion_to_discrete(
     w: FusionFrame,
     basis: Sequence,
@@ -184,43 +199,21 @@ def bridge_fusion_to_discrete(
     weights. Rows are ordered i-major, j-minor; labels are 1-based (i, j).
     """
     b = _check_orthonormal_basis(basis, w.ambient_dim, tol)
-    s = frame_operator(w)
-    rows: list[np.ndarray] = []
-    labels: list[tuple[int, int]] = []
     if mode == "canonical_weighted":
-        s_inv = spd_inverse(s, tol)
-        for i, (sub, weight) in enumerate(zip(w.subspaces, w.weights), start=1):
-            p = projector(sub)
-            for j in range(1, w.ambient_dim + 1):
-                rows.append(weight * (p @ (s_inv @ b[j - 1])))
-                labels.append((i, j))
-    elif mode == "parseval_sqrt":
+        s_inv = spd_inverse(frame_operator(w), tol)
+        return _bridge_rows(w.subspaces, w.weights, [s_inv @ e for e in b])
+    if mode == "parseval_sqrt":
         if any(abs(weight - 1.0) > tol.residual_eps for weight in w.weights):
             raise ValueError("parseval_sqrt mode requires unit weights")
-        root_inv = spd_inv_sqrt(s, tol)
-        for i, sub in enumerate(w.subspaces, start=1):
-            p = projector(image_subspace(root_inv, sub, tol))
-            for j in range(1, w.ambient_dim + 1):
-                rows.append(p @ b[j - 1])
-                labels.append((i, j))
-    else:
-        raise ValueError(f"unknown bridge mode {mode!r}")
-    return DiscreteFrame(w.ambient_dim, np.vstack(rows), tuple(labels))
+        return _bridge_rows(_whitened_members(w, tol), [1.0] * w.member_count, b)
+    raise ValueError(f"unknown bridge mode {mode!r}")
 
 
 def bridge_dual_to_discrete(
     v: FusionFrame, basis: Sequence, tol: Tolerance = DEFAULT_TOL
 ) -> DiscreteFrame:
     """Emit v_i * proj_{V_i} e_j with labels aligned to :func:`bridge_fusion_to_discrete`."""
-    b = _check_orthonormal_basis(basis, v.ambient_dim, tol)
-    rows: list[np.ndarray] = []
-    labels: list[tuple[int, int]] = []
-    for i, (sub, weight) in enumerate(zip(v.subspaces, v.weights), start=1):
-        p = projector(sub)
-        for j in range(1, v.ambient_dim + 1):
-            rows.append(weight * (p @ b[j - 1]))
-            labels.append((i, j))
-    return DiscreteFrame(v.ambient_dim, np.vstack(rows), tuple(labels))
+    return _bridge_rows(v.subspaces, v.weights, _check_orthonormal_basis(basis, v.ambient_dim, tol))
 
 
 def compact_nonzero(

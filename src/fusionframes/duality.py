@@ -107,6 +107,13 @@ def verify_dual(pair: DualPair) -> tuple[bool, float, np.ndarray]:
     return pair.duality_residual <= pair.tol.residual_eps, pair.duality_residual, pair.reconstruction
 
 
+def _require_verified(pair: DualPair) -> None:
+    """Raise ValueError unless the pair passes :func:`verify_dual`."""
+    ok, residual, _ = verify_dual(pair)
+    if not ok:
+        raise ValueError(f"pair is not a verified dual (residual {residual:.3e})")
+
+
 def riesz_dual_family_check(
     w: FusionFrame, v: FusionFrame, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
@@ -189,9 +196,7 @@ def lift_to_component_preserving(pair: DualPair) -> FusionFrame:
     The lifted family keeps the dual weights, is again a valid dual, and has
     exactly the same per-component error operators as the input pair.
     """
-    ok, residual, _ = verify_dual(pair)
-    if not ok:
-        raise ValueError(f"pair is not a verified dual (residual {residual:.3e})")
+    _require_verified(pair)
     lifted = []
     for ws, vs in zip(pair.primal.subspaces, pair.dual_candidate.subspaces):
         lifted.append(image_subspace(projector(vs) @ pair.s_inv, ws, pair.tol))

@@ -141,10 +141,12 @@ def _fusion_components(pair: DualPair) -> _Components:
     return _Components(len(stack), pair.primal.ambient_dim, stack.__getitem__)
 
 
-def _rank_one_components(fv: np.ndarray, gv: np.ndarray) -> _Components:
-    """Components g_k f_k^T over the rows of ``fv`` and ``gv`` (the products of ``np.outer``)."""
-    count, n = fv.shape
-    return _Components(count, n, lambda rows: gv[rows, :, None] * fv[rows, None, :])
+def _rank_one_components(f: DiscreteFrame, g: DiscreteFrame) -> _Components:
+    """Components g_k f_k^T of the discrete pair (the products of ``np.outer``)."""
+    if f.count != g.count:
+        raise ValueError(f"frame lengths differ: {f.count} vs {g.count}")
+    fv, gv = f.vectors, g.vectors
+    return _Components(f.count, f.ambient_dim, lambda rows: gv[rows, :, None] * fv[rows, None, :])
 
 
 def _chunk_sums(components: _Components, idx: np.ndarray) -> np.ndarray:
@@ -212,22 +214,28 @@ def _greedy_leaf(components: _Components, norms: np.ndarray, r: int, norm_kind: 
     """Exact value of one r-subset found by a local search.
 
     Starting from the r largest components, the search replaces one member
-    by one outsider, taking the best such swap, while that raises the value.
+    by one outsider, taking the best such swap (the first, position by
+    position, among equals), while that raises the value. The swaps are
+    formed for a group of positions at a time, each group's index rows
+    within the chunk budget.
     """
     chosen = np.sort(np.argsort(norms, kind="stable")[-r:])
     best = float(_norms(components, chosen[None, :], norm_kind)[0])
     while r > 1:  # a single largest component is already the best single member
-        outside = np.ones(components.count, dtype=bool)
-        outside[chosen] = False
-        rest = np.flatnonzero(outside)
-        swaps = np.repeat(chosen[None, :], r * len(rest), axis=0)
-        swaps[np.arange(len(swaps)), np.repeat(np.arange(r), len(rest))] = np.tile(rest, r)
-        swaps.sort(axis=1)
-        values = _norms(components, swaps, norm_kind)
-        k = int(values.argmax())
-        if values[k] <= best:
+        current = chosen
+        rest = np.setdiff1d(np.arange(components.count), current)
+        group = max(1, _CHUNK_BYTES // (8 * r * len(rest)))
+        for lo in range(0, r, group):
+            positions = np.arange(lo, min(lo + group, r))
+            swaps = np.repeat(current[None, :], len(positions) * len(rest), axis=0)
+            swaps[np.arange(len(swaps)), np.repeat(positions, len(rest))] = np.tile(rest, len(positions))
+            swaps.sort(axis=1)
+            values = _norms(components, swaps, norm_kind)
+            k = int(values.argmax())
+            if values[k] > best:
+                best, chosen = float(values[k]), swaps[k]
+        if chosen is current:  # no swap raised the value
             break
-        best, chosen = float(values[k]), swaps[k]
     return best
 
 
@@ -433,11 +441,10 @@ def discrete_error_operator(
     f: DiscreteFrame, g: DiscreteFrame, mask: ErasureMask
 ) -> np.ndarray:
     """sum over erased k of g_k f_k^T."""
-    if f.count != g.count:
-        raise ValueError(f"frame lengths differ: {f.count} vs {g.count}")
+    components = _rank_one_components(f, g)
     if mask.total != f.count:
         raise ValueError("mask total does not match the frame length")
-    return _erased_sum(_rank_one_components(f.vectors, g.vectors), mask)
+    return _erased_sum(components, mask)
 
 
 def discrete_worst_case(
@@ -452,9 +459,7 @@ def discrete_worst_case(
     ``tol`` is accepted for call compatibility and unused: no decision here
     depends on a tolerance.
     """
-    if f.count != g.count:
-        raise ValueError(f"frame lengths differ: {f.count} vs {g.count}")
-    return _worst_report(_rank_one_components(f.vectors, g.vectors), r, norm_kind)
+    return _worst_report(_rank_one_components(f, g), r, norm_kind)
 
 
 def partial_erasure_error(

@@ -7,6 +7,7 @@ as 0) so callers can diagnose bad inputs instead of losing them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,19 +146,14 @@ def classify(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FrameClassificatio
     is_parseval = is_tight and abs(lower - 1.0) <= tol.residual_eps and abs(upper - 1.0) <= tol.residual_eps
     dims_add_up = sum(s.dim for s in w.subspaces) == w.ambient_dim
     is_riesz = is_frame and dims_add_up
-    is_orthonormal = False
-    if is_riesz:
-        unit_weights = all(abs(weight - 1.0) <= tol.residual_eps for weight in w.weights)
-        pairwise_orthogonal = True
-        projectors = [projector(s) for s in w.subspaces]
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                if np.linalg.norm(projectors[i] @ projectors[j], "fro") > tol.residual_eps:
-                    pairwise_orthogonal = False
-                    break
-            if not pairwise_orthogonal:
-                break
-        is_orthonormal = unit_weights and pairwise_orthogonal
+    is_orthonormal = (
+        is_riesz
+        and all(abs(weight - 1.0) <= tol.residual_eps for weight in w.weights)
+        and all(
+            np.linalg.norm(p @ q, "fro") <= tol.residual_eps
+            for p, q in itertools.combinations([projector(s) for s in w.subspaces], 2)
+        )
+    )
     return FrameClassification(
         is_frame=is_frame,
         lower_bound=lower,
@@ -169,14 +165,18 @@ def classify(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FrameClassificatio
     )
 
 
+def _image_frame(u: np.ndarray, w: FusionFrame, tol: Tolerance) -> FusionFrame:
+    """The family {(u W_i, w_i)}: every member mapped by ``u``, weights kept."""
+    return FusionFrame(w.ambient_dim, tuple(image_subspace(u, sub, tol) for sub in w.subspaces), w.weights)
+
+
 def _canonical_dual_and_inverse(w: FusionFrame, tol: Tolerance) -> tuple[FusionFrame, np.ndarray]:
     s = frame_operator(w)
     # the frame test of classify, lower frame bound above rank_eps, on the same S_W
     if not np.linalg.eigvalsh(s)[0] > tol.rank_eps:
         raise ValueError("canonical dual requires a fusion frame (family does not span)")
     s_inv = spd_inverse(s, tol)
-    duals = tuple(image_subspace(s_inv, sub, tol) for sub in w.subspaces)
-    return FusionFrame(w.ambient_dim, duals, w.weights), s_inv
+    return _image_frame(s_inv, w, tol), s_inv
 
 
 def canonical_dual(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FusionFrame:

@@ -17,6 +17,7 @@ import numpy as np
 from .discrete import (
     DiscreteFrame,
     DualPerturbation,
+    _whitened_members,
     bridge_dual_to_discrete,
     bridge_fusion_to_discrete,
     discrete_canonical_dual,
@@ -25,6 +26,7 @@ from .discrete import (
 )
 from .duality import (
     DualPair,
+    _require_verified,
     canonical_pair,
     lift_to_component_preserving,
     make_dual_pair,
@@ -39,6 +41,7 @@ from .erasures import (
 )
 from .fusion import (
     FusionFrame,
+    _image_frame,
     classify,
     frame_operator,
     fusion_frame,
@@ -52,7 +55,6 @@ from .linalg import (
     image_subspace,
     orthogonal_complement,
     projector,
-    spd_inv_sqrt,
     spd_inverse,
     subspace_contains,
     subspace_intersection,
@@ -116,6 +118,40 @@ def _nontriviality_note(w: FusionFrame) -> str:
     return "nontrivial fusion frame" if is_nontrivial(w) else "trivial fusion frame (some member is the whole space)"
 
 
+def _split_certificate(
+    w: FusionFrame, values: Sequence[float], tol: Tolerance, kind: str, riesz_on_extremal: bool, success: str
+) -> Certificate:
+    """The 1-loss certificate shared by the canonical and dual-family checks.
+
+    Splits the members at the extremal single-erasure value into lambda1 and
+    lambda2, and requires that their spans intersect trivially and that the
+    members on the Riesz side (lambda1 when ``riesz_on_extremal``, else
+    lambda2) sum directly in their span.
+    """
+    c, lambda1, lambda2 = _argmax_split(values)
+    h1 = _span_of_members(w, lambda1)
+    h2 = _span_of_members(w, lambda2)
+    inter = subspace_intersection(h1, h2, tol)
+    side, span, name = (lambda1, h1, "extremal") if riesz_on_extremal else (lambda2, h2, "complementary")
+    dims_add = sum(w.subspaces[i - 1].dim for i in side) == span.dim
+    overlap = [f"extremal and complementary spans overlap ({inter.dim}-dimensional)"] if inter.dim > 0 else []
+    direct = [] if dims_add else [f"{name} members do not sum directly in their span"]
+    reasons = direct + overlap if riesz_on_extremal else overlap + direct
+    notes = "; ".join(reasons) if reasons else success
+    return Certificate(
+        kind=kind,
+        c_value=c,
+        lambda1=lambda1,
+        lambda2=lambda2,
+        h1_dim=h1.dim,
+        h2_dim=h2.dim,
+        intersection_dim=inter.dim,
+        lambda_side_riesz=riesz_on_extremal,
+        verdict="not_applicable" if reasons else "certified_optimal",
+        notes=f"{notes}; {_nontriviality_note(w)}",
+    )
+
+
 def certify_canonical_optimal(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Certify the canonical dual as a 1-loss optimal dual.
 
@@ -131,30 +167,8 @@ def certify_canonical_optimal(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> C
         weight**2 * frobenius_norm(s_inv @ projector(sub))
         for sub, weight in zip(w.subspaces, w.weights)
     ]
-    c, lambda1, lambda2 = _argmax_split(values)
-    h1 = _span_of_members(w, lambda1)
-    h2 = _span_of_members(w, lambda2)
-    inter = subspace_intersection(h1, h2, tol)
-    dims_add = sum(w.subspaces[i - 1].dim for i in lambda2) == h2.dim
-    certified = inter.dim == 0 and dims_add
-    reasons = []
-    if inter.dim > 0:
-        reasons.append(f"extremal and complementary spans overlap ({inter.dim}-dimensional)")
-    if not dims_add:
-        reasons.append("complementary members do not sum directly in their span")
-    notes = "; ".join(reasons) if reasons else "canonical dual certified 1-loss optimal (not unique)"
-    return Certificate(
-        kind="canonical",
-        c_value=c,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        h1_dim=h1.dim,
-        h2_dim=h2.dim,
-        intersection_dim=inter.dim,
-        lambda_side_riesz=False,
-        verdict="certified_optimal" if certified else "not_applicable",
-        notes=f"{notes}; {_nontriviality_note(w)}",
-    )
+    success = "canonical dual certified 1-loss optimal (not unique)"
+    return _split_certificate(w, values, tol, "canonical", False, success)
 
 
 def certify_dual_optimal(pair: DualPair) -> Certificate:
@@ -166,34 +180,10 @@ def certify_dual_optimal(pair: DualPair) -> Certificate:
     the complementary span trivially. Member i's single-erasure value is the
     Frobenius norm of the pair's component w_i v_i proj_{V_i} S_W^{-1} proj_{W_i}.
     """
-    ok, residual, _ = verify_dual(pair)
-    if not ok:
-        raise ValueError(f"pair is not a verified dual (residual {residual:.3e})")
-    w = pair.primal
-    c, lambda1, lambda2 = _argmax_split([frobenius_norm(e) for e in pair.components])
-    h1 = _span_of_members(w, lambda1)
-    h2 = _span_of_members(w, lambda2)
-    inter = subspace_intersection(h1, h2, pair.tol)
-    dims_add = sum(w.subspaces[i - 1].dim for i in lambda1) == h1.dim
-    certified = inter.dim == 0 and dims_add
-    reasons = []
-    if not dims_add:
-        reasons.append("extremal members do not sum directly in their span")
-    if inter.dim > 0:
-        reasons.append(f"extremal and complementary spans overlap ({inter.dim}-dimensional)")
-    notes = "; ".join(reasons) if reasons else "dual family certified 1-loss optimal"
-    return Certificate(
-        kind="dual_family",
-        c_value=c,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        h1_dim=h1.dim,
-        h2_dim=h2.dim,
-        intersection_dim=inter.dim,
-        lambda_side_riesz=True,
-        verdict="certified_optimal" if certified else "not_applicable",
-        notes=f"{notes}; {_nontriviality_note(w)}",
-    )
+    _require_verified(pair)
+    values = [frobenius_norm(e) for e in pair.components]
+    success = "dual family certified 1-loss optimal"
+    return _split_certificate(pair.primal, values, pair.tol, "dual_family", True, success)
 
 
 def certify_tight_uniform(
@@ -261,9 +251,7 @@ def expand_optimal_family(pair: DualPair, i: int, check_r_max: int = 2) -> list[
     its worst-case reports are checked against the input for r up to
     ``check_r_max``; an empty list means no variant applies.
     """
-    ok, residual, _ = verify_dual(pair)
-    if not ok:
-        raise ValueError(f"pair is not a verified dual (residual {residual:.3e})")
+    _require_verified(pair)
     tol = pair.tol
     w = pair.primal
     v = pair.dual_candidate
@@ -345,7 +333,7 @@ def _pick_and_complete_basis(
 
 def parseval_optimal_family(
     w: FusionFrame,
-    extensions: Sequence[Subspace],
+    extensions: Sequence[Subspace] | None = None,
     tol: Tolerance = DEFAULT_TOL,
     basis: Sequence | None = None,
 ) -> tuple[DiscreteFrame, list[DiscreteFrame]]:
@@ -353,7 +341,8 @@ def parseval_optimal_family(
 
     Emits F built from projections of an orthonormal basis onto the
     whitened members, plus two duals: the canonical dual of F and the dual
-    built from ``extensions`` (members must contain the whitened subspaces).
+    built from ``extensions`` (members must contain the whitened subspaces;
+    omitted, they are the whitened subspaces themselves).
     When ``basis`` is omitted it is constructed deterministically with one
     representative inside each whitened member, which guarantees the unit
     worst single-erasure error; an explicit basis is validated against the
@@ -364,10 +353,11 @@ def parseval_optimal_family(
         raise ValueError("the family is not a Riesz fusion basis")
     if any(abs(weight - 1.0) > tol.residual_eps for weight in w.weights):
         raise ValueError("unit weights are required")
-    if len(extensions) != w.member_count:
+    if extensions is not None and len(extensions) != w.member_count:
         raise ValueError("one extension subspace per member is required")
-    root_inv = spd_inv_sqrt(frame_operator(w), tol)
-    whitened = [image_subspace(root_inv, s, tol) for s in w.subspaces]
+    whitened = _whitened_members(w, tol)
+    if extensions is None:
+        extensions = whitened
     for idx, (inner, outer) in enumerate(zip(whitened, extensions), start=1):
         if not subspace_contains(outer, inner, tol):
             raise ValueError(f"extension {idx} does not contain the whitened member")
@@ -375,9 +365,9 @@ def parseval_optimal_family(
         basis_arr = _pick_and_complete_basis(whitened, w.ambient_dim, tol)
     else:
         basis_arr = np.asarray(basis, dtype=float)
-    f = bridge_fusion_to_discrete(w, basis_arr, "parseval_sqrt", tol)
-    s_f = f.vectors.T @ f.vectors
-    if np.linalg.norm(s_f - np.eye(w.ambient_dim), "fro") > max(tol.residual_eps, 1e-9):
+    # the rows of bridge_fusion_to_discrete's parseval_sqrt mode, from the members whitened above
+    f = bridge_dual_to_discrete(fusion_frame(whitened), basis_arr, tol)
+    if verify_discrete_dual(f, f, tol)[1] > max(tol.residual_eps, 1e-9):  # F is its own dual iff Parseval
         raise ArithmeticError("bridged frame is not Parseval")
     duals = [
         discrete_canonical_dual(f, tol),
@@ -426,19 +416,7 @@ def riesz_bridge_partial_optimal(
 
 def _transport(pair: DualPair, u: np.ndarray) -> DualPair:
     tol = pair.tol
-    w = pair.primal
-    v = pair.dual_candidate
-    new_w = FusionFrame(
-        w.ambient_dim,
-        tuple(image_subspace(u, s, tol) for s in w.subspaces),
-        w.weights,
-    )
-    new_v = FusionFrame(
-        v.ambient_dim,
-        tuple(image_subspace(u, s, tol) for s in v.subspaces),
-        v.weights,
-    )
-    return make_dual_pair(new_w, new_v, tol)
+    return make_dual_pair(_image_frame(u, pair.primal, tol), _image_frame(u, pair.dual_candidate, tol), tol)
 
 
 def transport_by_unitary(pair: DualPair, u: np.ndarray) -> DualPair:
@@ -468,13 +446,12 @@ def transport_by_invertible(pair: DualPair, u: np.ndarray) -> DualPair:
     if svals[-1] <= tol.rank_eps:
         raise ValueError("operator is not invertible within tolerance")
     gram = u.T @ u
-    failures = []
-    for i, s in enumerate(pair.primal.subspaces, start=1):
-        if not subspace_contains(s, image_subspace(gram, s, tol), tol):
-            failures.append(f"primal member {i}")
-    for i, s in enumerate(pair.dual_candidate.subspaces, start=1):
-        if not subspace_contains(s, image_subspace(gram, s, tol), tol):
-            failures.append(f"dual member {i}")
+    failures = [
+        f"{side} member {i}"
+        for side, f in (("primal", pair.primal), ("dual", pair.dual_candidate))
+        for i, s in enumerate(f.subspaces, start=1)
+        if not subspace_contains(s, image_subspace(gram, s, tol), tol)
+    ]
     if failures:
         raise ValueError(
             "u^T u does not leave these members invariant: " + ", ".join(failures)
@@ -482,8 +459,10 @@ def transport_by_invertible(pair: DualPair, u: np.ndarray) -> DualPair:
     return _transport(pair, u)
 
 
-def probe_duals(pair: DualPair, count: int, rng: np.random.Generator) -> list[FusionFrame]:
-    """Randomized family of verified duals used to challenge optimality claims.
+def probe_duals(
+    w: FusionFrame, count: int, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
+) -> list[FusionFrame]:
+    """Randomized family of verified duals of ``w`` used to challenge optimality claims.
 
     Draws member-wise enlargements of the canonical dual by directions
     orthogonal to the canonical members, the applicable single-member
@@ -491,8 +470,6 @@ def probe_duals(pair: DualPair, count: int, rng: np.random.Generator) -> list[Fu
     lifts. Refutation by a probe is sound; exhausting probes without finding
     a better dual is inconclusive.
     """
-    tol = pair.tol
-    w = pair.primal
     base = canonical_pair(w, tol)
     canonical_members = base.dual_candidate.subspaces
     probes: list[FusionFrame] = [base.dual_candidate]

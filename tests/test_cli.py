@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fusionframes
 import fusionframes.cli as cli
 from fusionframes import DEFAULT_TOL, subspaces_equal
 from fusionframes.cli import DocumentError, main, parse_document
@@ -282,6 +283,16 @@ class TestErasure:
         assert captured.out == ""
         assert captured.err.startswith("error: --fixed repeats index ")
 
+    @pytest.mark.parametrize("fixture", ["overlap_r4", "overcomplete_r3"])
+    @pytest.mark.parametrize("fixed", [",", ""])
+    def test_empty_fixed_set_refused(self, capsys, fixture, fixed):
+        # nothing lost would report 0 on the fusion path and 0/0 on the bridged one
+        path = str(FIXTURES / f"{fixture}.json")
+        assert main(["--json", "erasure", path, "--fixed", fixed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --fixed needs at least one index\n"
+
     def test_r_equal_member_count_refused(self, capsys):
         assert main(["erasure", OVERLAP, "--r", "3"]) == 1
         assert "r must" in capsys.readouterr().err
@@ -319,6 +330,38 @@ class TestConstruct:
         for dual in result["duals"]:
             assert dual["is_dual"] is True
             assert dual["d1_operator"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_parseval_family_without_dual_section(self, capsys, tmp_path):
+        raw = json.loads(open(ORTHOBASIS).read())
+        del raw["dual"]
+        p = tmp_path / "orthobasis_no_dual.json"
+        p.write_text(json.dumps(raw))
+        result = run_json(capsys, ["construct", str(p), "--what", "parseval-family"])["result"]
+        assert len(result["duals"]) == 2
+        for dual in result["duals"]:
+            assert dual["is_dual"] is True
+            assert dual["residual"] <= DEFAULT_TOL.residual_eps
+            assert dual["d1_operator"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("with_dual", [True, False])
+    def test_parseval_family_whitens_once(self, capsys, monkeypatch, tmp_path, with_dual):
+        raw = json.loads(open(ORTHOBASIS).read())
+        if not with_dual:
+            del raw["dual"]
+        p = tmp_path / "orthobasis.json"
+        p.write_text(json.dumps(raw))
+        calls = []
+        root = fusionframes.linalg.spd_inv_sqrt
+
+        def counted(a, tol):
+            calls.append(a)
+            return root(a, tol)
+
+        for module in (cli, fusionframes.discrete, fusionframes.optimality, fusionframes.linalg):
+            if hasattr(module, "spd_inv_sqrt"):
+                monkeypatch.setattr(module, "spd_inv_sqrt", counted)
+        run_json(capsys, ["construct", str(p), "--what", "parseval-family"])
+        assert len(calls) == 1
 
     def test_expand_variants_preserve_value(self, capsys):
         report = run_json(capsys, ["construct", OVERLAP, "--what", "expand", "--index", "3"])

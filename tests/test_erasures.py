@@ -602,6 +602,32 @@ def test_search_memory_is_bounded_when_nothing_prunes(norm):
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_greedy_leaf_memory_is_bounded(rng, monkeypatch):
+    # 999 positions x 1 outsider: all one-swap rows of 999 indices would take 8 MB at once
+    m, r = 1000, 999
+    components = erasures._rank_one_components(
+        discrete_frame(rng.standard_normal((m, 2))), discrete_frame(rng.standard_normal((m, 2)))
+    )
+    norms = erasures._norms(components, np.arange(m)[:, None], "frobenius")
+    value, peak = traced_peak(lambda: erasures._greedy_leaf(components, norms, r, "frobenius"))
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    # the groups of positions find the swap that all swaps at once would
+    monkeypatch.setattr(erasures, "_CHUNK_BYTES", 1 << 30)
+    assert erasures._greedy_leaf(components, norms, r, "frobenius") == value
+
+
+def test_greedy_leaf_measures_fitting_swaps_at_once(rng, monkeypatch):
+    m, r = 40, 5
+    components = erasures._rank_one_components(
+        discrete_frame(rng.standard_normal((m, 3))), discrete_frame(rng.standard_normal((m, 3)))
+    )
+    norms = erasures._norms(components, np.arange(m)[:, None], "operator")
+    rows = counting_norms(monkeypatch)
+    erasures._greedy_leaf(components, norms, r, "operator")
+    # the start, then one call of all r (m - r) swaps per step
+    assert rows[0] == 1 and set(rows[1:]) == {r * (m - r)}
+
+
 def test_mask_validation():
     with pytest.raises(ValueError, match="positive"):
         ErasureMask(0, [])

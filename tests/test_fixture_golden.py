@@ -1,0 +1,90 @@
+"""Every command on every bundled fixture, text and --json, byte for byte.
+
+``fixture_reports.json`` holds the exit status, stdout and stderr of each
+op, run from the repository root with the fixture path relative to it, so
+the echoed ``input.path`` does not depend on the checkout. A change that is
+meant to alter a report regenerates the file with
+
+    PYTHONPATH=src python tests/test_fixture_golden.py
+
+and names the changed reports in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from fusionframes.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "fixture_reports.json"
+
+FIXTURES = (
+    "overlap_r4",
+    "overlap_r4_extended_dual",
+    "orthobasis_r3",
+    "overcomplete_r3",
+    "preserving_nondual_r3",
+)
+
+COMMANDS = (
+    ("classify",),
+    ("verify-dual",),
+    ("erasure", "--r", "1", "--norm", "frobenius"),
+    ("erasure", "--r", "1", "--norm", "operator"),
+    ("erasure", "--fixed", "1,2"),
+    ("certify", "--which", "canonical"),
+    ("certify", "--which", "dual"),
+    ("certify", "--which", "tight"),
+    ("construct", "--what", "bridge"),
+    ("construct", "--what", "expand", "--index", "1"),
+    ("construct", "--what", "parseval-family"),
+)
+
+
+def fixture_ops() -> list[list[str]]:
+    """argv of each op, 5 fixtures x 11 commands x (text, --json)."""
+    return [
+        ([] if text else ["--json"]) + [command, f"fixtures/{name}.json", *flags]
+        for name in FIXTURES
+        for command, *flags in COMMANDS
+        for text in (True, False)
+    ]
+
+
+def run_op(argv: list[str]) -> dict:
+    """Exit status, stdout and stderr of one in-process ``main(argv)`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _golden() -> dict[str, dict]:
+    return {" ".join(entry["argv"]): entry for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+
+
+def test_golden_covers_every_op():
+    golden = _golden()
+    assert sorted(golden) == sorted(" ".join(argv) for argv in fixture_ops())
+    assert sum(entry["exit"] == 1 for entry in golden.values()) == 20
+
+
+@pytest.mark.parametrize("argv", fixture_ops(), ids=" ".join)
+def test_fixture_report_is_byte_identical(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert run_op(argv) == _golden()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    entries = [run_op(argv) for argv in fixture_ops()]
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} ops to {GOLDEN}", file=sys.stderr)

@@ -407,7 +407,7 @@ class TestProbeSoundness:
             assert certify_canonical_optimal(w).verdict == "certified_optimal"
             pair = canonical_pair(w)
             baseline = worst_case_error(pair, 1, "frobenius").worst_value
-            for probe in probe_duals(pair, 20, rng):
+            for probe in probe_duals(w, 20, rng):
                 ppair = make_dual_pair(w, probe)
                 assert ppair.duality_residual < 1e-9
                 value = worst_case_error(ppair, 1, "frobenius").worst_value
