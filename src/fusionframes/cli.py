@@ -41,15 +41,13 @@ from .erasures import (
 )
 from .fusion import (
     FusionFrame,
-    canonical_dual,
     classify,
     is_nontrivial,
 )
 from .linalg import (
     DEFAULT_TOL,
-    Subspace,
     Tolerance,
-    orthonormal_basis,
+    orthonormal_bases,
 )
 from .optimality import (
     Certificate,
@@ -103,7 +101,7 @@ def _vector(entry, dim: int, where: str) -> np.ndarray:
 def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, default_weights=None):
     if not isinstance(entries, list) or not entries:
         raise DocumentError(f"{where}: expected a non-empty list of subspaces")
-    subspaces: list[Subspace] = []
+    blocks: list[np.ndarray] = []
     weights: list[float] = []
     for k, entry in enumerate(entries):
         spot = f"{where}[{k}]"
@@ -112,14 +110,17 @@ def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, defa
         vecs = entry.get("spanning_vectors")
         if not isinstance(vecs, list) or not vecs:
             raise DocumentError(f"{spot}.spanning_vectors: expected a non-empty list")
-        vectors = [_vector(v, ambient_dim, f"{spot}.spanning_vectors[{j}]") for j, v in enumerate(vecs)]
-        subspaces.append(orthonormal_basis(vectors, tol, ambient_dim=ambient_dim))
+        block = np.array([_vector(v, ambient_dim, f"{spot}.spanning_vectors[{j}]") for j, v in enumerate(vecs)])
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise DocumentError(f"{spot}.spanning_vectors[{finite.argmin()}]: non-finite entry")
+        blocks.append(block)
         fallback = 1 if default_weights is None or k >= len(default_weights) else default_weights[k]
         weight = _scalar(entry.get("weight", fallback), f"{spot}.weight")
         if weight <= 0:
             raise DocumentError(f"{spot}.weight: must be positive")
         weights.append(weight)
-    return subspaces, weights
+    return orthonormal_bases(blocks, tol), weights
 
 
 def parse_document(path: str | Path, tol_override: float | None = None) -> ParsedDocument:
@@ -203,6 +204,59 @@ def _json_default(x):
     if isinstance(x, frozenset):
         return sorted(x)
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it; numbers, booleans and None become their JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2, default=_json_default)``, byte for byte.
+
+    With ``indent`` set, ``json`` encodes in pure Python. This walks dicts and
+    lists itself and hands scalars, and whole lists of plain numbers, to the
+    C encoder's compact form, whose ``", "`` separators become line breaks
+    (no number's text contains ``", "``). Pieces are joined once, at the end.
+    """
+    chunks: list[str] = []
+    _json_chunks(report, 0, chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(x, level: int, out: list[str]) -> None:
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in sorted(x.items()):
+            out += (sep, json.dumps(_json_key(k)), ": ")
+            _json_chunks(v, level + 1, out)
+            sep = "," + inner
+        out.append(close + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+        elif set(map(type, x)) <= {int, float}:
+            out += ("[", inner, json.dumps(x)[1:-1].replace(", ", "," + inner), close, "]")
+        else:
+            sep = "[" + inner
+            for v in x:
+                out.append(sep)
+                _json_chunks(v, level + 1, out)
+                sep = "," + inner
+            out.append(close + "]")
+    elif x is None or isinstance(x, (str, int, float)):
+        out.append(json.dumps(x))
+    else:
+        _json_chunks(_json_default(x), level, out)
 
 
 def _frame_document(frame: FusionFrame) -> dict:
@@ -388,8 +442,7 @@ def _cmd_certify(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         pair = make_dual_pair(doc.frame, doc.dual, doc.tol)
         cert = certify_dual_optimal(pair)
     else:
-        dual = doc.dual if doc.dual is not None else canonical_dual(doc.frame, doc.tol)
-        cert = certify_tight_uniform(doc.frame, dual, doc.tol)
+        cert = certify_tight_uniform(_document_pair(doc)[0])
     return asdict(cert), _certificate_lines(cert)
 
 
@@ -518,7 +571,7 @@ def run(args) -> str:
         "tolerance": {"rank_eps": doc.tol.rank_eps, "residual_eps": doc.tol.residual_eps},
         "result": result,
     }
-    return json.dumps(report, sort_keys=True, indent=2, default=_json_default)
+    return _json_text(report)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     image_subspace,
+    orthonormal_bases,
     projector,
     spd_inverse,
     subspace_contains,
@@ -197,7 +198,10 @@ def lift_to_component_preserving(pair: DualPair) -> FusionFrame:
     exactly the same per-component error operators as the input pair.
     """
     _require_verified(pair)
-    lifted = []
-    for ws, vs in zip(pair.primal.subspaces, pair.dual_candidate.subspaces):
-        lifted.append(image_subspace(projector(vs) @ pair.s_inv, ws, pair.tol))
-    return FusionFrame(pair.primal.ambient_dim, tuple(lifted), pair.dual_candidate.weights)
+    n = pair.primal.ambient_dim
+    blocks = [
+        ((projector(vs) @ pair.s_inv) @ ws.basis).T
+        for ws, vs in zip(pair.primal.subspaces, pair.dual_candidate.subspaces)
+    ]
+    lifted = orthonormal_bases(blocks, pair.tol, ambient_dim=n)
+    return FusionFrame(n, tuple(lifted), pair.dual_candidate.weights)

@@ -19,7 +19,8 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    image_subspace,
+    _as_matrix,
+    orthonormal_bases,
     projector,
     spd_inverse,
     subspace_sum,
@@ -166,8 +167,13 @@ def classify(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FrameClassificatio
 
 
 def _image_frame(u: np.ndarray, w: FusionFrame, tol: Tolerance) -> FusionFrame:
-    """The family {(u W_i, w_i)}: every member mapped by ``u``, weights kept."""
-    return FusionFrame(w.ambient_dim, tuple(image_subspace(u, sub, tol) for sub in w.subspaces), w.weights)
+    """The family {(u W_i, w_i)}: every member mapped by ``u``, weights kept.
+
+    Bit for bit the members ``image_subspace(u, W_i)``, orthonormalized in one pass.
+    """
+    u = _as_matrix(u)
+    images = orthonormal_bases([(u @ sub.basis).T for sub in w.subspaces], tol, ambient_dim=w.ambient_dim)
+    return FusionFrame(w.ambient_dim, tuple(images), w.weights)
 
 
 def _canonical_dual_and_inverse(w: FusionFrame, tol: Tolerance) -> tuple[FusionFrame, np.ndarray]:

@@ -22,6 +22,7 @@ __all__ = [
     "full_subspace",
     "coordinate_subspace",
     "orthonormal_basis",
+    "orthonormal_bases",
     "projector",
     "spd_inverse",
     "spd_inv_sqrt",
@@ -128,22 +129,12 @@ def coordinate_subspace(ambient_dim: int, axes: Iterable[int]) -> Subspace:
     return Subspace(ambient_dim, cols)
 
 
-def orthonormal_basis(
-    vectors: Sequence, tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | None = None
-) -> Subspace:
-    """Orthonormal basis of the span of ``vectors`` (one vector per row).
-
-    Twice-reorthogonalized Gram-Schmidt with column pivoting on a ``(k, n)``
-    matrix: the row of largest residual norm is projected twice off the
-    accepted block, then one rank-one update removes it from the other rows.
-    A candidate is discarded once its residual norm falls to ``rank_eps``
-    times the largest input norm, which keeps rank decisions reproducible on
-    exact fixtures.
-    """
+def _rows(vectors: Sequence, ambient_dim: int | None) -> np.ndarray:
+    """``vectors`` (one per row) as a fresh float ``(k, n)`` array, checked."""
     if len(vectors) == 0:
         if ambient_dim is None:
             raise ValueError("ambient_dim is required for an empty vector list")
-        return zero_subspace(ambient_dim)
+        return np.zeros((0, ambient_dim))
     try:
         work = np.array(vectors, dtype=float, order="C").reshape(len(vectors), -1)
     except ValueError as exc:
@@ -152,34 +143,78 @@ def orthonormal_basis(
         raise ValueError("vector has non-finite entries")
     if ambient_dim not in (None, work.shape[1]):
         raise ValueError("vectors do not match the requested ambient dimension")
-    ambient_dim = work.shape[1]
+    return work
+
+
+def orthonormal_bases(
+    blocks: Sequence[Sequence], tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | None = None
+) -> list[Subspace]:
+    """Orthonormal basis of the span of each block of ``blocks`` (one vector per row).
+
+    Twice-reorthogonalized Gram-Schmidt with column pivoting, run on all
+    blocks at once in a zero-padded ``(m, k_max, n)`` stack: each block's row
+    of largest residual norm is projected twice off that block's accepted
+    rows, then one rank-one update removes it from the block's other rows.
+    A candidate is discarded once its residual norm falls to ``rank_eps``
+    times the largest input norm of its block, which keeps rank decisions
+    reproducible on exact fixtures. Padded rows stay exactly zero and are
+    never a pivot, so each block gets the bits it would get on its own. All
+    blocks share one ambient dimension; an empty first block needs
+    ``ambient_dim``.
+    """
+    works = []
+    for vectors in blocks:
+        works.append(_rows(vectors, ambient_dim))
+        ambient_dim = works[-1].shape[1]
+    k_max = max((len(w) for w in works), default=0)
+    if not k_max:
+        return [zero_subspace(w.shape[1]) for w in works]
+    m, n = len(works), ambient_dim
+    work = np.zeros((m, k_max, n))
+    for b, w in enumerate(works):
+        work[b, : len(w)] = w
 
     # np.vecdot rounds like a per-row ``q @ w``; einsum, unlike a BLAS
     # matrix-vector product, keeps the exact zeros of the bundled fixtures
     norms = np.sqrt(np.vecdot(work, work))
-    thresh = tol.rank_eps * norms.max()
-    accepted = np.empty_like(work)
-    rank = 0
+    thresh = tol.rank_eps * norms.max(axis=1)
+    accepted = np.zeros_like(work)
+    ranks = np.zeros(m, dtype=int)
+    live = np.ones(m, dtype=bool)
+    members = np.arange(m)
     while True:
-        j = norms.argmax()
-        if norms[j] <= thresh:
+        j = norms.argmax(axis=1)
+        live &= norms[members, j] > thresh
+        if not live.any():
             break
-        v = work[j].copy()
-        work[j] = 0.0
-        norms[j] = 0.0
+        work[~live] = 0.0  # spent: later steps do no arithmetic, and raise no warning, on finished blocks
+        v = work[members, j]
+        work[members, j] = 0.0
+        kept = accepted[:, : ranks.max()]
         for _ in range(2):
-            v -= np.einsum("i,ij->j", np.vecdot(accepted[:rank], v), accepted[:rank])
-        nv = math.sqrt(v @ v)
-        if nv <= thresh:
-            continue
-        q = v / nv
-        accepted[rank] = q
-        rank += 1
-        work -= np.multiply.outer(np.vecdot(work, q), q)
+            v -= np.einsum("bi,bij->bj", np.vecdot(kept, v[:, None]), kept)
+        nv = np.sqrt(np.vecdot(v, v))
+        grow = live & (nv > thresh)
+        q = np.divide(v, nv[:, None], out=np.zeros_like(v), where=grow[:, None])
+        accepted[members[grow], ranks[grow]] = q[grow]
+        ranks += grow
+        update = np.vecdot(work, q[:, None])[..., None] * q[:, None]
+        np.subtract(work, update, out=work, where=grow[:, None, None])
         norms = np.sqrt(np.vecdot(work, work))
-    if not rank:
-        return zero_subspace(ambient_dim)
-    return Subspace(ambient_dim, accepted[:rank].T)
+    return [
+        Subspace(n, accepted[b, :rank].T) if rank else zero_subspace(n)
+        for b, rank in enumerate(ranks)
+    ]
+
+
+def orthonormal_basis(
+    vectors: Sequence, tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | None = None
+) -> Subspace:
+    """Orthonormal basis of the span of ``vectors`` (one vector per row).
+
+    The one-block case of :func:`orthonormal_bases`.
+    """
+    return orthonormal_bases([vectors], tol, ambient_dim=ambient_dim)[0]
 
 
 def projector(s: Subspace) -> np.ndarray:

@@ -186,16 +186,15 @@ def certify_dual_optimal(pair: DualPair) -> Certificate:
     return _split_certificate(pair.primal, values, pair.tol, "dual_family", True, success)
 
 
-def certify_tight_uniform(
-    w: FusionFrame, v: FusionFrame, tol: Tolerance = DEFAULT_TOL
-) -> Certificate:
+def certify_tight_uniform(pair: DualPair) -> Certificate:
     """Certify every mildly-weighted dual of a tight frame with uniform member size.
 
-    Requires: w tight, w_i^2 * sqrt(dim W_i) constant across members, v a
-    verified dual, and max(v_i / w_i) <= 1. The certified dual's worst
-    single-erasure Frobenius error is recorded in the notes together with
-    the bound c / alpha.
+    Requires, for the pair's frame w and dual v: w tight, w_i^2 * sqrt(dim W_i)
+    constant across members, v a verified dual, and max(v_i / w_i) <= 1. The
+    certified dual's worst single-erasure Frobenius error is recorded in the
+    notes together with the bound c / alpha.
     """
+    w, v, tol = pair.primal, pair.dual_candidate, pair.tol
     cls = classify(w, tol)
     reasons = []
     alpha = cls.lower_bound
@@ -210,7 +209,6 @@ def certify_tight_uniform(
     spread = c - float(min(member_values))
     if spread > tol.residual_eps * max(1.0, c):
         reasons.append("member value w_i^2 sqrt(dim W_i) is not constant")
-    pair = make_dual_pair(w, v, tol)
     ok, residual, _ = verify_dual(pair)
     if not ok:
         reasons.append(f"dual verification failed (residual {residual:.3e})")

@@ -11,7 +11,9 @@ dual.
 from __future__ import annotations
 
 import itertools
+import math
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from fusionframes import (
     spd_inverse,
     subspace_sum,
     synthesis_nullspace,
+    zero_subspace,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -325,6 +328,55 @@ def orthonormal_basis_reference(vectors, tol: Tolerance = DEFAULT_TOL, *, ambien
     if not accepted:
         return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
     return Subspace(ambient_dim, np.column_stack(accepted))
+
+
+def orthonormal_basis_one_block(
+    vectors: Sequence, tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | None = None
+) -> Subspace:
+    """``orthonormal_basis`` as it ran on one ``(k, n)`` array before blocks were batched.
+
+    The reference that ``orthonormal_bases`` must match bit for bit, block by block.
+    """
+    if len(vectors) == 0:
+        if ambient_dim is None:
+            raise ValueError("ambient_dim is required for an empty vector list")
+        return zero_subspace(ambient_dim)
+    try:
+        work = np.array(vectors, dtype=float, order="C").reshape(len(vectors), -1)
+    except ValueError as exc:
+        raise ValueError(f"vectors have mismatched dimensions: {exc}") from exc
+    if not np.all(np.isfinite(work)):
+        raise ValueError("vector has non-finite entries")
+    if ambient_dim not in (None, work.shape[1]):
+        raise ValueError("vectors do not match the requested ambient dimension")
+    ambient_dim = work.shape[1]
+
+    # np.vecdot rounds like a per-row ``q @ w``; einsum, unlike a BLAS
+    # matrix-vector product, keeps the exact zeros of the bundled fixtures
+    norms = np.sqrt(np.vecdot(work, work))
+    thresh = tol.rank_eps * norms.max()
+    accepted = np.empty_like(work)
+    rank = 0
+    while True:
+        j = norms.argmax()
+        if norms[j] <= thresh:
+            break
+        v = work[j].copy()
+        work[j] = 0.0
+        norms[j] = 0.0
+        for _ in range(2):
+            v -= np.einsum("i,ij->j", np.vecdot(accepted[:rank], v), accepted[:rank])
+        nv = math.sqrt(v @ v)
+        if nv <= thresh:
+            continue
+        q = v / nv
+        accepted[rank] = q
+        rank += 1
+        work -= np.multiply.outer(np.vecdot(work, q), q)
+        norms = np.sqrt(np.vecdot(work, work))
+    if not rank:
+        return zero_subspace(ambient_dim)
+    return Subspace(ambient_dim, accepted[:rank].T)
 
 
 def jsonable_reference(x):

@@ -146,6 +146,34 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err == "error: subspaces[1].spanning_vectors[1][0]: expected a number, got a boolean\n"
 
+    @pytest.mark.parametrize("section", ["subspaces", "dual"])
+    @pytest.mark.parametrize(
+        "members, error",
+        [
+            (
+                [{"spanning_vectors": [[1, 0], [0, float("inf")]]}, {"weight": -1, "spanning_vectors": [[0, 1]]}],
+                "spanning_vectors[1]: non-finite entry",
+            ),
+            (
+                [{"weight": -1, "spanning_vectors": [[1, 0]]}, {"spanning_vectors": [[float("nan"), 1]]}],
+                "weight: must be positive",
+            ),
+        ],
+        ids=["vector-first", "weight-first"],
+    )
+    def test_malformed_members_reported_in_member_order(self, tmp_path, capsys, section, members, error):
+        # the first malformed member is reported, whichever of its fields is wrong
+        good = [{"spanning_vectors": [[1, 0]]}, {"spanning_vectors": [[0, 1]]}, {"spanning_vectors": [[1, 1]]}]
+        raw = {"ambient_dim": 2, "subspaces": good[:1] + members}
+        where = "subspaces"
+        if section == "dual":
+            raw = {"ambient_dim": 2, "subspaces": good, "dual": {"subspaces": good[:1] + members}}
+            where = "dual.subspaces"
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw))
+        assert main(["classify", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {where}[1].{error}\n"
+
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -310,6 +338,24 @@ class TestCertify:
         report = run_json(capsys, ["certify", OVERLAP, "--which", "tight"])
         assert report["result"]["verdict"] == "not_applicable"
 
+    @pytest.mark.parametrize(
+        "with_dual, error",
+        [
+            (False, "error: canonical dual requires a fusion frame (family does not span)\n"),
+            (True, "error: spd_inverse: smallest eigenvalue 0.000e+00 signals a non-invertible operator\n"),
+        ],
+    )
+    def test_tight_certificate_of_non_spanning_family_refused(self, capsys, tmp_path, with_dual, error):
+        # the pair is built first, as for every other command on the document's dual pair
+        members = [{"spanning_vectors": [[1, 0, 0]]}, {"spanning_vectors": [[0, 1, 0]]}]
+        raw = {"ambient_dim": 3, "subspaces": members}
+        if with_dual:
+            raw["dual"] = {"subspaces": members}
+        p = tmp_path / "plane.json"
+        p.write_text(json.dumps(raw))
+        assert main(["certify", str(p), "--which", "tight"]) == 1
+        assert capsys.readouterr().err == error
+
     def test_dual_certificate_requires_dual(self, capsys):
         assert main(["certify", OVERLAP, "--which", "dual"]) == 1
         assert "dual section" in capsys.readouterr().err
@@ -342,6 +388,21 @@ class TestConstruct:
             assert dual["is_dual"] is True
             assert dual["residual"] <= DEFAULT_TOL.residual_eps
             assert dual["d1_operator"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_tight_certificate_inverts_frame_operator_once(self, capsys, monkeypatch):
+        calls = []
+        inverse = fusionframes.linalg.spd_inverse
+
+        def counted(a, tol):
+            calls.append(a)
+            return inverse(a, tol)
+
+        for module in (cli, fusionframes.fusion, fusionframes.duality, fusionframes.optimality, fusionframes.discrete):
+            if hasattr(module, "spd_inverse"):
+                monkeypatch.setattr(module, "spd_inverse", counted)
+        assert main(["certify", OVERLAP, "--which", "tight"]) == 0
+        assert "not tight" in capsys.readouterr().out
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("with_dual", [True, False])
     def test_parseval_family_whitens_once(self, capsys, monkeypatch, tmp_path, with_dual):
@@ -444,6 +505,66 @@ class TestReportContracts:
         report = {"command": "classify", "result": result}
         hooked = json.dumps(report, sort_keys=True, indent=2, default=cli._json_default)
         assert hooked == json.dumps(jsonable_reference(report), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [float("nan"), float("inf"), -float("inf"), -0.0, 0.0],
+            {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "zero": -0.0},
+            [2**70, -(2**70), 1.5],
+            2**70,
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+            [[], [[]], [{}]],
+            [1, True, 2.0],
+            [None, 1.5, 2],
+            [False, None],
+            ["a", 1, 2.5],
+            [1, "x, y", 2],
+            "comma, space",
+            {"k, v": "line\nbreak", "\u00e9t\u00e9": "caf\u00e9 \u2713", "tab": "\t"},
+            (1, 2.5, (3, ("s", -0.0))),
+            {"t": ((), (1,), [1, (2, 3)])},
+            np.array([[1.0, -0.0], [np.nan, np.inf]]),
+            np.zeros((2, 0)),
+            {"f": np.float64(0.1), "i": np.int64(-7), "b": np.bool_(True), "a": np.arange(3)},
+            [np.float64(1.5), 2.0, np.int64(3)],
+            frozenset({3, 1, 2}),
+            {"s": frozenset(), "nested": [frozenset({-0.5, 2.5})]},
+            {2: [1], 1: "int keys", 0.5: "float key"},
+            {True: "bool key"},
+            {None: 1.0},
+            1e-320,
+            "",
+        ],
+    )
+    def test_json_writer_matches_json_dumps(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2, default=cli._json_default)
+        assert cli._json_text(value) == expected
+
+    def test_json_writer_refuses_keys_json_refuses(self):
+        with pytest.raises(TypeError):
+            json.dumps({(1, 2): 3}, sort_keys=True, indent=2, default=cli._json_default)
+        with pytest.raises(TypeError):
+            cli._json_text({(1, 2): 3})
+
+    def test_generated_report_matches_json_dumps(self, tmp_path, monkeypatch):
+        # a (64, 200, 8) frame document: the echo carries 102,400 computed floats
+        rng = np.random.default_rng([101, 64, 200, 8])
+        members = [
+            {"weight": float(0.5 + rng.random()), "spanning_vectors": rng.standard_normal((8, 64)).tolist()}
+            for _ in range(200)
+        ]
+        p = tmp_path / "large.json"
+        p.write_text(json.dumps({"ambient_dim": 64, "field": "real", "subspaces": members}))
+        args = cli._build_parser().parse_args(["--json", "erasure", str(p), "--r", "1"])
+        written = cli.run(args)
+        monkeypatch.setattr(
+            cli, "_json_text", lambda x: json.dumps(x, sort_keys=True, indent=2, default=cli._json_default)
+        )
+        assert written == cli.run(args)
+        assert len(json.loads(written)["result"]["table"]) == 200
 
     def test_digest_present(self, capsys):
         report = run_json(capsys, ["classify", OVERLAP])

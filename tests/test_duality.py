@@ -218,6 +218,19 @@ class TestLift:
             b = worst_case_error(lifted_pair, 1, kind).worst_value
             assert a == pytest.approx(b, abs=1e-9)
 
+    def test_lift_matches_member_by_member_images(self, rng):
+        # one batched pass gives each member the bits of its own image_subspace
+        pairs = [make_dual_pair(overlap_frame_r4(), overlap_extended_dual([1, 1, 1, 1, 1, 1, 1]))]
+        for weighted in (False, True):
+            w = random_fusion_frame(rng, 5, 4, weighted=weighted)
+            pairs += [canonical_pair(w), make_dual_pair(w, inflated_dual(rng, w))]
+        for pair in pairs:
+            lifted = lift_to_component_preserving(pair)
+            for ws, vs, xs in zip(pair.primal.subspaces, pair.dual_candidate.subspaces, lifted.subspaces):
+                alone = image_subspace(projector(vs) @ pair.s_inv, ws, pair.tol).basis
+                assert np.array_equal(xs.basis, alone)
+                assert np.array_equal(np.signbit(xs.basis), np.signbit(alone))
+
     def test_non_dual_rejected(self):
         w, v, _ = preserving_pair_r3()
         with pytest.raises(ValueError, match="verified dual"):

@@ -9,6 +9,7 @@ from fusionframes import (
     frame_operator,
     full_subspace,
     fusion_frame,
+    image_subspace,
     is_nontrivial,
     make_dual_pair,
     orthogonal_complement,
@@ -137,6 +138,16 @@ class TestCanonicalDual:
         dual = canonical_dual(w)
         assert [s.dim for s in dual.subspaces] == [s.dim for s in w.subspaces]
         assert dual.weights == w.weights
+
+    def test_members_are_the_one_member_images(self, rng):
+        # orthonormalized together, each member keeps the bits of its own image_subspace
+        for weighted in (False, True):
+            w = random_fusion_frame(rng, 6, 5, weighted=weighted)
+            s_inv = spd_inverse(frame_operator(w))
+            for sub, dual_sub in zip(w.subspaces, canonical_dual(w).subspaces):
+                alone = image_subspace(s_inv, sub).basis
+                assert np.array_equal(dual_sub.basis, alone)
+                assert np.array_equal(np.signbit(dual_sub.basis), np.signbit(alone))
 
 
 class TestInvariants:

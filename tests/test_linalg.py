@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fusionframes import (
     operator_norm,
     orthogonal_complement,
     orthonormal_basis,
+    orthonormal_bases,
     projector,
     spd_inv_sqrt,
     spd_inverse,
@@ -28,6 +30,7 @@ from fusionframes import (
 from helpers import (
     SQRT54,
     OVERCOMPLETE_SINV,
+    orthonormal_basis_one_block,
     orthonormal_basis_reference,
     random_spd,
     random_subspace,
@@ -133,6 +136,97 @@ class TestOrthonormalBasisMatchesLoop:
 )
 def test_orthonormal_basis_matches_loop(mat):
     _matches_reference(mat)
+
+
+def _bases_match_one_block(blocks, n, tol=Tolerance()):
+    """Every block's batched basis equals the one-block run bit for bit, zero signs included."""
+    got = orthonormal_bases(blocks, tol, ambient_dim=n)
+    assert len(got) == len(blocks)
+    for block, s in zip(blocks, got):
+        ref = orthonormal_basis_one_block(block, tol, ambient_dim=n)
+        assert s.basis.shape == ref.basis.shape
+        assert np.array_equal(s.basis, ref.basis)
+        assert np.array_equal(np.signbit(s.basis), np.signbit(ref.basis))
+    return got
+
+
+@st.composite
+def _block_lists(draw):
+    """Blocks of mixed size in one R^n: Gaussian-like, exact small integers, zero,
+    duplicate or dependent rows, and rows scaled by 1e-12 .. 1e12."""
+    n = draw(st.integers(1, 7))
+    floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = []
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(["float", "int", "zero", "dependent", "scaled"]))
+            if kind == "zero":
+                row = np.zeros(n)
+            elif kind == "dependent" and rows:
+                a, b = draw(st.lists(st.sampled_from(range(len(rows))), min_size=2, max_size=2))
+                ca, cb = draw(st.lists(st.integers(-2, 2).map(float), min_size=2, max_size=2))
+                row = ca * rows[a] + cb * rows[b]
+            elif kind == "int":
+                row = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+            else:
+                row = np.array(draw(st.lists(floats, min_size=n, max_size=n)))
+                if kind == "scaled":
+                    row *= 10.0 ** draw(st.integers(-12, 12))
+            rows.append(row)
+        blocks.append(np.array(rows).reshape(len(rows), n))
+    return n, blocks
+
+
+@seed(13)
+@settings(max_examples=150, deadline=None)
+@given(case=_block_lists())
+def test_orthonormal_bases_match_one_block_runs(case):
+    n, blocks = case
+    _bases_match_one_block(blocks, n)
+
+
+class TestOrthonormalBases:
+    def test_every_member_zero(self):
+        # no block has a row, so there is no norm to take a maximum of
+        for blocks in ([np.zeros((0, 3))] * 3, [[], []]):
+            got = _bases_match_one_block(blocks, 3)
+            assert all(s.is_zero and s.ambient_dim == 3 for s in got)
+        assert orthonormal_bases([]) == []
+
+    def test_all_zero_members_beside_live_ones(self, rng):
+        blocks = [np.zeros((4, 5)), rng.standard_normal((3, 5)), np.zeros((1, 5)), np.zeros((0, 5))]
+        got = _bases_match_one_block(blocks, 5)
+        assert [s.dim for s in got] == [0, 3, 0, 0]
+
+    def test_mixed_sizes_and_dependent_rows(self, rng):
+        v = rng.standard_normal((3, 6))
+        blocks = [np.vstack([v, v]), v[:1], np.vstack([v, rng.standard_normal((5, 3)) @ v]), rng.standard_normal((9, 6))]
+        got = _bases_match_one_block(blocks, 6)
+        assert [s.dim for s in got] == [3, 1, 3, 6]
+
+    def test_rows_scaled_across_magnitudes(self, rng):
+        blocks = [rng.standard_normal((5, 4)) * 10.0 ** rng.integers(-12, 13, size=(5, 1)) for _ in range(6)]
+        _bases_match_one_block(blocks, 4)
+
+    def test_finished_blocks_raise_no_further_warnings(self):
+        # a norm of 1e200 overflows, so the first block ends at once, with one warning
+        blocks = [np.array([[1e200, 0.0], [1e200, 1e200]]), np.array([[1.0, 0.0], [1.0, 2.0]])]
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            refs = [orthonormal_basis_one_block(b) for b in blocks]
+        with warnings.catch_warnings(record=True) as together:
+            warnings.simplefilter("always")
+            got = orthonormal_bases(blocks)
+        assert [s.dim for s in got] == [0, 2]
+        assert all(np.array_equal(s.basis, ref.basis) for s, ref in zip(got, refs))
+        assert [str(w.message) for w in together] == [str(w.message) for w in alone]
+
+    def test_blocks_share_one_ambient_dimension(self):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            orthonormal_bases([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]])
+        with pytest.raises(ValueError, match="non-finite"):
+            orthonormal_bases([[[1.0, 0.0]], [[np.inf, 0.0]]])
 
 
 class TestProjector:

@@ -4,7 +4,6 @@ import pytest
 from fusionframes import (
     DualPerturbation,
     bridge_fusion_to_discrete,
-    canonical_dual,
     canonical_pair,
     certify_canonical_optimal,
     certify_dual_optimal,
@@ -128,14 +127,14 @@ class TestDualCertificate:
 class TestTightCertificate:
     def test_parseval_singletons_certified(self):
         w = fusion_frame([coordinate_subspace(3, [k]) for k in range(1, 4)])
-        cert = certify_tight_uniform(w, canonical_dual(w))
+        cert = certify_tight_uniform(canonical_pair(w))
         assert cert.verdict == "certified_optimal"
         assert cert.c_value == pytest.approx(1.0)
 
     def test_heavy_dual_weights_rejected(self):
         w = fusion_frame([coordinate_subspace(3, [k]) for k in range(1, 4)])
         v = fusion_frame(list(w.subspaces), [2.0, 2.0, 2.0])
-        cert = certify_tight_uniform(w, v)
+        cert = certify_tight_uniform(make_dual_pair(w, v))
         assert cert.verdict == "not_applicable"
         assert "ratio" in cert.notes
 
@@ -148,13 +147,13 @@ class TestTightCertificate:
                 coordinate_subspace(3, [3]),
             ]
         )
-        cert = certify_tight_uniform(w, v)
+        cert = certify_tight_uniform(make_dual_pair(w, v))
         assert cert.verdict == "certified_optimal"
         assert "bound c/alpha = 1" in cert.notes
 
     def test_non_tight_frame_not_applicable(self):
         w = overlap_frame_r4()
-        cert = certify_tight_uniform(w, canonical_dual(w))
+        cert = certify_tight_uniform(canonical_pair(w))
         assert cert.verdict == "not_applicable"
         assert "not tight" in cert.notes
 
