@@ -16,11 +16,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,6 +76,9 @@ class ParsedDocument:
     tol: Tolerance
 
 
+_PLAIN_NUMBERS = {int, float}
+
+
 def _scalar(x, where: str) -> float:
     if isinstance(x, bool):
         raise DocumentError(f"{where}: expected a number, got a boolean")
@@ -89,13 +95,19 @@ def _scalar(x, where: str) -> float:
 def _vector(entry, dim: int, where: str) -> np.ndarray:
     if not isinstance(entry, list) or len(entry) != dim:
         raise DocumentError(f"{where}: expected a list of {dim} scalars")
-    # plain numbers convert in one call; anything else goes entry by entry for a located message
-    if set(map(type, entry)) <= {int, float}:
-        try:
-            return np.array(entry, dtype=float)
-        except OverflowError:
-            pass
     return np.array([_scalar(v, f"{where}[{k}]") for k, v in enumerate(entry)])
+
+
+def _vectors(entries: list, dim: int, where: str) -> np.ndarray:
+    """``entries`` as a ``(len, dim)`` float array; plain numbers convert in one call, anything
+    else goes vector by vector and entry by entry, so a refusal names its entry."""
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {dim}:
+        if set(map(type, chain.from_iterable(entries))) <= _PLAIN_NUMBERS:
+            try:
+                return np.array(entries, dtype=float)
+            except OverflowError:
+                pass
+    return np.array([_vector(v, dim, f"{where}[{k}]") for k, v in enumerate(entries)])
 
 
 def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, default_weights=None):
@@ -110,7 +122,7 @@ def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, defa
         vecs = entry.get("spanning_vectors")
         if not isinstance(vecs, list) or not vecs:
             raise DocumentError(f"{spot}.spanning_vectors: expected a non-empty list")
-        block = np.array([_vector(v, ambient_dim, f"{spot}.spanning_vectors[{j}]") for j, v in enumerate(vecs)])
+        block = _vectors(vecs, ambient_dim, f"{spot}.spanning_vectors")
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             raise DocumentError(f"{spot}.spanning_vectors[{finite.argmin()}]: non-finite entry")
@@ -179,7 +191,7 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
         rows = raw["basis"]
         if not isinstance(rows, list) or len(rows) != ambient_dim:
             raise DocumentError(f"basis: expected {ambient_dim} vectors")
-        basis = np.vstack([_vector(v, ambient_dim, f"basis[{k}]") for k, v in enumerate(rows)])
+        basis = _vectors(rows, ambient_dim, "basis")
 
     return ParsedDocument(frame=frame, dual=dual, basis=basis, tol=tol)
 
@@ -219,9 +231,11 @@ def _json_text(report) -> str:
     """``json.dumps(report, sort_keys=True, indent=2, default=_json_default)``, byte for byte.
 
     With ``indent`` set, ``json`` encodes in pure Python. This walks dicts and
-    lists itself and hands scalars, and whole lists of plain numbers, to the
-    C encoder's compact form, whose ``", "`` separators become line breaks
-    (no number's text contains ``", "``). Pieces are joined once, at the end.
+    lists itself, writes plain strings, ints and finite floats as ``json``
+    would, and hands whole lists of plain numbers, and lists of records
+    column by column, to the C encoder's compact form, whose ``", "``
+    separators become line breaks (no number's text contains ``", "``).
+    Pieces are joined once, at the end.
     """
     chunks: list[str] = []
     _json_chunks(report, 0, chunks)
@@ -229,34 +243,77 @@ def _json_text(report) -> str:
 
 
 def _json_chunks(x, level: int, out: list[str]) -> None:
-    inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level
     if isinstance(x, dict):
         if not x:
             out.append("{}")
             return
+        inner = "\n" + "  " * (level + 1)
         sep = "{" + inner
         for k, v in sorted(x.items()):
-            out += (sep, json.dumps(_json_key(k)), ": ")
+            out += (sep, _json_str(k) if type(k) is str else json.dumps(_json_key(k)), ": ")
             _json_chunks(v, level + 1, out)
             sep = "," + inner
-        out.append(close + "}")
+        out.append("\n" + "  " * level + "}")
     elif isinstance(x, (list, tuple)):
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level
         if not x:
             out.append("[]")
-        elif set(map(type, x)) <= {int, float}:
+        elif set(map(type, x)) <= _PLAIN_NUMBERS:
             out += ("[", inner, json.dumps(x)[1:-1].replace(", ", "," + inner), close, "]")
-        else:
+        elif not _json_records(x, level, out):
             sep = "[" + inner
             for v in x:
                 out.append(sep)
                 _json_chunks(v, level + 1, out)
                 sep = "," + inner
             out.append(close + "]")
+    elif type(x) is str:
+        out.append(_json_str(x))
+    elif type(x) is int:
+        out.append(int.__repr__(x))
+    elif type(x) is float and math.isfinite(x):
+        out.append(float.__repr__(x))
     elif x is None or isinstance(x, (str, int, float)):
         out.append(json.dumps(x))
     else:
         _json_chunks(_json_default(x), level, out)
+
+
+def _json_records(rows, level: int, out: list[str]) -> bool:
+    """Write a list of records that share one set of ``str`` keys, one C-encoder call per column.
+
+    Every column must hold plain numbers only, or non-empty lists of plain
+    numbers only; returns False, having written nothing, for any other list.
+    """
+    first = rows[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return False
+    keys = first.keys()
+    if set(map(type, rows)) != {dict} or not all(map(keys.__eq__, map(dict.keys, rows))):
+        return False
+    row_in, field_in, item_in = ("\n" + "  " * (level + d) for d in (1, 2, 3))
+    fields, columns = [], []
+    for key in sorted(keys):
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        name = _json_str(key).replace("%", "%%") + ": "
+        if kinds <= _PLAIN_NUMBERS:
+            fields.append(name + "%s")
+            columns.append(json.dumps(column)[1:-1].split(", "))
+        elif kinds <= {list, tuple} and all(column) and set(map(type, chain.from_iterable(column))) <= _PLAIN_NUMBERS:
+            # "]," + item_in + "[" can only fall between two rows' lists
+            fields.append(name + "[" + item_in + "%s" + field_in + "]")
+            text = json.dumps(column)[2:-2].replace(", ", "," + item_in)
+            columns.append(text.split("]," + item_in + "["))
+        else:
+            return False
+    body = "{" + field_in + ("," + field_in).join(fields) + row_in + "}"
+    filled = zip(*columns)
+    out.append("[" + row_in + body % next(filled))
+    out += map(("," + row_in + body).__mod__, filled)
+    out.append("\n" + "  " * level + "]")
+    return True
 
 
 def _frame_document(frame: FusionFrame) -> dict:
@@ -349,7 +406,7 @@ def _cmd_verify_dual(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
     return result, lines
 
 
-def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
+def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, Iterable[str]]:
     norm, subset = args.norm, args.fixed
     if subset is None:
         pair, dual_source = _document_pair(doc)
@@ -372,10 +429,9 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         ]
         if report.per_subset_values:
             lines.append("per-subset values:")
-            lines += [
-                f"    {{{', '.join(map(str, s))}}}: {_fmt(v)}"
-                for s, v in report.per_subset_values
-            ]
+            # formatted only if the text report is printed
+            table = (f"    {{{', '.join(map(str, s))}}}: {_fmt(v)}" for s, v in report.per_subset_values)
+            return result, chain(lines, table)
         return result, lines
 
     if not subset:
@@ -402,7 +458,7 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             f"canonical error:   {_fmt(value_canonical)}",
         ]
         try:
-            halved = halving_dual(compacted, subset, doc.tol)
+            halved = halving_dual(compacted, subset, doc.tol, canonical=canonical)
             value_halved = partial_erasure_error(compacted, halved, mask, norm)
             result["halving_feasible"] = True
             result["halved_value"] = value_halved

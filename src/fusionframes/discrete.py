@@ -136,15 +136,23 @@ def perturbation_residual(f: DiscreteFrame, u: DualPerturbation) -> float:
 
 
 def dual_from_perturbation(
-    f: DiscreteFrame, u: DualPerturbation, tol: Tolerance = DEFAULT_TOL
+    f: DiscreteFrame,
+    u: DualPerturbation,
+    tol: Tolerance = DEFAULT_TOL,
+    *,
+    canonical: DiscreteFrame | None = None,
 ) -> DiscreteFrame:
-    """Dual {S_F^{-1} f_k + u_k}; rejects perturbations outside the synthesis nullspace."""
+    """Dual {S_F^{-1} f_k + u_k}; rejects perturbations outside the synthesis nullspace.
+
+    ``canonical`` is ``discrete_canonical_dual(f, tol)`` when the caller has it already.
+    """
     residual = perturbation_residual(f, u)
     if residual > tol.residual_eps:
         raise ValueError(
             f"perturbation violates the dual relation (residual {residual:.3e})"
         )
-    canonical = discrete_canonical_dual(f, tol)
+    if canonical is None:
+        canonical = discrete_canonical_dual(f, tol)
     return DiscreteFrame(f.ambient_dim, canonical.vectors + u.u_vectors, f.labels)
 
 
@@ -234,7 +242,11 @@ def compact_nonzero(
 
 
 def halving_perturbation(
-    f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL
+    f: DiscreteFrame,
+    lost: Sequence[int],
+    tol: Tolerance = DEFAULT_TOL,
+    *,
+    canonical: DiscreteFrame | None = None,
 ) -> DualPerturbation:
     """Perturbation that halves the canonical dual on the ``lost`` indices (1-based).
 
@@ -242,12 +254,14 @@ def halving_perturbation(
     remaining rows solve the dual relation by minimum-norm least squares.
     Raises when the fixed rows make the relation unsatisfiable (for instance
     when a lost vector is the only one supported on some coordinate).
+    ``canonical`` is ``discrete_canonical_dual(f, tol)`` when the caller has it already.
     """
     lost_set = sorted(set(int(k) for k in lost))
     for k in lost_set:
         if not 1 <= k <= f.count:
             raise ValueError(f"lost index {k} out of range 1..{f.count}")
-    canonical = discrete_canonical_dual(f, tol)
+    if canonical is None:
+        canonical = discrete_canonical_dual(f, tol)
     u = np.zeros_like(f.vectors)
     lost_rows = [k - 1 for k in lost_set]
     free_rows = [k for k in range(f.count) if k not in set(lost_rows)]
@@ -267,7 +281,17 @@ def halving_perturbation(
 
 
 def halving_dual(
-    f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL
+    f: DiscreteFrame,
+    lost: Sequence[int],
+    tol: Tolerance = DEFAULT_TOL,
+    *,
+    canonical: DiscreteFrame | None = None,
 ) -> DiscreteFrame:
-    """Dual frame built from :func:`halving_perturbation`."""
-    return dual_from_perturbation(f, halving_perturbation(f, lost, tol), tol)
+    """Dual frame built from :func:`halving_perturbation`; S_F is inverted at most once.
+
+    ``canonical`` is ``discrete_canonical_dual(f, tol)`` when the caller has it already.
+    """
+    if canonical is None:
+        canonical = discrete_canonical_dual(f, tol)
+    u = halving_perturbation(f, lost, tol, canonical=canonical)
+    return dual_from_perturbation(f, u, tol, canonical=canonical)

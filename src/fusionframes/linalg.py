@@ -146,6 +146,9 @@ def _rows(vectors: Sequence, ambient_dim: int | None) -> np.ndarray:
     return work
 
 
+_SQUARE_SAFE = 2.0**500
+
+
 def orthonormal_bases(
     blocks: Sequence[Sequence], tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | None = None
 ) -> list[Subspace]:
@@ -158,9 +161,10 @@ def orthonormal_bases(
     A candidate is discarded once its residual norm falls to ``rank_eps``
     times the largest input norm of its block, which keeps rank decisions
     reproducible on exact fixtures. Padded rows stay exactly zero and are
-    never a pivot, so each block gets the bits it would get on its own. All
-    blocks share one ambient dimension; an empty first block needs
-    ``ambient_dim``.
+    never a pivot, so each block gets the bits it would get on its own. A
+    block whose largest entry lies beyond 2**±500, where squares over- or
+    underflow, is first scaled by an exact power of two. All blocks share
+    one ambient dimension; an empty first block needs ``ambient_dim``.
     """
     works = []
     for vectors in blocks:
@@ -173,6 +177,11 @@ def orthonormal_bases(
     work = np.zeros((m, k_max, n))
     for b, w in enumerate(works):
         work[b, : len(w)] = w
+    # an exact power of two leaves the span, and every rounding inside the range, alone
+    peak = np.abs(work).max(axis=(1, 2))
+    wild = (peak > _SQUARE_SAFE) | ((peak > 0) & (peak < 1 / _SQUARE_SAFE))
+    if wild.any():
+        work[wild] = np.ldexp(work[wild], -np.frexp(peak[wild])[1][:, None, None])
 
     # np.vecdot rounds like a per-row ``q @ w``; einsum, unlike a BLAS
     # matrix-vector product, keeps the exact zeros of the bundled fixtures

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import fusionframes
 import fusionframes.cli as cli
@@ -25,6 +27,40 @@ PRESERVING = str(FIXTURES / "preserving_nondual_r3.json")
 
 # a JSON integer beyond the range of a float
 HUGE = 10**400
+
+
+_NUMBERS = st.integers(-(2**80), 2**80) | st.floats() | st.floats().map(np.float64) | st.integers(-9, 9).map(np.int64)
+_LEAVES = _NUMBERS | st.none() | st.booleans() | st.text(max_size=5)
+
+
+@st.composite
+def _record_lists(draw):
+    """Lists of records with one key set; each column draws from one kind, so most go column by column."""
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))
+    kinds = [_NUMBERS, st.lists(_NUMBERS, max_size=3), st.lists(_LEAVES, min_size=1, max_size=2), _LEAVES]
+    columns = {key: draw(st.sampled_from(kinds)) for key in keys}
+    rows = draw(st.lists(st.fixed_dictionaries(columns), min_size=1, max_size=6))
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
+def _json_trees():
+    return st.recursive(
+        _LEAVES | _record_lists(),
+        lambda children: st.lists(children, max_size=4)
+        | st.tuples(children, children)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4),
+        max_leaves=30,
+    )
+
+
+def _random_document(n, m, k, seed):
+    """An (n, m, k) frame document: m members of k Gaussian spanning vectors in R^n."""
+    rng = np.random.default_rng([seed, n, m, k])
+    members = [
+        {"weight": float(0.5 + rng.random()), "spanning_vectors": rng.standard_normal((k, n)).tolist()}
+        for _ in range(m)
+    ]
+    return {"ambient_dim": n, "field": "real", "subspaces": members}
 
 
 def run_json(capsys, argv):
@@ -174,6 +210,53 @@ class TestParsing:
         assert main(["classify", str(p)]) == 1
         assert capsys.readouterr().err == f"error: {where}[1].{error}\n"
 
+    def test_plain_members_convert_without_the_per_entry_path(self, tmp_path, monkeypatch):
+        # only the member holding a fraction string goes entry by entry
+        calls = []
+        vector = cli._vector
+        monkeypatch.setattr(cli, "_vector", lambda entry, dim, where: (calls.append(where), vector(entry, dim, where))[1])
+        members = [
+            {"spanning_vectors": [[1, 0.5, -2], [0, 3, 1]]},
+            {"spanning_vectors": [["1/3", 0, 1]]},
+            {"spanning_vectors": [[0, 0, 1e-3]]},
+        ]
+        p = tmp_path / "frame.json"
+        p.write_text(json.dumps({"ambient_dim": 3, "subspaces": members}))
+        doc = parse_document(p)
+        assert calls == ["subspaces[1].spanning_vectors[0]"]
+        assert [s.dim for s in doc.frame.subspaces] == [2, 1, 1]
+        assert np.allclose(np.abs(doc.frame.subspaces[1].basis[:, 0]), np.array([1, 0, 3]) / np.sqrt(10))
+
+    @pytest.mark.parametrize(
+        "vectors, error",
+        [
+            ([[1, 0], [0, 1, 2]], "spanning_vectors[1]: expected a list of 2 scalars"),
+            ([[1, 0], 5], "spanning_vectors[1]: expected a list of 2 scalars"),
+            ([[1, 0], [0, None]], "spanning_vectors[1][1]: expected a number or fraction string, got NoneType"),
+            ([[1, "x"], [0, None]], "spanning_vectors[0][1]: cannot parse scalar 'x'"),
+            ([[1, False], [1, 0]], "spanning_vectors[0][1]: expected a number, got a boolean"),
+        ],
+    )
+    def test_member_refusals_name_their_entry(self, tmp_path, capsys, vectors, error):
+        members = [{"spanning_vectors": [[1, 0]]}, {"spanning_vectors": vectors}]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"ambient_dim": 2, "subspaces": members}))
+        assert main(["classify", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: subspaces[1].{error}\n"
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_extreme_scale_member_keeps_its_dimension(self, tmp_path, capsys, scale):
+        # squaring these entries over- or underflows; the member used to become the zero subspace
+        p = tmp_path / "extreme.json"
+        p.write_text(
+            f'{{"ambient_dim": 2, "subspaces": [{{"spanning_vectors": [[{scale}, 0]]}}, '
+            '{"spanning_vectors": [[0, 1]]}, {"spanning_vectors": [[1, 1]]}]}'
+        )
+        assert main(["classify", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "member dims:     [1, 1, 1]" in out
+        assert "classification:  fusion frame, not Riesz, bounds (1, 2)" in out
+
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -320,6 +403,36 @@ class TestErasure:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --fixed needs at least one index\n"
+
+    def test_bridged_fixed_inverts_each_frame_operator_once(self, capsys, monkeypatch):
+        # S_W for the bridge, then S_F of the compacted frame, shared by the canonical and halving duals
+        calls = []
+        inverse = fusionframes.linalg.spd_inverse
+
+        def counted(a, tol):
+            calls.append(a.shape)
+            return inverse(a, tol)
+
+        for module in (cli, fusionframes.fusion, fusionframes.duality, fusionframes.optimality, fusionframes.discrete):
+            if hasattr(module, "spd_inverse"):
+                monkeypatch.setattr(module, "spd_inverse", counted)
+        result = run_json(capsys, ["erasure", OVERCOMPLETE, "--fixed", "1,2"])["result"]
+        assert result["halving_feasible"] is True
+        assert len(calls) == 2
+
+    def test_json_table_formats_no_text_rows(self, capsys, monkeypatch, tmp_path):
+        p = tmp_path / "enum.json"
+        p.write_text(json.dumps(_random_document(4, 20, 2, seed=7)))
+        calls = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda x: (calls.append(x), fmt(x))[1])
+        rows = len(run_json(capsys, ["erasure", str(p), "--r", "3"])["result"]["table"])
+        assert rows == 1140
+        assert len(calls) < rows
+        calls.clear()
+        assert main(["erasure", str(p), "--r", "3"]) == 0
+        assert capsys.readouterr().out.count("\n    {") == rows
+        assert len(calls) >= rows
 
     def test_r_equal_member_count_refused(self, capsys):
         assert main(["erasure", OVERLAP, "--r", "3"]) == 1
@@ -537,9 +650,39 @@ class TestReportContracts:
             {None: 1.0},
             1e-320,
             "",
+            # lists of records, the erasure table's shape
+            [{"subset": [1, 2], "value": 0.5}],
+            [{"subset": [], "value": 1.0}, {"subset": [3], "value": 2.0}],
+            [{"subset": [1], "value": 1.0}, {"subset": [2], "worth": 2.0}],
+            [{"subset": [1], "value": 1.0}, {"subset": [2]}],
+            [{"subset": [1, 2.5], "value": 1}, {"subset": [3, -0.0], "value": 2.0}],
+            [{"subset": [True, 1], "value": 1.0}, {"subset": [2], "value": False}],
+            [{"subset": [None], "value": None}, {"subset": [1], "value": 1.0}],
+            [{"v": float("nan"), "s": [float("inf")]}, {"v": -float("inf"), "s": [-0.0, 1]}],
+            [{"v": 2**70, "s": [-(2**70), 1]}, {"v": -0.0, "s": [1e-320, 1e308]}],
+            [{"v": np.float64(0.1), "s": [1]}, {"v": np.int64(3), "s": [2]}],
+            [{"v": 1.5, "s": [np.float64(1.5)]}, {"v": 2, "s": [np.int64(-4)]}],
+            ({"subset": (1, 2), "value": 0.5}, {"subset": [3, 4], "value": 1.5}),
+            ({"subset": (), "value": 0.5},),
+            [{"a": {"b": 1}, "c": 2}, {"a": {"b": 3}, "c": 4}],
+            [{"a": [[1, 2]], "c": 2}, {"a": [[3]], "c": 4}],
+            [{"a": ["x"], "c": 2}, {"a": [1], "c": 4}],
+            [{1: 2.0, 2: [3.0]}, {1: 4.0, 2: [5.0]}],
+            [{"%s": 1, 'q"%d\n': [2, 3]}, {"%s": 4, 'q"%d\n': [5]}],
+            [{"\u00e9": 1.0, "]": [1, 2]}, {"\u00e9": 2.0, "]": [3]}],
+            [{}, {}],
+            [{"a": 1}, [1], 2.0],
+            {"table": [{"subset": [1, 2], "value": 0.25}, {"subset": [1, 3], "value": 1e-17}], "x": [[1], [2]]},
         ],
     )
     def test_json_writer_matches_json_dumps(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2, default=cli._json_default)
+        assert cli._json_text(value) == expected
+
+    @seed(29)
+    @settings(max_examples=300, deadline=None)
+    @given(value=_json_trees())
+    def test_json_writer_matches_json_dumps_on_generated_trees(self, value):
         expected = json.dumps(value, sort_keys=True, indent=2, default=cli._json_default)
         assert cli._json_text(value) == expected
 
@@ -551,13 +694,8 @@ class TestReportContracts:
 
     def test_generated_report_matches_json_dumps(self, tmp_path, monkeypatch):
         # a (64, 200, 8) frame document: the echo carries 102,400 computed floats
-        rng = np.random.default_rng([101, 64, 200, 8])
-        members = [
-            {"weight": float(0.5 + rng.random()), "spanning_vectors": rng.standard_normal((8, 64)).tolist()}
-            for _ in range(200)
-        ]
         p = tmp_path / "large.json"
-        p.write_text(json.dumps({"ambient_dim": 64, "field": "real", "subspaces": members}))
+        p.write_text(json.dumps(_random_document(64, 200, 8, seed=101)))
         args = cli._build_parser().parse_args(["--json", "erasure", str(p), "--r", "1"])
         written = cli.run(args)
         monkeypatch.setattr(
@@ -565,6 +703,18 @@ class TestReportContracts:
         )
         assert written == cli.run(args)
         assert len(json.loads(written)["result"]["table"]) == 200
+
+    def test_large_erasure_table_matches_json_dumps(self, tmp_path, monkeypatch):
+        # C(30, 3) = 4,060 table rows, written column by column
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps(_random_document(8, 30, 3, seed=613)))
+        args = cli._build_parser().parse_args(["--json", "erasure", str(p), "--r", "3", "--norm", "operator"])
+        written = cli.run(args)
+        monkeypatch.setattr(
+            cli, "_json_text", lambda x: json.dumps(x, sort_keys=True, indent=2, default=cli._json_default)
+        )
+        assert written == cli.run(args)
+        assert len(json.loads(written)["result"]["table"]) == 4060
 
     def test_digest_present(self, capsys):
         report = run_json(capsys, ["classify", OVERLAP])

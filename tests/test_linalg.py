@@ -138,12 +138,21 @@ def test_orthonormal_basis_matches_loop(mat):
     _matches_reference(mat)
 
 
+def _square_safe(block):
+    """``block`` scaled into 2**±500 by an exact power of two if its largest entry lies outside,
+    where squares over- or underflow; blocks inside are returned as they are."""
+    peak = np.abs(np.asarray(block, dtype=float)).max(initial=0.0)
+    if peak > 2.0**500 or 0 < peak < 2.0**-500:
+        return np.ldexp(np.asarray(block, dtype=float), -math.frexp(peak)[1])
+    return block
+
+
 def _bases_match_one_block(blocks, n, tol=Tolerance()):
     """Every block's batched basis equals the one-block run bit for bit, zero signs included."""
     got = orthonormal_bases(blocks, tol, ambient_dim=n)
     assert len(got) == len(blocks)
     for block, s in zip(blocks, got):
-        ref = orthonormal_basis_one_block(block, tol, ambient_dim=n)
+        ref = orthonormal_basis_one_block(_square_safe(block), tol, ambient_dim=n)
         assert s.basis.shape == ref.basis.shape
         assert np.array_equal(s.basis, ref.basis)
         assert np.array_equal(np.signbit(s.basis), np.signbit(ref.basis))
@@ -210,17 +219,27 @@ class TestOrthonormalBases:
         _bases_match_one_block(blocks, 4)
 
     def test_finished_blocks_raise_no_further_warnings(self):
-        # a norm of 1e200 overflows, so the first block ends at once, with one warning
-        blocks = [np.array([[1e200, 0.0], [1e200, 1e200]]), np.array([[1.0, 0.0], [1.0, 2.0]])]
-        with warnings.catch_warnings(record=True) as alone:
-            warnings.simplefilter("always")
-            refs = [orthonormal_basis_one_block(b) for b in blocks]
+        # the squared norms of 1e200 and 1e-200 rows over- and underflow unless their
+        # blocks are scaled first; the rank-one block finishes first
+        blocks = [
+            np.array([[1e200, 0.0], [1e200, 1e200]]),
+            np.array([[1e-200, 0.0], [0.0, 3e-201]]),
+            np.array([[1.0, 0.0], [2.0, 0.0]]),
+            np.array([[1.0, 0.0], [1.0, 2.0]]),
+        ]
         with warnings.catch_warnings(record=True) as together:
             warnings.simplefilter("always")
-            got = orthonormal_bases(blocks)
-        assert [s.dim for s in got] == [0, 2]
-        assert all(np.array_equal(s.basis, ref.basis) for s, ref in zip(got, refs))
-        assert [str(w.message) for w in together] == [str(w.message) for w in alone]
+            got = _bases_match_one_block(blocks, 2)
+        assert [s.dim for s in got] == [2, 2, 1, 2]
+        assert together == []
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_extreme_scales_keep_their_span(self, rng, scale):
+        v = rng.standard_normal((3, 5))
+        v[2] = v[0] - v[1]
+        got, ref = orthonormal_bases([scale * v, v])
+        assert got.dim == ref.dim == 2
+        assert np.abs(projector(got) - projector(ref)).max() <= 1e-12
 
     def test_blocks_share_one_ambient_dimension(self):
         with pytest.raises(ValueError, match="ambient dimension"):
