@@ -32,12 +32,10 @@ from .discrete import (
     compact_nonzero,
     discrete_canonical_dual,
     halving_dual,
-    verify_discrete_dual,
 )
 from .duality import DualPair, canonical_pair, make_dual_pair, verify_dual
 from .erasures import (
     ErasureMask,
-    discrete_worst_case,
     fusion_partial_error,
     partial_erasure_error,
     worst_case_error,
@@ -53,7 +51,6 @@ from .linalg import (
     orthonormal_bases,
 )
 from .optimality import (
-    Certificate,
     certify_canonical_optimal,
     certify_dual_optimal,
     certify_tight_uniform,
@@ -203,10 +200,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _fmt_vector(v: np.ndarray) -> str:
-    return "(" + ", ".join(_fmt(x) for x in v) + ")"
-
-
 def _json_default(x):
     """``json.dumps`` hook for numpy values (``np.float64`` is a float) and frozensets."""
     if isinstance(x, np.ndarray):
@@ -327,19 +320,6 @@ def _frame_document(frame: FusionFrame) -> dict:
     }
 
 
-def _certificate_lines(cert: Certificate) -> list[str]:
-    return [
-        f"certificate kind:    {cert.kind}",
-        f"extremal value c:    {_fmt(cert.c_value)}",
-        f"lambda1 (extremal):  {{{', '.join(map(str, cert.lambda1))}}}",
-        f"lambda2 (rest):      {{{', '.join(map(str, cert.lambda2))}}}",
-        f"span dims:           H1={cert.h1_dim}, H2={cert.h2_dim}, H1^H2={cert.intersection_dim}",
-        f"riesz side:          {'lambda1' if cert.lambda_side_riesz else 'lambda2'}",
-        f"verdict:             {cert.verdict}",
-        f"notes:               {cert.notes}",
-    ]
-
-
 def _document_pair(doc: ParsedDocument) -> tuple[DualPair, str]:
     """The document's dual pair, or the canonical one; S_W^{-1} is inverted once."""
     if doc.dual is not None:
@@ -354,10 +334,10 @@ def _bridged(doc: ParsedDocument, basis: np.ndarray):
     return bridged, compacted, kept, discrete_canonical_dual(compacted, doc.tol)
 
 
-# --- commands ---------------------------------------------------------------
+# --- commands: each returns one result dict, which --json writes and _text renders
 
 
-def _cmd_classify(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
+def _cmd_classify(doc: ParsedDocument, args) -> dict:
     cls = classify(doc.frame, doc.tol)
     if not cls.is_frame:
         summary = "not a fusion frame (family does not span; lower bound 0)"
@@ -371,68 +351,36 @@ def _cmd_classify(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         summary = f"tight fusion frame (bound {_fmt(cls.lower_bound)})"
     else:
         summary = f"fusion frame, not Riesz, bounds ({_fmt(cls.lower_bound)}, {_fmt(cls.upper_bound)})"
-    result = {
+    return {
         "summary": summary,
         **asdict(cls),
         "nontrivial": is_nontrivial(doc.frame),
         "member_dims": [s.dim for s in doc.frame.subspaces],
     }
-    lines = [
-        f"classification:  {summary}",
-        f"member dims:     {result['member_dims']}",
-        f"bounds:          ({_fmt(cls.lower_bound)}, {_fmt(cls.upper_bound)})",
-        f"nontrivial:      {'yes' if result['nontrivial'] else 'no'}",
-    ]
-    return result, lines
 
 
-def _cmd_verify_dual(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
+def _cmd_verify_dual(doc: ParsedDocument, args) -> dict:
     if doc.dual is None:
         raise DocumentError("verify-dual requires a dual section in the document")
     pair = make_dual_pair(doc.frame, doc.dual, doc.tol)
     ok, residual, recon = verify_dual(pair)
-    result = {
-        "is_dual": ok,
-        "residual": residual,
-        "reconstruction": recon,
-        "member_count": pair.member_count,
-    }
-    lines = [
-        f"dual verification: {'PASS' if ok else 'FAIL'}",
-        f"residual:          {_fmt(residual)}",
-        "reconstruction map:",
-    ]
-    lines += ["    [" + ", ".join(_fmt(x) for x in row) + "]" for row in recon]
-    return result, lines
+    return {"is_dual": ok, "residual": residual, "reconstruction": recon, "member_count": pair.member_count}
 
 
-def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, Iterable[str]]:
+def _cmd_erasure(doc: ParsedDocument, args) -> dict:
     norm, subset = args.norm, args.fixed
     if subset is None:
         pair, dual_source = _document_pair(doc)
         report = worst_case_error(pair, args.r, norm)
-        result = {
+        return {
             "mode": "worst",
             "r": report.r,
             "norm_kind": report.norm_kind,
             "dual_source": dual_source,
             "worst_value": report.worst_value,
             "argmax_subsets": [list(s) for s in report.argmax_subsets],
-            "table": [
-                {"subset": list(s), "value": v} for s, v in (report.per_subset_values or ())
-            ],
+            "table": [{"subset": list(s), "value": v} for s, v in (report.per_subset_values or ())],
         }
-        lines = [
-            f"worst-case erasure error (r={report.r}, norm={report.norm_kind}, dual={dual_source})",
-            f"worst value:  {_fmt(report.worst_value)}",
-            "argmax sets:  " + ", ".join("{" + ", ".join(map(str, s)) + "}" for s in report.argmax_subsets),
-        ]
-        if report.per_subset_values:
-            lines.append("per-subset values:")
-            # formatted only if the text report is printed
-            table = (f"    {{{', '.join(map(str, s))}}}: {_fmt(v)}" for s, v in report.per_subset_values)
-            return result, chain(lines, table)
-        return result, lines
 
     if not subset:
         raise ValueError("--fixed needs at least one index")
@@ -452,70 +400,37 @@ def _cmd_erasure(doc: ParsedDocument, args) -> tuple[dict, Iterable[str]]:
             "kept_raw_indices": list(kept),
             "canonical_value": value_canonical,
         }
-        lines = [
-            f"fixed erasure on bridged frame (norm={norm})",
-            f"lost vectors:      {{{', '.join(map(str, sorted(subset)))}}} of {compacted.count}",
-            f"canonical error:   {_fmt(value_canonical)}",
-        ]
         try:
             halved = halving_dual(compacted, subset, doc.tol, canonical=canonical)
             value_halved = partial_erasure_error(compacted, halved, mask, norm)
-            result["halving_feasible"] = True
-            result["halved_value"] = value_halved
-            result["ratio"] = value_canonical / value_halved if value_halved else float("inf")
-            lines.append(f"halved-dual error: {_fmt(value_halved)}")
-            lines.append(f"ratio:             {_fmt(result['ratio'])}")
+            ratio = value_canonical / value_halved if value_halved else float("inf")
+            result.update(halving_feasible=True, halved_value=value_halved, ratio=ratio)
         except ValueError as exc:
-            result["halving_feasible"] = False
-            result["halving_note"] = str(exc)
-            lines.append(f"halving dual:      infeasible ({exc})")
-        return result, lines
+            result.update(halving_feasible=False, halving_note=str(exc))
+        return result
 
     pair, dual_source = _document_pair(doc)
-    mask = ErasureMask(pair.member_count, subset)
-    value = fusion_partial_error(pair, mask, norm)
-    result = {
-        "mode": "fixed",
-        "norm_kind": norm,
-        "dual_source": dual_source,
-        "subset": sorted(subset),
-        "value": value,
-    }
-    lines = [
-        f"fixed erasure error (norm={norm}, dual={dual_source})",
-        f"lost members: {{{', '.join(map(str, sorted(subset)))}}}",
-        f"value:        {_fmt(value)}",
-    ]
-    return result, lines
+    value = fusion_partial_error(pair, ErasureMask(pair.member_count, subset), norm)
+    return {"mode": "fixed", "norm_kind": norm, "dual_source": dual_source, "subset": sorted(subset), "value": value}
 
 
-def _cmd_certify(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
+def _cmd_certify(doc: ParsedDocument, args) -> dict:
     if args.which == "canonical":
         cert = certify_canonical_optimal(doc.frame, doc.tol)
     elif args.which == "dual":
         if doc.dual is None:
             raise DocumentError("certify --which dual requires a dual section in the document")
-        pair = make_dual_pair(doc.frame, doc.dual, doc.tol)
-        cert = certify_dual_optimal(pair)
+        cert = certify_dual_optimal(make_dual_pair(doc.frame, doc.dual, doc.tol))
     else:
         cert = certify_tight_uniform(_document_pair(doc)[0])
-    return asdict(cert), _certificate_lines(cert)
+    return asdict(cert)
 
 
-def _frame_listing(vectors: np.ndarray, labels=None) -> list[str]:
-    out = []
-    for k, row in enumerate(vectors, start=1):
-        tag = f"({labels[k - 1][0]},{labels[k - 1][1]})" if labels else str(k)
-        out.append(f"    {tag}: {_fmt_vector(row)}")
-    return out
-
-
-def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
-    w = doc.frame
+def _cmd_construct(doc: ParsedDocument, args) -> dict:
     if args.what == "bridge":
-        basis = doc.basis if doc.basis is not None else np.eye(w.ambient_dim)
+        basis = doc.basis if doc.basis is not None else np.eye(doc.frame.ambient_dim)
         bridged, compacted, kept, canonical = _bridged(doc, basis)
-        result = {
+        return {
             "what": "bridge",
             "raw_vectors": bridged.vectors,
             "raw_labels": [list(l) for l in bridged.labels],
@@ -523,14 +438,6 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             "kept_raw_indices": list(kept),
             "canonical_dual_vectors": canonical.vectors,
         }
-        lines = ["bridged frame (raw, zero vectors flagged by omission below):"]
-        lines += _frame_listing(bridged.vectors, bridged.labels)
-        lines.append(f"nonzero vectors kept: {list(kept)}")
-        lines.append("compacted frame:")
-        lines += _frame_listing(compacted.vectors, compacted.labels)
-        lines.append("canonical dual of the compacted frame:")
-        lines += _frame_listing(canonical.vectors, canonical.labels)
-        return result, lines
 
     if args.what == "expand":
         if args.index is None:
@@ -540,7 +447,7 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
         d1 = worst_case_error(pair, 1, "frobenius").worst_value if pair.member_count > 1 else None
         entries = []
         for variant in variants:
-            vpair = make_dual_pair(w, variant, doc.tol)
+            vpair = make_dual_pair(doc.frame, variant, doc.tol)
             entry = {
                 "member_dims": [s.dim for s in variant.subspaces],
                 "member_vectors": [s.basis.T.tolist() for s in variant.subspaces],
@@ -549,7 +456,7 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             if d1 is not None:
                 entry["d1_frobenius"] = worst_case_error(vpair, 1, "frobenius").worst_value
             entries.append(entry)
-        result = {
+        return {
             "what": "expand",
             "index": args.index,
             "dual_source": dual_source,
@@ -557,48 +464,23 @@ def _cmd_construct(doc: ParsedDocument, args) -> tuple[dict, list[str]]:
             "d1_frobenius_input": d1,
             "variants": entries,
         }
-        lines = [f"expansion variants at member {args.index}: {len(variants)}"]
-        if d1 is not None:
-            lines.append(f"input worst single-erasure (frobenius): {_fmt(d1)}")
-        for k, entry in enumerate(entries, start=1):
-            lines.append(f"variant {k}: dims {entry['member_dims']}, residual {_fmt(entry['residual'])}")
-            if "d1_frobenius" in entry:
-                lines[-1] += f", d1 {_fmt(entry['d1_frobenius'])}"
-        return result, lines
 
     # parseval-family
     extensions = None if doc.dual is None else list(doc.dual.subspaces)
-    f, duals = parseval_optimal_family(w, extensions, doc.tol, basis=doc.basis)
-    _, parseval_residual = verify_discrete_dual(f, f, doc.tol)  # F is its own dual iff Parseval
+    f, duals, parseval_residual, checks = parseval_optimal_family(doc.frame, extensions, doc.tol, basis=doc.basis)
     compacted, kept = compact_nonzero(f, doc.tol)
-    dual_entries = []
-    for g in duals:
-        ok, residual = verify_discrete_dual(f, g, doc.tol)
-        d1 = discrete_worst_case(f, g, 1, "operator").worst_value
-        dual_entries.append(
-            {"vectors": g.vectors, "residual": residual, "is_dual": ok, "d1_operator": d1}
-        )
-    result = {
+    return {
         "what": "parseval-family",
         "frame_vectors": f.vectors,
         "labels": [list(l) for l in f.labels],
         "compact_vectors": compacted.vectors,
         "kept_raw_indices": list(kept),
         "parseval_residual": parseval_residual,
-        "duals": dual_entries,
+        "duals": [
+            {"vectors": g.vectors, "residual": residual, "is_dual": ok, "d1_operator": d1}
+            for g, (ok, residual, d1) in zip(duals, checks)
+        ],
     }
-    lines = [
-        f"parseval family (residual {_fmt(parseval_residual)}):",
-        "frame vectors:",
-    ]
-    lines += _frame_listing(f.vectors, f.labels)
-    for k, entry in enumerate(dual_entries, start=1):
-        lines.append(
-            f"dual {k}: residual {_fmt(entry['residual'])}, "
-            f"worst single-erasure (operator) {_fmt(entry['d1_operator'])}"
-        )
-        lines += _frame_listing(entry["vectors"], f.labels)
-    return result, lines
 
 
 _COMMANDS = {
@@ -610,15 +492,109 @@ _COMMANDS = {
 }
 
 
+def _set(indices) -> str:
+    return "{" + ", ".join(map(str, indices)) + "}"
+
+
+def _listing(vectors, labels) -> list[str]:
+    return [f"    ({i},{j}): (" + ", ".join(map(_fmt, row)) + ")" for (i, j), row in zip(labels, vectors)]
+
+
+def _text(command: str, result: dict) -> Iterable[str]:
+    """The text report's lines, read from ``result`` alone (the command's dict or its --json echo read back).
+
+    The per-subset lines of an erasure table are formatted only as they are consumed.
+    """
+    r = result
+    if command == "classify":
+        return [
+            f"classification:  {r['summary']}",
+            f"member dims:     {r['member_dims']}",
+            f"bounds:          ({_fmt(r['lower_bound'])}, {_fmt(r['upper_bound'])})",
+            f"nontrivial:      {'yes' if r['nontrivial'] else 'no'}",
+        ]
+    if command == "verify-dual":
+        return [
+            f"dual verification: {'PASS' if r['is_dual'] else 'FAIL'}",
+            f"residual:          {_fmt(r['residual'])}",
+            "reconstruction map:",
+            *("    [" + ", ".join(map(_fmt, row)) + "]" for row in r["reconstruction"]),
+        ]
+    if command == "certify":
+        return [
+            f"certificate kind:    {r['kind']}",
+            f"extremal value c:    {_fmt(r['c_value'])}",
+            f"lambda1 (extremal):  {_set(r['lambda1'])}",
+            f"lambda2 (rest):      {_set(r['lambda2'])}",
+            f"span dims:           H1={r['h1_dim']}, H2={r['h2_dim']}, H1^H2={r['intersection_dim']}",
+            f"riesz side:          {'lambda1' if r['lambda_side_riesz'] else 'lambda2'}",
+            f"verdict:             {r['verdict']}",
+            f"notes:               {r['notes']}",
+        ]
+    if command == "erasure" and r["mode"] == "worst":
+        lines = [
+            f"worst-case erasure error (r={r['r']}, norm={r['norm_kind']}, dual={r['dual_source']})",
+            f"worst value:  {_fmt(r['worst_value'])}",
+            "argmax sets:  " + ", ".join(map(_set, r["argmax_subsets"])),
+        ]
+        if not r["table"]:
+            return lines
+        table = (f"    {_set(row['subset'])}: {_fmt(row['value'])}" for row in r["table"])
+        return chain(lines, ["per-subset values:"], table)
+    if command == "erasure" and r["mode"] == "fixed-discrete":
+        lines = [
+            f"fixed erasure on bridged frame (norm={r['norm_kind']})",
+            f"lost vectors:      {_set(r['subset'])} of {len(r['kept_raw_indices'])}",
+            f"canonical error:   {_fmt(r['canonical_value'])}",
+        ]
+        if not r["halving_feasible"]:
+            return lines + [f"halving dual:      infeasible ({r['halving_note']})"]
+        return lines + [f"halved-dual error: {_fmt(r['halved_value'])}", f"ratio:             {_fmt(r['ratio'])}"]
+    if command == "erasure":
+        return [
+            f"fixed erasure error (norm={r['norm_kind']}, dual={r['dual_source']})",
+            f"lost members: {_set(r['subset'])}",
+            f"value:        {_fmt(r['value'])}",
+        ]
+    if r["what"] == "bridge":
+        kept_labels = [r["raw_labels"][k - 1] for k in r["kept_raw_indices"]]
+        return [
+            "bridged frame (raw, zero vectors flagged by omission below):",
+            *_listing(r["raw_vectors"], r["raw_labels"]),
+            f"nonzero vectors kept: {r['kept_raw_indices']}",
+            "compacted frame:",
+            *_listing(r["compact_vectors"], kept_labels),
+            "canonical dual of the compacted frame:",
+            *_listing(r["canonical_dual_vectors"], kept_labels),
+        ]
+    if r["what"] == "expand":
+        lines = [f"expansion variants at member {r['index']}: {r['variant_count']}"]
+        if r["d1_frobenius_input"] is not None:
+            lines.append(f"input worst single-erasure (frobenius): {_fmt(r['d1_frobenius_input'])}")
+        for k, entry in enumerate(r["variants"], start=1):
+            d1 = f", d1 {_fmt(entry['d1_frobenius'])}" if "d1_frobenius" in entry else ""
+            lines.append(f"variant {k}: dims {entry['member_dims']}, residual {_fmt(entry['residual'])}{d1}")
+        return lines
+    lines = [f"parseval family (residual {_fmt(r['parseval_residual'])}):", "frame vectors:"]
+    lines += _listing(r["frame_vectors"], r["labels"])
+    for k, entry in enumerate(r["duals"], start=1):
+        lines.append(
+            f"dual {k}: residual {_fmt(entry['residual'])}, "
+            f"worst single-erasure (operator) {_fmt(entry['d1_operator'])}"
+        )
+        lines += _listing(entry["vectors"], r["labels"])
+    return lines
+
+
 def run(args) -> str:
     """Run one parsed command line; returns the text report, or the JSON one under ``--json``.
 
     Only the JSON report echoes the frame document and the input's sha256.
     """
     doc = parse_document(args.file, args.tol)
-    result, lines = _COMMANDS[args.command](doc, args)
+    result = _COMMANDS[args.command](doc, args)
     if not args.json:
-        return "\n".join(lines)
+        return "\n".join(_text(args.command, result))
     result["frame_document"] = _frame_document(doc.frame)
     digest = hashlib.sha256(Path(args.file).read_bytes()).hexdigest()
     report = {

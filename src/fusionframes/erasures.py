@@ -27,7 +27,6 @@ rather than sample once the subset count exceeds the cap.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -180,11 +179,16 @@ def _sum_norms(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
 
     The operator norm runs the same LAPACK SVD as ``matrix_norm``, batched;
     the Frobenius norm takes the same flat dot product as ``np.linalg.norm``.
+    A non-finite norm is refused, so no search ever compares one.
     """
     if norm_kind == "operator":
-        return np.linalg.svd(sums, compute_uv=False)[:, 0]
-    flat = sums.reshape(len(sums), -1)
-    return np.sqrt(np.vecdot(flat, flat))
+        values = np.linalg.svd(sums, compute_uv=False)[:, 0]
+    else:
+        flat = sums.reshape(len(sums), -1)
+        values = np.sqrt(np.vecdot(flat, flat))
+    if not np.isfinite(values).all():
+        raise ValueError("erasure error norm is not finite: the error components overflow")
+    return values
 
 
 def _norms(components: _Components, idx: np.ndarray, norm_kind: NormKind) -> np.ndarray:
@@ -195,19 +199,23 @@ def _norms(components: _Components, idx: np.ndarray, norm_kind: NormKind) -> np.
     )
 
 
-def _tail_sums(norms: np.ndarray, k: int) -> np.ndarray:
-    """``tails[t, p]``, the sum of the t largest of ``norms[p:]``, for t <= k and p <= len(norms)."""
+def _gain_band(norms: np.ndarray, r: int) -> np.ndarray:
+    """``band[t, i] = norms[j] + top_t(> j)`` for j = r - 1 - t + i, t < r and i <= m - r.
+
+    top_t(> j) sums the t largest of ``norms[j + 1:]``, added largest first
+    onto 0.0. Row t holds only the m - r + 1 members j that the search can
+    extend at depth r - t, so the band never takes r x m entries.
+    """
     m = len(norms)
-    tails = [[0.0] * (m + 1) for _ in range(k + 1)]
-    top: list[float] = []  # the k largest of norms[p:], negated and ascending
-    for p in range(m - 1, -1, -1) if k else ():
-        bisect.insort(top, -float(norms[p]))
-        del top[k:]
-        acc = 0.0
-        for t, value in enumerate(top, 1):
-            acc -= value
-            tails[t][p] = acc
-    return np.array(tails)
+    band = np.empty((r, m - r + 1))
+    band[0] = norms[r - 1 :] + 0.0
+    top = np.empty(0)  # the r - 1 largest of norms[j + 1:], descending
+    for j in range(m - 2, -1, -1) if r > 1 else ():
+        x = norms[j + 1]
+        top = np.insert(top, len(top) - top[::-1].searchsorted(x, "right"), x)[: r - 1]
+        t = np.arange(max(1, r - 1 - j), min(r - 1, m - 1 - j) + 1)
+        band[t, j - r + 1 + t] = norms[j] + np.cumsum(top[: t[-1]])[t - 1]
+    return band
 
 
 def _greedy_leaf(components: _Components, norms: np.ndarray, r: int, norm_kind: NormKind) -> float:
@@ -353,7 +361,7 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     worst = -1.0
     if table is None:
         norms = _norms(components, np.arange(m)[:, None], norm_kind)
-        gain = norms + _tail_sums(norms, r - 1)[:, 1:]  # own norm + t - 1 largest after, row t - 1
+        gain = _gain_band(norms, r)  # row r - d: own norm + r - d largest after, at depth d
         slack = 32.0 * np.finfo(float).eps * (n * n + r * r) * float(np.sort(norms)[-r:].sum())
         worst = _greedy_leaf(components, norms, r, norm_kind)
 
@@ -372,7 +380,7 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
                 j = up_last[lo : lo + windows[d - 1], None] + steps
                 valid = j <= s + d - 1
                 if table is None:
-                    reach = up_norms[lo : lo + windows[d - 1], None] + gain[r - d].take(j, mode="clip")
+                    reach = up_norms[lo : lo + windows[d - 1], None] + gain[r - d].take(j - d + 1, mode="clip")
                     valid &= reach + slack >= worst * (1.0 - _TIE_REL)
                     reach = reach[valid]
                 par, j = valid.nonzero()[0] + lo, j[valid]

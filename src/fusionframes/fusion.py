@@ -61,6 +61,13 @@ class FusionFrame:
                 raise ValueError(f"member {i} lives in R^{s.ambient_dim}, expected R^{self.ambient_dim}")
             if not 0 < w < math.inf:
                 raise ValueError(f"weight of member {i} must be positive and finite, got {w}")
+        # S_W adds up w_i^2 P_{W_i}: bounding the sum keeps S_W, its inverse and the error components finite
+        if math.hypot(*self.weights) >= 2.0**500:
+            i = max(range(len(self.weights)), key=self.weights.__getitem__)
+            raise ValueError(
+                f"weights too large: the squared weights must sum below 2**1000 "
+                f"(member {i + 1} has weight {self.weights[i]})"
+            )
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 

@@ -334,7 +334,7 @@ def parseval_optimal_family(
     extensions: Sequence[Subspace] | None = None,
     tol: Tolerance = DEFAULT_TOL,
     basis: Sequence | None = None,
-) -> tuple[DiscreteFrame, list[DiscreteFrame]]:
+) -> tuple[DiscreteFrame, list[DiscreteFrame], float, list[tuple[bool, float, float]]]:
     """Parseval frame from a unit-weight Riesz fusion basis, with optimal duals.
 
     Emits F built from projections of an orthonormal basis onto the
@@ -345,6 +345,11 @@ def parseval_optimal_family(
     representative inside each whitened member, which guarantees the unit
     worst single-erasure error; an explicit basis is validated against the
     same property.
+
+    Returns ``(F, duals, parseval_residual, checks)`` with the values found
+    while checking the output: F's residual as its own dual, and per dual
+    ``(passed, residual, d1)`` from :func:`verify_discrete_dual` and the
+    worst single-erasure operator-norm error.
     """
     cls = classify(w, tol)
     if not cls.is_riesz_fusion_basis:
@@ -365,12 +370,14 @@ def parseval_optimal_family(
         basis_arr = np.asarray(basis, dtype=float)
     # the rows of bridge_fusion_to_discrete's parseval_sqrt mode, from the members whitened above
     f = bridge_dual_to_discrete(fusion_frame(whitened), basis_arr, tol)
-    if verify_discrete_dual(f, f, tol)[1] > max(tol.residual_eps, 1e-9):  # F is its own dual iff Parseval
+    parseval_residual = verify_discrete_dual(f, f, tol)[1]  # F is its own dual iff Parseval
+    if parseval_residual > max(tol.residual_eps, 1e-9):
         raise ArithmeticError("bridged frame is not Parseval")
     duals = [
         discrete_canonical_dual(f, tol),
         bridge_dual_to_discrete(fusion_frame(list(extensions)), basis_arr, tol),
     ]
+    checks = []
     for g in duals:
         ok, residual = verify_discrete_dual(f, g, tol)
         if not ok:
@@ -380,7 +387,8 @@ def parseval_optimal_family(
             raise ValueError(
                 f"basis does not attain unit worst single-erasure error (got {d1!r})"
             )
-    return f, duals
+        checks.append((ok, residual, d1))
+    return f, duals, parseval_residual, checks
 
 
 def riesz_bridge_partial_optimal(

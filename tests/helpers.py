@@ -10,6 +10,7 @@ dual.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from pathlib import Path
@@ -294,6 +295,26 @@ def brute_force_worst(components, r: int, norm_kind: str):
 
 
 # --- loop references for vectorized code -------------------------------------
+
+
+def tail_sums_reference(norms: np.ndarray, k: int) -> np.ndarray:
+    """``tails[t, p]``, the sum of the t largest of ``norms[p:]``, for t <= k and p <= len(norms).
+
+    The full (k + 1) x (m + 1) table the branch and bound used to build,
+    each sum added largest first onto 0.0, one Python float at a time.
+    """
+    m = len(norms)
+    tails = [[0.0] * (m + 1) for _ in range(k + 1)]
+    top: list[float] = []  # the k largest of norms[p:], negated and ascending
+    for p in range(m - 1, -1, -1) if k else ():
+        bisect.insort(top, -float(norms[p]))
+        del top[k:]
+        acc = 0.0
+        for t, value in enumerate(top, 1):
+            acc -= value
+            tails[t][p] = acc
+    return np.array(tails)
+
 
 
 def orthonormal_basis_reference(vectors, tol: Tolerance = DEFAULT_TOL, *, ambient_dim=None) -> Subspace:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fusionframes
 import fusionframes.cli as cli
+import fusionframes.optimality as optimality
 from fusionframes import DEFAULT_TOL, subspaces_equal
 from fusionframes.cli import DocumentError, main, parse_document
 from helpers import (
@@ -150,6 +151,33 @@ class TestParsing:
         p.write_text(json.dumps({"ambient_dim": 2, "subspaces": members}))
         assert main(["classify", str(p)]) == 1
         assert "error: weight of member 1 must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "members, dual, commands, named",
+        [
+            # the squared weights overflow a float
+            ([([1, 0], 1e200), ([0, 1], 1e200)], None, ["classify", "erasure"], "1e+200"),
+            # the primal is fine; w_i v_i of the dual's weights overflows
+            ([([1, 0], 1e150), ([0, 1], 1e150)], [1e200, 1e200], ["verify-dual", "erasure"], "1e+200"),
+            # each square is finite, their sum is not
+            ([([1, 0], 1.3e154), ([1, 0], 1.3e154), ([0, 1], 1)], None, ["classify"], "1.3e+154"),
+        ],
+        ids=["squares", "dual", "sum"],
+    )
+    def test_overflowing_weights_exit_one(self, tmp_path, capsys, members, dual, commands, named):
+        doc = {"ambient_dim": 2, "subspaces": [{"spanning_vectors": [v], "weight": w} for v, w in members]}
+        if dual is not None:
+            doc["dual"] = [{"spanning_vectors": [v], "weight": w} for (v, _), w in zip(members, dual)]
+        p = tmp_path / "heavy.json"
+        p.write_text(json.dumps(doc))
+        for command in commands:
+            for flags in ([], ["--json"]):
+                assert main([*flags, command, str(p)]) == 1
+                assert capsys.readouterr() == (
+                    "",
+                    "error: weights too large: the squared weights must sum below 2**1000 "
+                    f"(member 1 has weight {named})\n",
+                )
 
     def test_boolean_ambient_dim_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -556,6 +584,23 @@ class TestConstruct:
         assert compact.shape == (7, 3)
         assert np.abs(compact - OVERCOMPLETE_BRIDGED).max() < 1e-12
         assert result["kept_raw_indices"] == [1, 2, 4, 5, 7, 8, 9]
+
+    def test_parseval_family_measures_each_value_once(self, capsys, monkeypatch):
+        # the family's own checks are reported, not measured again
+        calls = {"discrete_worst_case": 0, "verify_discrete_dual": 0}
+        for name in calls:
+            for module in (cli, optimality, fusionframes.discrete, fusionframes.erasures):
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def counted(*args, _name=name, _original=original, **kwargs):
+                        calls[_name] += 1
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        result = run_json(capsys, ["construct", ORTHOBASIS, "--what", "parseval-family"])["result"]
+        assert calls == {"discrete_worst_case": 2, "verify_discrete_dual": 3}
+        assert [entry["d1_operator"] for entry in result["duals"]] == [1.0, 1.0]
 
     def test_parseval_family_hypothesis_failure_named(self, capsys):
         assert main(["construct", OVERLAP, "--what", "parseval-family"]) == 1

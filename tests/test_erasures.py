@@ -48,6 +48,7 @@ from helpers import (
     random_perturbation,
     random_subspace,
     random_unitary,
+    tail_sums_reference,
 )
 
 
@@ -626,6 +627,42 @@ def test_greedy_leaf_measures_fitting_swaps_at_once(rng, monkeypatch):
     erasures._greedy_leaf(components, norms, r, "operator")
     # the start, then one call of all r (m - r) swaps per step
     assert rows[0] == 1 and set(rows[1:]) == {r * (m - r)}
+
+
+def test_gain_band_matches_the_full_tail_table(rng):
+    for m in (2, 3, 7, 19, 40):
+        for norms in (rng.random(m), np.round(rng.random(m), 1), np.zeros(m)):
+            for r in range(1, m):
+                band = erasures._gain_band(norms, r)
+                tails = tail_sums_reference(norms, r - 1)
+                assert band.shape == (r, m - r + 1)
+                for t in range(r):
+                    j = np.arange(r - 1 - t, m - t)
+                    # bit for bit: the same additions in the same order
+                    assert band[t].tolist() == (norms[j] + tails[t, j + 1]).tolist()
+
+
+def test_gain_band_of_a_deep_tree_is_small(rng):
+    # the full 5999 x 6001 table of Python floats would take hundreds of MB
+    norms = rng.random(6000)
+    band, peak = traced_peak(lambda: erasures._gain_band(norms, 5999))
+    assert band.shape == (5999, 2)
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("m, r", [(5, 2), (100, 2)], ids=["table", "pruned"])
+def test_non_finite_components_are_refused(norm, bad, m, r):
+    # a worst case over overflowing components has no value; -1 or nan must never be reported
+    def take(rows):
+        stack = np.zeros((len(rows), 2, 2))
+        stack[rows == 1] = bad
+        return stack
+
+    components = erasures._Components(m, 2, take)
+    with pytest.raises(ValueError, match="not finite|did not converge"):
+        erasures._worst_report(components, r, norm)
 
 
 def test_mask_validation():

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from fusionframes.cli import main
+from fusionframes.cli import _text, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "fixture_reports.json"
@@ -71,16 +71,33 @@ def _golden() -> dict[str, dict]:
     return {" ".join(entry["argv"]): entry for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))}
 
 
+def _text_ops() -> list[list[str]]:
+    """argv of each text op whose golden report exits 0."""
+    golden = _golden()
+    return [argv for argv in fixture_ops() if argv[0] != "--json" and golden[" ".join(argv)]["exit"] == 0]
+
+
 def test_golden_covers_every_op():
     golden = _golden()
     assert sorted(golden) == sorted(" ".join(argv) for argv in fixture_ops())
     assert sum(entry["exit"] == 1 for entry in golden.values()) == 20
+    assert len(_text_ops()) == 45
 
 
 @pytest.mark.parametrize("argv", fixture_ops(), ids=" ".join)
 def test_fixture_report_is_byte_identical(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert run_op(argv) == _golden()[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", _text_ops(), ids=" ".join)
+def test_text_report_is_a_view_of_the_json_result(argv, monkeypatch):
+    # the text report holds nothing that the --json result does not
+    monkeypatch.chdir(ROOT)
+    text = run_op(argv)
+    report = json.loads(run_op(["--json", *argv])["stdout"])
+    assert text["exit"] == 0
+    assert text["stdout"] == "\n".join(_text(argv[0], report["result"])) + "\n"
 
 
 if __name__ == "__main__":

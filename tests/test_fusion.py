@@ -209,6 +209,15 @@ def test_riesz_constants_overcomplete_lower_zero():
     assert lo == pytest.approx(0.0, abs=1e-12)
 
 
+def test_weights_whose_squares_overflow_are_refused():
+    axes = [coordinate_subspace(2, [1]), coordinate_subspace(2, [2])]
+    for weights in ([1e200, 1.0], [1.3e154, 1.3e154], [2.0**500, 1.0]):
+        with pytest.raises(ValueError, match=r"weights too large: .* \(member 1 has weight"):
+            fusion_frame(axes, weights)
+    for weights in ([1e150, 1e150], [2.0**499, 2.0**499]):
+        assert np.isfinite(spd_inverse(frame_operator(fusion_frame(axes, weights)))).all()
+
+
 def test_member_validation():
     for weight in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -235,23 +235,26 @@ class TestExpandFamily:
 class TestParsevalFamily:
     def test_orthobasis_with_standard_basis(self):
         w = orthobasis_frame_r3()
-        f, duals = parseval_optimal_family(
+        f, duals, parseval_residual, checks = parseval_optimal_family(
             w, list(orthobasis_alt_dual().subspaces), basis=np.eye(3)
         )
         kept = [k for k in range(f.count) if np.linalg.norm(f.vectors[k]) > 1e-9]
         assert np.abs(f.vectors[kept] - ORTHOBASIS_BRIDGED).max() < 1e-12
         assert np.abs(duals[1].vectors[kept] - ORTHOBASIS_ALT_DUAL_BRIDGED).max() < 1e-12
-        for g in duals:
-            assert verify_discrete_dual(f, g)[0]
-            assert discrete_worst_case(f, g, 1, "operator").worst_value == pytest.approx(
-                1.0, abs=1e-12
-            )
+        # the returned checks are the values the same calls give
+        assert parseval_residual == verify_discrete_dual(f, f)[1]
+        assert len(checks) == len(duals) == 2
+        for g, (ok, residual, d1) in zip(duals, checks):
+            assert (ok, residual) == verify_discrete_dual(f, g)
+            assert ok
+            assert d1 == discrete_worst_case(f, g, 1, "operator").worst_value
+            assert d1 == pytest.approx(1.0, abs=1e-12)
 
     def test_canonical_extensions_give_self_dual(self):
         w = orthobasis_frame_r3()
         root_inv = spd_inv_sqrt(frame_operator(w))
         whitened = [image_subspace(root_inv, s) for s in w.subspaces]
-        f, duals = parseval_optimal_family(w, whitened, basis=np.eye(3))
+        f, duals, _, _ = parseval_optimal_family(w, whitened, basis=np.eye(3))
         for g in duals:
             assert np.abs(g.vectors - f.vectors).max() < 1e-9
 
@@ -271,7 +274,7 @@ class TestParsevalFamily:
                     extensions.append(subspace_sum([s, orthonormal_basis([extra])]))
                 else:
                     extensions.append(s)
-            f, duals = parseval_optimal_family(w, extensions)
+            f, duals, _, _ = parseval_optimal_family(w, extensions)
             s_f = f.vectors.T @ f.vectors
             assert np.abs(s_f - np.eye(n)).max() < 1e-9
             for g in duals:
