@@ -107,7 +107,8 @@ def _vectors(entries: list, dim: int, where: str) -> np.ndarray:
     return np.array([_vector(v, dim, f"{where}[{k}]") for k, v in enumerate(entries)])
 
 
-def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, default_weights=None):
+def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, default_weights=()) -> FusionFrame:
+    """The member list at ``where`` as a frame; every refusal, FusionFrame's included, names ``where``."""
     if not isinstance(entries, list) or not entries:
         raise DocumentError(f"{where}: expected a non-empty list of subspaces")
     blocks: list[np.ndarray] = []
@@ -124,12 +125,16 @@ def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, defa
         if not finite.all():
             raise DocumentError(f"{spot}.spanning_vectors[{finite.argmin()}]: non-finite entry")
         blocks.append(block)
-        fallback = 1 if default_weights is None or k >= len(default_weights) else default_weights[k]
+        fallback = default_weights[k] if k < len(default_weights) else 1
         weight = _scalar(entry.get("weight", fallback), f"{spot}.weight")
         if weight <= 0:
             raise DocumentError(f"{spot}.weight: must be positive")
         weights.append(weight)
-    return orthonormal_bases(blocks, tol), weights
+    subspaces = tuple(orthonormal_bases(blocks, tol))
+    try:
+        return FusionFrame(ambient_dim, subspaces, tuple(weights))
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}") from exc
 
 
 def parse_document(path: str | Path, tol_override: float | None = None) -> ParsedDocument:
@@ -165,23 +170,19 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
     if tol_override is not None:
         tol = Tolerance(rank_eps=tol_override, residual_eps=tol_override)
 
-    subspaces, weights = _subspace_family(raw.get("subspaces"), ambient_dim, tol, "subspaces")
-    frame = FusionFrame(ambient_dim, tuple(subspaces), tuple(weights))
+    frame = _subspace_family(raw.get("subspaces"), ambient_dim, tol, "subspaces")
 
     dual = None
     if "dual" in raw:
         dual_raw = raw["dual"]
         entries = dual_raw.get("subspaces") if isinstance(dual_raw, dict) else dual_raw
         # dual weights default to the corresponding primal weights
-        dual_subs, dual_weights = _subspace_family(
-            entries, ambient_dim, tol, "dual.subspaces", default_weights=weights
-        )
-        if len(dual_subs) != frame.member_count:
+        dual = _subspace_family(entries, ambient_dim, tol, "dual.subspaces", default_weights=frame.weights)
+        if dual.member_count != frame.member_count:
             raise DocumentError(
-                f"dual.subspaces: member count {len(dual_subs)} does not match "
+                f"dual.subspaces: member count {dual.member_count} does not match "
                 f"the frame's {frame.member_count}"
             )
-        dual = FusionFrame(ambient_dim, tuple(dual_subs), tuple(dual_weights))
 
     basis = None
     if "basis" in raw:
@@ -321,7 +322,7 @@ def _frame_document(frame: FusionFrame) -> dict:
 
 
 def _document_pair(doc: ParsedDocument) -> tuple[DualPair, str]:
-    """The document's dual pair, or the canonical one; S_W^{-1} is inverted once."""
+    """The document's dual pair, or the canonical one."""
     if doc.dual is not None:
         return make_dual_pair(doc.frame, doc.dual, doc.tol), "file"
     return canonical_pair(doc.frame, doc.tol), "canonical"
@@ -401,7 +402,7 @@ def _cmd_erasure(doc: ParsedDocument, args) -> dict:
             "canonical_value": value_canonical,
         }
         try:
-            halved = halving_dual(compacted, subset, doc.tol, canonical=canonical)
+            halved = halving_dual(compacted, subset, doc.tol)
             value_halved = partial_erasure_error(compacted, halved, mask, norm)
             ratio = value_canonical / value_halved if value_halved else float("inf")
             result.update(halving_feasible=True, halved_value=value_halved, ratio=ratio)

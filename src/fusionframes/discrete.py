@@ -3,25 +3,20 @@
 Bridged frames carry one vector per (member, basis-direction) pair, with
 1-based ``(i, j)`` labels recording provenance. Zero vectors produced by the
 bridge are kept so that block erasure masks line up with the labels; reports
-can render a compacted view via :func:`compact_nonzero`.
+can render a compacted view via :func:`compact_nonzero`. A discrete frame
+decomposes S_F once, in ``DiscreteFrame.spectrum``, which every dual reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .fusion import FusionFrame, _image_frame, frame_operator
-from .linalg import (
-    DEFAULT_TOL,
-    Subspace,
-    Tolerance,
-    projector,
-    spd_inv_sqrt,
-    spd_inverse,
-)
+from .fusion import FusionFrame, _image_frame, _inverse, _spectrum
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, projector
 
 __all__ = [
     "DiscreteFrame",
@@ -69,6 +64,11 @@ class DiscreteFrame:
     def count(self) -> int:
         return self.vectors.shape[0]
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of S_F: ascending eigenvalues and eigenvector columns, read-only."""
+        return _spectrum(discrete_frame_operator(self))
+
     def vector(self, k: int) -> np.ndarray:
         """Vector ``k`` (1-based)."""
         if not 1 <= k <= self.count:
@@ -111,8 +111,7 @@ def discrete_frame_operator(f: DiscreteFrame) -> np.ndarray:
 
 def discrete_canonical_dual(f: DiscreteFrame, tol: Tolerance = DEFAULT_TOL) -> DiscreteFrame:
     """Canonical dual {S_F^{-1} f_k}, labels preserved."""
-    s_inv = spd_inverse(discrete_frame_operator(f), tol)
-    return DiscreteFrame(f.ambient_dim, f.vectors @ s_inv, f.labels)
+    return DiscreteFrame(f.ambient_dim, f.vectors @ _inverse(f, tol), f.labels)
 
 
 def verify_discrete_dual(
@@ -136,23 +135,15 @@ def perturbation_residual(f: DiscreteFrame, u: DualPerturbation) -> float:
 
 
 def dual_from_perturbation(
-    f: DiscreteFrame,
-    u: DualPerturbation,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    canonical: DiscreteFrame | None = None,
+    f: DiscreteFrame, u: DualPerturbation, tol: Tolerance = DEFAULT_TOL
 ) -> DiscreteFrame:
-    """Dual {S_F^{-1} f_k + u_k}; rejects perturbations outside the synthesis nullspace.
-
-    ``canonical`` is ``discrete_canonical_dual(f, tol)`` when the caller has it already.
-    """
+    """Dual {S_F^{-1} f_k + u_k}; rejects perturbations outside the synthesis nullspace."""
     residual = perturbation_residual(f, u)
     if residual > tol.residual_eps:
         raise ValueError(
             f"perturbation violates the dual relation (residual {residual:.3e})"
         )
-    if canonical is None:
-        canonical = discrete_canonical_dual(f, tol)
+    canonical = discrete_canonical_dual(f, tol)
     return DiscreteFrame(f.ambient_dim, canonical.vectors + u.u_vectors, f.labels)
 
 
@@ -181,7 +172,7 @@ def _check_orthonormal_basis(basis: Sequence, ambient_dim: int, tol: Tolerance) 
 
 def _whitened_members(w: FusionFrame, tol: Tolerance) -> tuple[Subspace, ...]:
     """The members S_W^{-1/2} W_i; for a Riesz fusion basis they are mutually orthogonal."""
-    return _image_frame(spd_inv_sqrt(frame_operator(w), tol), w, tol).subspaces
+    return _image_frame(_inverse(w, tol, root=True), w, tol).subspaces
 
 
 def _bridge_rows(
@@ -208,7 +199,7 @@ def bridge_fusion_to_discrete(
     """
     b = _check_orthonormal_basis(basis, w.ambient_dim, tol)
     if mode == "canonical_weighted":
-        s_inv = spd_inverse(frame_operator(w), tol)
+        s_inv = _inverse(w, tol)
         return _bridge_rows(w.subspaces, w.weights, [s_inv @ e for e in b])
     if mode == "parseval_sqrt":
         if any(abs(weight - 1.0) > tol.residual_eps for weight in w.weights):
@@ -242,11 +233,7 @@ def compact_nonzero(
 
 
 def halving_perturbation(
-    f: DiscreteFrame,
-    lost: Sequence[int],
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    canonical: DiscreteFrame | None = None,
+    f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL
 ) -> DualPerturbation:
     """Perturbation that halves the canonical dual on the ``lost`` indices (1-based).
 
@@ -254,14 +241,12 @@ def halving_perturbation(
     remaining rows solve the dual relation by minimum-norm least squares.
     Raises when the fixed rows make the relation unsatisfiable (for instance
     when a lost vector is the only one supported on some coordinate).
-    ``canonical`` is ``discrete_canonical_dual(f, tol)`` when the caller has it already.
     """
     lost_set = sorted(set(int(k) for k in lost))
     for k in lost_set:
         if not 1 <= k <= f.count:
             raise ValueError(f"lost index {k} out of range 1..{f.count}")
-    if canonical is None:
-        canonical = discrete_canonical_dual(f, tol)
+    canonical = discrete_canonical_dual(f, tol)
     u = np.zeros_like(f.vectors)
     lost_rows = [k - 1 for k in lost_set]
     free_rows = [k for k in range(f.count) if k not in set(lost_rows)]
@@ -281,17 +266,7 @@ def halving_perturbation(
 
 
 def halving_dual(
-    f: DiscreteFrame,
-    lost: Sequence[int],
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    canonical: DiscreteFrame | None = None,
+    f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL
 ) -> DiscreteFrame:
-    """Dual frame built from :func:`halving_perturbation`; S_F is inverted at most once.
-
-    ``canonical`` is ``discrete_canonical_dual(f, tol)`` when the caller has it already.
-    """
-    if canonical is None:
-        canonical = discrete_canonical_dual(f, tol)
-    u = halving_perturbation(f, lost, tol, canonical=canonical)
-    return dual_from_perturbation(f, u, tol, canonical=canonical)
+    """Dual frame built from :func:`halving_perturbation`."""
+    return dual_from_perturbation(f, halving_perturbation(f, lost, tol), tol)

@@ -3,7 +3,8 @@
 A candidate family (V, v) is a dual of (W, w) when the reconstruction map
 sum_i w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} equals the identity. Candidates
 need not themselves be fusion frames (zero members are allowed); the
-verification residual is the only duality authority.
+verification residual is the only duality authority. Every pair reads
+S_W^{-1} from the one spectrum of its primal.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .fusion import FusionFrame, _canonical_dual_and_inverse, classify, frame_operator
+from .fusion import FusionFrame, _inverse, canonical_dual, classify
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     image_subspace,
     orthonormal_bases,
     projector,
-    spd_inverse,
     subspace_contains,
     subspaces_equal,
 )
@@ -66,17 +66,14 @@ class DualPair:
 def make_dual_pair(
     primal: FusionFrame, dual_candidate: FusionFrame, tol: Tolerance = DEFAULT_TOL
 ) -> DualPair:
-    """Pair ``dual_candidate`` with ``primal``, computing S_W^{-1} and the components once."""
+    """Pair ``dual_candidate`` with ``primal``; S_W^{-1} comes from ``primal.spectrum``."""
     if primal.member_count != dual_candidate.member_count:
         raise ValueError(
             f"member counts differ: {primal.member_count} vs {dual_candidate.member_count}"
         )
     if primal.ambient_dim != dual_candidate.ambient_dim:
         raise ValueError("ambient dimension mismatch between primal and dual")
-    return _pair(primal, dual_candidate, tol, spd_inverse(frame_operator(primal), tol))
-
-
-def _pair(primal: FusionFrame, dual_candidate: FusionFrame, tol: Tolerance, s_inv: np.ndarray) -> DualPair:
+    s_inv = _inverse(primal, tol)
     n = primal.ambient_dim
     components = np.empty((primal.member_count, n, n))
     recon = np.zeros((n, n))
@@ -98,9 +95,8 @@ def reconstruction_matrix(
 
 
 def canonical_pair(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> DualPair:
-    """The frame paired with its canonical dual; S_W^{-1} is inverted once for both."""
-    dual, s_inv = _canonical_dual_and_inverse(w, tol)
-    return _pair(w, dual, tol, s_inv)
+    """The frame paired with its canonical dual."""
+    return make_dual_pair(w, canonical_dual(w, tol), tol)
 
 
 def verify_dual(pair: DualPair) -> tuple[bool, float, np.ndarray]:

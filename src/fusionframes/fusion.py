@@ -3,6 +3,9 @@
 A fusion frame is a weighted family of subspaces whose union spans the whole
 space. Non-spanning families stay representable (the lower bound is reported
 as 0) so callers can diagnose bad inputs instead of losing them.
+
+Each frame decomposes S_W once, in ``FusionFrame.spectrum``: the bounds, the
+frame test, S_W^{-1} and S_W^{-1/2} all read that one spectrum.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .linalg import (
     _as_matrix,
     orthonormal_bases,
     projector,
-    spd_inverse,
-    subspace_sum,
 )
 
 __all__ = [
@@ -76,8 +77,9 @@ class FusionFrame:
         return len(self.subspaces)
 
     @cached_property
-    def spans_ambient(self) -> bool:
-        return subspace_sum(self.subspaces).dim == self.ambient_dim
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of S_W: ascending eigenvalues and eigenvector columns, read-only."""
+        return _spectrum(frame_operator(self))
 
     def member(self, i: int) -> tuple[Subspace, float]:
         """Member ``i`` (1-based) as a (subspace, weight) pair."""
@@ -123,13 +125,42 @@ def frame_operator(w: FusionFrame) -> np.ndarray:
     return s
 
 
+def _spectrum(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.linalg.eigh`` of a frame operator, which is built finite and exactly symmetric.
+
+    Each ``basis @ basis.T`` is exactly symmetric; ``eigh`` reads one triangle, so asymmetry would go unseen.
+    """
+    s = _as_matrix(s)
+    if not np.array_equal(s, s.T):
+        raise ArithmeticError("frame operator is not exactly symmetric")
+    eigvals, eigvecs = np.linalg.eigh(s)
+    for a in (eigvals, eigvecs):
+        a.setflags(write=False)
+    return eigvals, eigvecs
+
+
+def _inverse(frame, tol: Tolerance, root: bool = False) -> np.ndarray:
+    """S^{-1} (or S^{-1/2} with ``root``) of the frame operator S, ``(V / λ) @ V.T`` from ``frame.spectrum``.
+
+    First runs classify's frame test at ``tol``, the smallest eigenvalue above
+    ``rank_eps``: the one refusal of a family that does not span, fusion or discrete.
+    """
+    eigvals, eigvecs = frame.spectrum
+    if not eigvals[0] > tol.rank_eps:
+        raise ValueError(
+            f"not a frame: the family does not span R^{frame.ambient_dim} (smallest eigenvalue "
+            f"of the frame operator {eigvals[0]:.3e} <= rank_eps {tol.rank_eps:.3e})"
+        )
+    return (eigvecs / (np.sqrt(eigvals) if root else eigvals)) @ eigvecs.T
+
+
 def frame_bounds(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Optimal bounds (A, B) as the extreme eigenvalues of the frame operator.
 
     A is clamped to exactly 0 when it is not numerically positive; A > 0 is
     equivalent to the family being a frame.
     """
-    eigvals = np.linalg.eigvalsh(frame_operator(w))
+    eigvals = w.spectrum[0]
     lower = float(eigvals[0])
     upper = float(eigvals[-1])
     if lower <= tol.rank_eps:
@@ -183,18 +214,9 @@ def _image_frame(u: np.ndarray, w: FusionFrame, tol: Tolerance) -> FusionFrame:
     return FusionFrame(w.ambient_dim, tuple(images), w.weights)
 
 
-def _canonical_dual_and_inverse(w: FusionFrame, tol: Tolerance) -> tuple[FusionFrame, np.ndarray]:
-    s = frame_operator(w)
-    # the frame test of classify, lower frame bound above rank_eps, on the same S_W
-    if not np.linalg.eigvalsh(s)[0] > tol.rank_eps:
-        raise ValueError("canonical dual requires a fusion frame (family does not span)")
-    s_inv = spd_inverse(s, tol)
-    return _image_frame(s_inv, w, tol), s_inv
-
-
 def canonical_dual(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FusionFrame:
     """Canonical dual family {(S_W^{-1} W_i, w_i)}; member dimensions are preserved."""
-    return _canonical_dual_and_inverse(w, tol)[0]
+    return _image_frame(_inverse(w, tol), w, tol)
 
 
 def riesz_constants(w: FusionFrame) -> tuple[float, float]:

@@ -150,21 +150,27 @@ class TestParsing:
         members = [{"weight": float("inf"), "spanning_vectors": [[1, 0]]}, {"spanning_vectors": [[0, 1]]}]
         p.write_text(json.dumps({"ambient_dim": 2, "subspaces": members}))
         assert main(["classify", str(p)]) == 1
-        assert "error: weight of member 1 must be positive and finite" in capsys.readouterr().err
+        assert "error: subspaces: weight of member 1 must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "members, dual, commands, named",
+        "members, dual, commands, section, named",
         [
             # the squared weights overflow a float
-            ([([1, 0], 1e200), ([0, 1], 1e200)], None, ["classify", "erasure"], "1e+200"),
-            # the primal is fine; w_i v_i of the dual's weights overflows
-            ([([1, 0], 1e150), ([0, 1], 1e150)], [1e200, 1e200], ["verify-dual", "erasure"], "1e+200"),
+            ([([1, 0], 1e200), ([0, 1], 1e200)], None, ["classify", "erasure"], "subspaces", "1e+200"),
+            # the primal is fine; w_i v_i of the dual's weights overflows, and the refusal names the dual
+            (
+                [([1, 0], 1e150), ([0, 1], 1e150)],
+                [1e200, 1e200],
+                ["verify-dual", "erasure"],
+                "dual.subspaces",
+                "1e+200",
+            ),
             # each square is finite, their sum is not
-            ([([1, 0], 1.3e154), ([1, 0], 1.3e154), ([0, 1], 1)], None, ["classify"], "1.3e+154"),
+            ([([1, 0], 1.3e154), ([1, 0], 1.3e154), ([0, 1], 1)], None, ["classify"], "subspaces", "1.3e+154"),
         ],
         ids=["squares", "dual", "sum"],
     )
-    def test_overflowing_weights_exit_one(self, tmp_path, capsys, members, dual, commands, named):
+    def test_overflowing_weights_exit_one(self, tmp_path, capsys, members, dual, commands, section, named):
         doc = {"ambient_dim": 2, "subspaces": [{"spanning_vectors": [v], "weight": w} for v, w in members]}
         if dual is not None:
             doc["dual"] = [{"spanning_vectors": [v], "weight": w} for (v, _), w in zip(members, dual)]
@@ -175,7 +181,7 @@ class TestParsing:
                 assert main([*flags, command, str(p)]) == 1
                 assert capsys.readouterr() == (
                     "",
-                    "error: weights too large: the squared weights must sum below 2**1000 "
+                    f"error: {section}: weights too large: the squared weights must sum below 2**1000 "
                     f"(member 1 has weight {named})\n",
                 )
 
@@ -432,22 +438,6 @@ class TestErasure:
         assert captured.out == ""
         assert captured.err == "error: --fixed needs at least one index\n"
 
-    def test_bridged_fixed_inverts_each_frame_operator_once(self, capsys, monkeypatch):
-        # S_W for the bridge, then S_F of the compacted frame, shared by the canonical and halving duals
-        calls = []
-        inverse = fusionframes.linalg.spd_inverse
-
-        def counted(a, tol):
-            calls.append(a.shape)
-            return inverse(a, tol)
-
-        for module in (cli, fusionframes.fusion, fusionframes.duality, fusionframes.optimality, fusionframes.discrete):
-            if hasattr(module, "spd_inverse"):
-                monkeypatch.setattr(module, "spd_inverse", counted)
-        result = run_json(capsys, ["erasure", OVERCOMPLETE, "--fixed", "1,2"])["result"]
-        assert result["halving_feasible"] is True
-        assert len(calls) == 2
-
     def test_json_table_formats_no_text_rows(self, capsys, monkeypatch, tmp_path):
         p = tmp_path / "enum.json"
         p.write_text(json.dumps(_random_document(4, 20, 2, seed=7)))
@@ -467,6 +457,64 @@ class TestErasure:
         assert "r must" in capsys.readouterr().err
 
 
+NOT_SPANNING_R3 = (
+    "error: not a frame: the family does not span R^3 "
+    "(smallest eigenvalue of the frame operator 0.000e+00 <= rank_eps 1.000e-09)\n"
+)
+
+
+def _plane_document(tmp_path, with_dual: bool, basis: bool = False):
+    """The two coordinate axes of the x-y plane in R^3, which do not span R^3."""
+    members = [{"spanning_vectors": [[1, 0, 0]]}, {"spanning_vectors": [[0, 1, 0]]}]
+    raw = {"ambient_dim": 3, "subspaces": members}
+    if with_dual:
+        raw["dual"] = {"subspaces": members}
+    if basis:
+        raw["basis"] = np.eye(3).tolist()
+    p = tmp_path / "plane.json"
+    p.write_text(json.dumps(raw))
+    return p
+
+
+# every op that needs S_W^{-1}: argv after the file, whether it needs a dual section, whether it reads a basis
+_INVERTING_OPS = [
+    (["verify-dual"], True, False),
+    (["erasure", "--r", "1"], False, False),
+    (["erasure", "--fixed", "1"], False, False),
+    (["erasure", "--fixed", "1"], False, True),
+    (["certify", "--which", "canonical"], False, False),
+    (["certify", "--which", "dual"], True, False),
+    (["certify", "--which", "tight"], False, False),
+    (["construct", "--what", "bridge"], False, False),
+    (["construct", "--what", "expand", "--index", "1"], False, False),
+]
+
+
+class TestNonSpanningFamily:
+    @pytest.mark.parametrize(
+        "argv, with_dual, basis",
+        [
+            pytest.param(argv, with_dual, basis, id=" ".join(argv) + " basis" * basis + f" dual={with_dual}")
+            for argv, needs_dual, basis in _INVERTING_OPS
+            for with_dual in (False, True)
+            if with_dual or not needs_dual
+        ],
+    )
+    def test_one_refusal_on_every_path(self, capsys, tmp_path, argv, with_dual, basis):
+        p = _plane_document(tmp_path, with_dual, basis)
+        for json_flag in ([], ["--json"]):
+            assert main([*json_flag, argv[0], str(p), *argv[1:]]) == 1
+            assert capsys.readouterr() == ("", NOT_SPANNING_R3)
+
+    @pytest.mark.parametrize("with_dual", [False, True])
+    def test_classify_and_parseval_family_keep_their_reports(self, capsys, tmp_path, with_dual):
+        p = _plane_document(tmp_path, with_dual)
+        assert main(["classify", str(p)]) == 0
+        assert "not a fusion frame (family does not span; lower bound 0)" in capsys.readouterr().out
+        assert main(["construct", str(p), "--what", "parseval-family"]) == 1
+        assert capsys.readouterr() == ("", "error: the family is not a Riesz fusion basis\n")
+
+
 class TestCertify:
     def test_overlap_canonical_certified(self, capsys):
         report = run_json(capsys, ["certify", OVERLAP, "--which", "canonical"])
@@ -479,23 +527,12 @@ class TestCertify:
         report = run_json(capsys, ["certify", OVERLAP, "--which", "tight"])
         assert report["result"]["verdict"] == "not_applicable"
 
-    @pytest.mark.parametrize(
-        "with_dual, error",
-        [
-            (False, "error: canonical dual requires a fusion frame (family does not span)\n"),
-            (True, "error: spd_inverse: smallest eigenvalue 0.000e+00 signals a non-invertible operator\n"),
-        ],
-    )
-    def test_tight_certificate_of_non_spanning_family_refused(self, capsys, tmp_path, with_dual, error):
+    @pytest.mark.parametrize("with_dual", [False, True])
+    def test_tight_certificate_of_non_spanning_family_refused(self, capsys, tmp_path, with_dual):
         # the pair is built first, as for every other command on the document's dual pair
-        members = [{"spanning_vectors": [[1, 0, 0]]}, {"spanning_vectors": [[0, 1, 0]]}]
-        raw = {"ambient_dim": 3, "subspaces": members}
-        if with_dual:
-            raw["dual"] = {"subspaces": members}
-        p = tmp_path / "plane.json"
-        p.write_text(json.dumps(raw))
+        p = _plane_document(tmp_path, with_dual)
         assert main(["certify", str(p), "--which", "tight"]) == 1
-        assert capsys.readouterr().err == error
+        assert capsys.readouterr().err == NOT_SPANNING_R3
 
     def test_dual_certificate_requires_dual(self, capsys):
         assert main(["certify", OVERLAP, "--which", "dual"]) == 1
@@ -529,41 +566,6 @@ class TestConstruct:
             assert dual["is_dual"] is True
             assert dual["residual"] <= DEFAULT_TOL.residual_eps
             assert dual["d1_operator"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_tight_certificate_inverts_frame_operator_once(self, capsys, monkeypatch):
-        calls = []
-        inverse = fusionframes.linalg.spd_inverse
-
-        def counted(a, tol):
-            calls.append(a)
-            return inverse(a, tol)
-
-        for module in (cli, fusionframes.fusion, fusionframes.duality, fusionframes.optimality, fusionframes.discrete):
-            if hasattr(module, "spd_inverse"):
-                monkeypatch.setattr(module, "spd_inverse", counted)
-        assert main(["certify", OVERLAP, "--which", "tight"]) == 0
-        assert "not tight" in capsys.readouterr().out
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("with_dual", [True, False])
-    def test_parseval_family_whitens_once(self, capsys, monkeypatch, tmp_path, with_dual):
-        raw = json.loads(open(ORTHOBASIS).read())
-        if not with_dual:
-            del raw["dual"]
-        p = tmp_path / "orthobasis.json"
-        p.write_text(json.dumps(raw))
-        calls = []
-        root = fusionframes.linalg.spd_inv_sqrt
-
-        def counted(a, tol):
-            calls.append(a)
-            return root(a, tol)
-
-        for module in (cli, fusionframes.discrete, fusionframes.optimality, fusionframes.linalg):
-            if hasattr(module, "spd_inv_sqrt"):
-                monkeypatch.setattr(module, "spd_inv_sqrt", counted)
-        run_json(capsys, ["construct", str(p), "--what", "parseval-family"])
-        assert len(calls) == 1
 
     def test_expand_variants_preserve_value(self, capsys):
         report = run_json(capsys, ["construct", OVERLAP, "--what", "expand", "--index", "3"])

@@ -19,9 +19,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fusionframes.cli import _text, main
+import fusionframes.discrete
+import fusionframes.fusion
+from fusionframes import DiscreteFrame, FusionFrame, canonical_dual, canonical_pair, make_dual_pair
+from fusionframes.cli import _text, main, parse_document
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "fixture_reports.json"
@@ -98,6 +102,51 @@ def test_text_report_is_a_view_of_the_json_result(argv, monkeypatch):
     report = json.loads(run_op(["--json", *argv])["stdout"])
     assert text["exit"] == 0
     assert text["stdout"] == "\n".join(_text(argv[0], report["result"])) + "\n"
+
+
+# (S_W builds, S_F builds) of ops whose several consumers of S^{-1} or S^{-1/2} share one spectrum
+_PINNED = {
+    "erasure fixtures/overcomplete_r3.json --fixed 1,2": (1, 1),
+    "certify fixtures/overlap_r4.json --which tight": (1, 0),
+    "construct fixtures/orthobasis_r3.json --what parseval-family": (1, 1),
+    "construct fixtures/overlap_r4.json --what expand --index 1": (1, 0),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_each_frame_operator_is_decomposed_once(name, monkeypatch):
+    # every op builds S_W of the document's frame, and S_F of a bridged frame,
+    # at most once each, and decomposes each operator it builds exactly once
+    monkeypatch.chdir(ROOT)
+    built, decomposed = [], []
+    for module, attr in ((fusionframes.fusion, "frame_operator"), (fusionframes.discrete, "discrete_frame_operator")):
+        def build(frame, _original=getattr(module, attr)):
+            built.append(frame)
+            return _original(frame)
+
+        monkeypatch.setattr(module, attr, build)
+    for attr in ("eigh", "eigvalsh"):
+        def decompose(a, *args, _original=getattr(np.linalg, attr), **kwargs):
+            decomposed.append(a)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, attr, decompose)
+    ops = [argv for argv in fixture_ops() if f"fixtures/{name}.json" in argv]
+    assert len(ops) == 2 * len(COMMANDS)
+    for argv in ops:
+        built.clear()
+        decomposed.clear()
+        assert run_op(argv) == _golden()[" ".join(argv)]
+        counts = tuple(sum(isinstance(f, kind) for f in built) for kind in (FusionFrame, DiscreteFrame))
+        assert counts[0] <= 1 and counts[1] <= 1 and sum(counts) == len(built), argv
+        assert len(decomposed) == len(built), argv
+        key = " ".join(a for a in argv if a != "--json")
+        assert counts == _PINNED.get(key, counts), argv
+
+    w = parse_document(f"fixtures/{name}.json").frame
+    pair, reference = canonical_pair(w), make_dual_pair(w, canonical_dual(w))
+    for attr in ("s_inv", "components", "reconstruction"):
+        assert np.array_equal(getattr(pair, attr), getattr(reference, attr))
 
 
 if __name__ == "__main__":

@@ -74,10 +74,9 @@ class TestFrameBounds:
         assert lower == 0.0
         assert upper == 1.0
         assert not classify(w).is_frame
-        assert not w.spans_ambient
 
     def test_spanning_diagnostic(self):
-        assert overlap_frame_r4().spans_ambient
+        assert classify(overlap_frame_r4()).is_frame
 
 
 class TestClassify:
