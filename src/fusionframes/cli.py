@@ -14,6 +14,7 @@ does not verify (an ``error: internal check failed:`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -607,7 +608,9 @@ def run(args) -> str:
     return _json_text(report)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="fusionframes",
         description="Analyze fusion frames: classification, duality, erasure errors, certificates.",
@@ -646,8 +649,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; safe to call repeatedly in one process."""
+    args = _build_parser().parse_args(argv)
     try:
         output = run(args)
     except (DocumentError, ValueError) as exc:

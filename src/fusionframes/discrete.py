@@ -4,18 +4,18 @@ Bridged frames carry one vector per (member, basis-direction) pair, with
 1-based ``(i, j)`` labels recording provenance. Zero vectors produced by the
 bridge are kept so that block erasure masks line up with the labels; reports
 can render a compacted view via :func:`compact_nonzero`. A discrete frame
-decomposes S_F once, in ``DiscreteFrame.spectrum``, which every dual reads.
+decomposes S_F once, in ``DiscreteFrame.spectrum``, and forms S_F^{-1} from it
+once, which every dual reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .fusion import FusionFrame, _image_frame, _inverse, _spectrum
+from .fusion import FusionFrame, _image_frame, _inverse, _Spectral
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, projector
 
 __all__ = [
@@ -39,7 +39,7 @@ BridgeMode = Literal["canonical_weighted", "parseval_sqrt"]
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteFrame:
+class DiscreteFrame(_Spectral):
     """Finite vector family in R^ambient_dim; rows of ``vectors`` are the frame vectors."""
 
     ambient_dim: int
@@ -64,10 +64,8 @@ class DiscreteFrame:
     def count(self) -> int:
         return self.vectors.shape[0]
 
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh`` of S_F: ascending eigenvalues and eigenvector columns, read-only."""
-        return _spectrum(discrete_frame_operator(self))
+    def _operator(self) -> np.ndarray:
+        return discrete_frame_operator(self)
 
     def vector(self, k: int) -> np.ndarray:
         """Vector ``k`` (1-based)."""

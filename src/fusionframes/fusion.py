@@ -5,7 +5,8 @@ space. Non-spanning families stay representable (the lower bound is reported
 as 0) so callers can diagnose bad inputs instead of losing them.
 
 Each frame decomposes S_W once, in ``FusionFrame.spectrum``: the bounds, the
-frame test, S_W^{-1} and S_W^{-1/2} all read that one spectrum.
+frame test, S_W^{-1} and S_W^{-1/2} all read that one spectrum, and each of
+the two inverse forms is formed from it at most once per frame.
 """
 
 from __future__ import annotations
@@ -40,8 +41,39 @@ __all__ = [
 ]
 
 
+class _Spectral:
+    """A frame whose operator S, built by the subclass's ``_operator``, is decomposed once.
+
+    S^{-1} and S^{-1/2} are formed from ``spectrum`` on first use and kept,
+    read-only; :func:`_inverse` runs the frame test before handing one out.
+    """
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of S: ascending eigenvalues and eigenvector columns, read-only.
+
+        S is built finite and exactly symmetric (each ``basis @ basis.T`` is);
+        ``eigh`` reads one triangle, so asymmetry would go unseen.
+        """
+        s = _as_matrix(self._operator())
+        if not np.array_equal(s, s.T):
+            raise ArithmeticError("frame operator is not exactly symmetric")
+        eigvals, eigvecs = np.linalg.eigh(s)
+        for a in (eigvals, eigvecs):
+            a.setflags(write=False)
+        return eigvals, eigvecs
+
+    @cached_property
+    def _s_inv(self) -> np.ndarray:
+        return _inverse_form(self, root=False)
+
+    @cached_property
+    def _s_inv_sqrt(self) -> np.ndarray:
+        return _inverse_form(self, root=True)
+
+
 @dataclass(frozen=True, eq=False)
-class FusionFrame:
+class FusionFrame(_Spectral):
     """Weighted subspace family {(W_i, w_i)} in R^ambient_dim.
 
     Indices are 1-based throughout the public API, matching the bundled
@@ -76,10 +108,8 @@ class FusionFrame:
     def member_count(self) -> int:
         return len(self.subspaces)
 
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh`` of S_W: ascending eigenvalues and eigenvector columns, read-only."""
-        return _spectrum(frame_operator(self))
+    def _operator(self) -> np.ndarray:
+        return frame_operator(self)
 
     def member(self, i: int) -> tuple[Subspace, float]:
         """Member ``i`` (1-based) as a (subspace, weight) pair."""
@@ -125,33 +155,27 @@ def frame_operator(w: FusionFrame) -> np.ndarray:
     return s
 
 
-def _spectrum(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``np.linalg.eigh`` of a frame operator, which is built finite and exactly symmetric.
-
-    Each ``basis @ basis.T`` is exactly symmetric; ``eigh`` reads one triangle, so asymmetry would go unseen.
-    """
-    s = _as_matrix(s)
-    if not np.array_equal(s, s.T):
-        raise ArithmeticError("frame operator is not exactly symmetric")
-    eigvals, eigvecs = np.linalg.eigh(s)
-    for a in (eigvals, eigvecs):
-        a.setflags(write=False)
-    return eigvals, eigvecs
-
-
-def _inverse(frame, tol: Tolerance, root: bool = False) -> np.ndarray:
-    """S^{-1} (or S^{-1/2} with ``root``) of the frame operator S, ``(V / λ) @ V.T`` from ``frame.spectrum``.
-
-    First runs classify's frame test at ``tol``, the smallest eigenvalue above
-    ``rank_eps``: the one refusal of a family that does not span, fusion or discrete.
-    """
+def _inverse_form(frame: _Spectral, root: bool) -> np.ndarray:
+    """``(V / λ) @ V.T``, or ``(V / sqrt(λ)) @ V.T`` with ``root``, from ``frame.spectrum``; read-only."""
     eigvals, eigvecs = frame.spectrum
+    form = (eigvecs / (np.sqrt(eigvals) if root else eigvals)) @ eigvecs.T
+    form.setflags(write=False)
+    return form
+
+
+def _inverse(frame: _Spectral, tol: Tolerance, root: bool = False) -> np.ndarray:
+    """S^{-1} (or S^{-1/2} with ``root``) of the frame operator S, formed once per frame and read-only.
+
+    Every call first runs classify's frame test at ``tol``, the smallest eigenvalue
+    above ``rank_eps``: the one refusal of a family that does not span, fusion or discrete.
+    """
+    eigvals = frame.spectrum[0]
     if not eigvals[0] > tol.rank_eps:
         raise ValueError(
             f"not a frame: the family does not span R^{frame.ambient_dim} (smallest eigenvalue "
             f"of the frame operator {eigvals[0]:.3e} <= rank_eps {tol.rank_eps:.3e})"
         )
-    return (eigvecs / (np.sqrt(eigvals) if root else eigvals)) @ eigvecs.T
+    return frame._s_inv_sqrt if root else frame._s_inv
 
 
 def frame_bounds(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:

@@ -65,6 +65,20 @@ def _as_matrix(a) -> np.ndarray:
     return arr
 
 
+def _check_orthonormal_rows(rows: np.ndarray, ranks) -> None:
+    """Refuse unless the first ``ranks`` rows of each ``(k, n)`` block of ``rows`` are orthonormal.
+
+    np.allclose(gram, eye, atol=1e-8) written out, ``|gram - eye| <= 1e-8 + 1e-5 eye``,
+    on each block's rank x rank Gram part; rows past a block's rank must vanish.
+    """
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("basis has non-finite entries")
+    k = rows.shape[-2]
+    eye = np.eye(k) * (np.arange(k) < np.asarray(ranks)[..., None])[..., None, :]
+    if not (np.abs(rows @ np.swapaxes(rows, -1, -2) - eye) <= 1e-8 + 1e-5 * eye).all():
+        raise ValueError("basis columns are not orthonormal")
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of R^ambient_dim, given by orthonormal basis columns.
@@ -88,12 +102,7 @@ class Subspace:
         if b.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension exceeds ambient dimension")
         if b.size:
-            if not np.all(np.isfinite(b)):
-                raise ValueError("basis has non-finite entries")
-            # np.allclose(gram, eye, atol=1e-8) written out: |gram - eye| <= 1e-8 + 1e-5 eye
-            eye = np.eye(b.shape[1])
-            if not (np.abs(b.T @ b - eye) <= 1e-8 + 1e-5 * eye).all():
-                raise ValueError("basis columns are not orthonormal")
+            _check_orthonormal_rows(b.T, b.shape[1])
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -182,7 +191,19 @@ def orthonormal_bases(
     wild = (peak > _SQUARE_SAFE) | ((peak > 0) & (peak < 1 / _SQUARE_SAFE))
     if wild.any():
         work[wild] = np.ldexp(work[wild], -np.frexp(peak[wild])[1][:, None, None])
+    accepted, ranks = _pivoted_gram_schmidt(work, tol)
+    # one check for the whole stack stands in for each member's Subspace.__post_init__
+    _check_orthonormal_rows(accepted, ranks)
+    return [_checked_subspace(n, accepted[b, :rank].T.copy()) for b, rank in enumerate(ranks)]
 
+
+def _pivoted_gram_schmidt(work: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The loop of :func:`orthonormal_bases` on its ``(m, k_max, n)`` stack, which it consumes.
+
+    Returns each block's rank and its accepted rows, zero-padded to ``(m, max rank, n)``:
+    the batched check then forms Gram blocks of at most ``n x n``, however large ``k_max``.
+    """
+    m = len(work)
     # np.vecdot rounds like a per-row ``q @ w``; einsum, unlike a BLAS
     # matrix-vector product, keeps the exact zeros of the bundled fixtures
     norms = np.sqrt(np.vecdot(work, work))
@@ -210,10 +231,16 @@ def orthonormal_bases(
         update = np.vecdot(work, q[:, None])[..., None] * q[:, None]
         np.subtract(work, update, out=work, where=grow[:, None, None])
         norms = np.sqrt(np.vecdot(work, work))
-    return [
-        Subspace(n, accepted[b, :rank].T) if rank else zero_subspace(n)
-        for b, rank in enumerate(ranks)
-    ]
+    return accepted[:, : ranks.max()], ranks
+
+
+def _checked_subspace(ambient_dim: int, basis: np.ndarray) -> Subspace:
+    """``Subspace(ambient_dim, basis)`` for a fresh C-contiguous ``basis`` already checked orthonormal."""
+    basis.setflags(write=False)
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "ambient_dim", ambient_dim)
+    object.__setattr__(s, "basis", basis)
+    return s
 
 
 def orthonormal_basis(
@@ -261,7 +288,12 @@ def spd_inv_sqrt(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(_as_matrix(a), "fro"))
+    """Frobenius norm of ``a``; refuses non-finite entries, which are scanned for only when the norm is not finite."""
+    arr = np.asarray(a, dtype=float)
+    norm = float(np.linalg.norm(arr, "fro")) if arr.ndim == 2 else math.nan
+    if not math.isfinite(norm):
+        _as_matrix(arr)  # raises for a non-matrix or a non-finite entry; finite entries may overflow to inf
+    return norm
 
 
 def operator_norm(a: np.ndarray) -> float:

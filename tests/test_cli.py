@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -770,3 +774,41 @@ class TestReportContracts:
     def test_tol_override(self, capsys):
         report = run_json(capsys, ["--tol", "1e-6", "classify", OVERLAP])
         assert report["tolerance"]["residual_eps"] == 1e-6
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserReuse:
+    SEQUENCE = (
+        ["erasure", OVERCOMPLETE, "--fixed", "1,2"],
+        ["erasure", OVERLAP, "--r", "2"],
+        ["--tol", "1e-6", "classify", OVERLAP],
+        ["erasure", OVERLAP],
+        ["certify", OVERLAP, "--which", "bogus"],
+        ["--json", "verify-dual", OVERLAP_DUAL],
+    )
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        parser = cli._build_parser()
+        reused = []
+        for argv in self.SEQUENCE:
+            reused.append(_outcome(capsys, argv))
+            assert cli._build_parser() is parser
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [_outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0]
+        assert "invalid choice: 'bogus'" in reused[4][2]
+        assert reused == fresh
+
+    def test_parser_is_not_built_at_import(self):
+        probe = "import fusionframes.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert done.stdout == "0\n"

@@ -149,6 +149,30 @@ def test_each_frame_operator_is_decomposed_once(name, monkeypatch):
         assert np.array_equal(getattr(pair, attr), getattr(reference, attr))
 
 
+@pytest.mark.parametrize("text", [True, False], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, frames",
+    [
+        (["construct", "fixtures/overlap_r4.json", "--what", "expand", "--index", "1"], [FusionFrame]),
+        (["erasure", "fixtures/overcomplete_r3.json", "--fixed", "1,2"], [FusionFrame, DiscreteFrame]),
+    ],
+    ids=["expand", "fixed-discrete"],
+)
+def test_each_inverse_is_formed_once_per_frame(argv, frames, text, monkeypatch):
+    # S^{-1} had been re-formed by each consumer: 6 times for expand, 3 times (S_F) for the bridged --fixed op
+    monkeypatch.chdir(ROOT)
+    formed = []
+
+    def form(frame, root, _original=fusionframes.fusion._inverse_form):
+        formed.append((frame, root))
+        return _original(frame, root)
+
+    monkeypatch.setattr(fusionframes.fusion, "_inverse_form", form)
+    argv = argv if text else ["--json", *argv]
+    assert run_op(argv) == _golden()[" ".join(argv)]
+    assert [(type(frame), root) for frame, root in formed] == [(kind, False) for kind in frames]
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     entries = [run_op(argv) for argv in fixture_ops()]

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from fusionframes import (
+    DEFAULT_TOL,
+    Tolerance,
     canonical_dual,
     classify,
     coordinate_subspace,
+    discrete_frame,
     frame_bounds,
     frame_operator,
     full_subspace,
@@ -18,6 +21,7 @@ from fusionframes import (
     spd_inverse,
     subspaces_equal,
 )
+from fusionframes.fusion import _inverse
 from helpers import (
     OVERCOMPLETE_SINV,
     inflated_dual,
@@ -147,6 +151,28 @@ class TestCanonicalDual:
                 alone = image_subspace(s_inv, sub).basis
                 assert np.array_equal(dual_sub.basis, alone)
                 assert np.array_equal(np.signbit(dual_sub.basis), np.signbit(alone))
+
+
+class TestInverseForms:
+    @pytest.mark.parametrize(
+        "frame", [overcomplete_frame_r3(), discrete_frame([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]])], ids=["fusion", "discrete"]
+    )
+    def test_formed_once_and_frame_tested_on_every_call(self, frame):
+        eigvals, eigvecs = frame.spectrum
+        strict = Tolerance(rank_eps=2 * float(eigvals[0]))
+        for root, form in ((False, eigvecs / eigvals), (True, eigvecs / np.sqrt(eigvals))):
+            first = _inverse(frame, DEFAULT_TOL, root)
+            assert np.array_equal(first, form @ eigvecs.T) and not first.flags.writeable
+            with pytest.raises(ValueError, match="not a frame"):
+                _inverse(frame, strict, root)
+            assert _inverse(frame, DEFAULT_TOL, root) is first
+
+    def test_non_frame_refused_before_any_form(self):
+        w = fusion_frame([coordinate_subspace(3, [1])])
+        for root in (False, True):
+            with pytest.raises(ValueError, match="does not span"):
+                _inverse(w, DEFAULT_TOL, root)
+        assert "_s_inv" not in vars(w) and "_s_inv_sqrt" not in vars(w)
 
 
 class TestInvariants:

@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fusionframes.linalg as linalg
 from fusionframes import (
     Subspace,
     Tolerance,
@@ -195,7 +196,55 @@ def test_orthonormal_bases_match_one_block_runs(case):
     _bases_match_one_block(blocks, n)
 
 
+@seed(17)
+@settings(max_examples=150, deadline=None)
+@given(case=_block_lists())
+def test_public_constructor_accepts_every_returned_member(case):
+    # the one batched check of the result stack admits only what Subspace(...) admits
+    n, blocks = case
+    for s in orthonormal_bases(blocks, ambient_dim=n):
+        again = Subspace(n, s.basis)
+        assert np.array_equal(again.basis, s.basis)
+        assert s.basis.flags.c_contiguous and not s.basis.flags.writeable
+
+
 class TestOrthonormalBases:
+    @pytest.mark.parametrize("block, row", [(0, 0), (1, 1), (1, 2)])
+    def test_corrupted_result_stack_refused(self, rng, monkeypatch, block, row):
+        original = linalg._pivoted_gram_schmidt
+
+        def corrupted(work, tol):
+            accepted, ranks = original(work, tol)
+            accepted[block, row] *= 1.001
+            return accepted, ranks
+
+        monkeypatch.setattr(linalg, "_pivoted_gram_schmidt", corrupted)
+        with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+            orthonormal_bases([rng.standard_normal((2, 4)), rng.standard_normal((4, 4))])
+
+    def test_rows_past_the_rank_must_vanish(self, monkeypatch):
+        original = linalg._pivoted_gram_schmidt
+
+        def padded_row_set(work, tol):
+            accepted, ranks = original(work, tol)
+            accepted[0, 1, 0] = 1e-3
+            return accepted, ranks
+
+        monkeypatch.setattr(linalg, "_pivoted_gram_schmidt", padded_row_set)
+        with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+            orthonormal_bases([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
+
+    def test_members_skip_the_per_member_check(self, rng, monkeypatch):
+        # one check of the stack, cut to the largest rank: a block of 9 rows in R^5 adds no 9 x 9 Gram block
+        checked = []
+        original = linalg._check_orthonormal_rows
+        monkeypatch.setattr(
+            linalg, "_check_orthonormal_rows", lambda rows, ranks: checked.append(rows.shape) or original(rows, ranks)
+        )
+        got = orthonormal_bases([rng.standard_normal((k, 5)) for k in (1, 3, 9, 2)])
+        assert [s.dim for s in got] == [1, 3, 5, 2]
+        assert checked == [(4, 5, 5)]
+
     def test_every_member_zero(self):
         # no block has a row, so there is no norm to take a maximum of
         for blocks in ([np.zeros((0, 3))] * 3, [[], []]):
@@ -304,6 +353,22 @@ class TestNorms:
 
     def test_frobenius_zero(self):
         assert frobenius_norm(np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_frobenius_refuses_non_finite_entries(self, entry):
+        a = np.eye(3)
+        a[1, 2] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            frobenius_norm(a)
+
+    def test_frobenius_of_finite_entries_may_overflow(self):
+        with np.errstate(over="ignore"):
+            assert frobenius_norm(np.full((2, 2), 1e200)) == math.inf
+
+    def test_frobenius_refuses_non_matrices(self):
+        for a in (np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="expected a matrix"):
+                frobenius_norm(a)
 
     def test_operator_identity(self):
         assert operator_norm(np.eye(6)) == pytest.approx(1.0)
