@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -97,15 +98,21 @@ def _vector(entry, dim: int, where: str) -> np.ndarray:
 
 
 def _vectors(entries: list, dim: int, where: str) -> np.ndarray:
-    """``entries`` as a ``(len, dim)`` float array; plain numbers convert in one call, anything
+    """``entries`` as a finite ``(len, dim)`` float array; plain numbers convert in one call, anything
     else goes vector by vector and entry by entry, so a refusal names its entry."""
+    block = None
     if set(map(type, entries)) == {list} and set(map(len, entries)) == {dim}:
         if set(map(type, chain.from_iterable(entries))) <= _PLAIN_NUMBERS:
             try:
-                return np.array(entries, dtype=float)
+                block = np.array(entries, dtype=float)
             except OverflowError:
                 pass
-    return np.array([_vector(v, dim, f"{where}[{k}]") for k, v in enumerate(entries)])
+    if block is None:
+        block = np.array([_vector(v, dim, f"{where}[{k}]") for k, v in enumerate(entries)])
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise DocumentError(f"{where}[{finite.argmin()}]: non-finite entry")
+    return block
 
 
 def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, default_weights=()) -> FusionFrame:
@@ -121,11 +128,7 @@ def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, defa
         vecs = entry.get("spanning_vectors")
         if not isinstance(vecs, list) or not vecs:
             raise DocumentError(f"{spot}.spanning_vectors: expected a non-empty list")
-        block = _vectors(vecs, ambient_dim, f"{spot}.spanning_vectors")
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            raise DocumentError(f"{spot}.spanning_vectors[{finite.argmin()}]: non-finite entry")
-        blocks.append(block)
+        blocks.append(_vectors(vecs, ambient_dim, f"{spot}.spanning_vectors"))
         fallback = default_weights[k] if k < len(default_weights) else 1
         weight = _scalar(entry.get("weight", fallback), f"{spot}.weight")
         if weight <= 0:
@@ -140,9 +143,15 @@ def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, defa
 
 def parse_document(path: str | Path, tol_override: float | None = None) -> ParsedDocument:
     """Parse a frame specification document from a JSON file."""
+    return _parse(path, tol_override)[0]
+
+
+def _parse(path: str | Path, tol_override: float | None) -> tuple[ParsedDocument, bytes]:
+    """The document at ``path`` and its bytes, read once and decoded as ``read_text(encoding="utf-8")`` decodes."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        raw = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -192,7 +201,7 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
             raise DocumentError(f"basis: expected {ambient_dim} vectors")
         basis = _vectors(rows, ambient_dim, "basis")
 
-    return ParsedDocument(frame=frame, dual=dual, basis=basis, tol=tol)
+    return ParsedDocument(frame=frame, dual=dual, basis=basis, tol=tol), data
 
 
 # --- report helpers ---------------------------------------------------------
@@ -591,17 +600,16 @@ def _text(command: str, result: dict) -> Iterable[str]:
 def run(args) -> str:
     """Run one parsed command line; returns the text report, or the JSON one under ``--json``.
 
-    Only the JSON report echoes the frame document and the input's sha256.
+    The input is read once; only the JSON report echoes the frame document and the sha256 of those bytes.
     """
-    doc = parse_document(args.file, args.tol)
+    doc, data = _parse(args.file, args.tol)
     result = _COMMANDS[args.command](doc, args)
     if not args.json:
         return "\n".join(_text(args.command, result))
     result["frame_document"] = _frame_document(doc.frame)
-    digest = hashlib.sha256(Path(args.file).read_bytes()).hexdigest()
     report = {
         "command": args.command,
-        "input": {"path": str(args.file), "sha256": digest},
+        "input": {"path": str(args.file), "sha256": hashlib.sha256(data).hexdigest()},
         "tolerance": {"rank_eps": doc.tol.rank_eps, "residual_eps": doc.tol.residual_eps},
         "result": result,
     }

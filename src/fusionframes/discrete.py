@@ -4,13 +4,14 @@ Bridged frames carry one vector per (member, basis-direction) pair, with
 1-based ``(i, j)`` labels recording provenance. Zero vectors produced by the
 bridge are kept so that block erasure masks line up with the labels; reports
 can render a compacted view via :func:`compact_nonzero`. A discrete frame
-decomposes S_F once, in ``DiscreteFrame.spectrum``, and forms S_F^{-1} from it
-once, which every dual reads.
+decomposes S_F once, in ``DiscreteFrame.spectrum``, and forms S_F^{-1} and the
+canonical dual {S_F^{-1} f_k} from it once, which every dual reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -67,6 +68,10 @@ class DiscreteFrame(_Spectral):
     def _operator(self) -> np.ndarray:
         return discrete_frame_operator(self)
 
+    @cached_property
+    def _canonical_dual(self) -> "DiscreteFrame":
+        return DiscreteFrame(self.ambient_dim, self.vectors @ self._s_inv, self.labels)
+
     def vector(self, k: int) -> np.ndarray:
         """Vector ``k`` (1-based)."""
         if not 1 <= k <= self.count:
@@ -108,8 +113,9 @@ def discrete_frame_operator(f: DiscreteFrame) -> np.ndarray:
 
 
 def discrete_canonical_dual(f: DiscreteFrame, tol: Tolerance = DEFAULT_TOL) -> DiscreteFrame:
-    """Canonical dual {S_F^{-1} f_k}, labels preserved."""
-    return DiscreteFrame(f.ambient_dim, f.vectors @ _inverse(f, tol), f.labels)
+    """Canonical dual {S_F^{-1} f_k}, labels preserved: formed once per frame, handed out after the frame test at ``tol``."""
+    _inverse(f, tol)
+    return f._canonical_dual
 
 
 def verify_discrete_dual(
@@ -163,7 +169,7 @@ def _check_orthonormal_basis(basis: Sequence, ambient_dim: int, tol: Tolerance) 
         raise ValueError(
             f"basis must consist of {ambient_dim} vectors of length {ambient_dim}"
         )
-    if np.linalg.norm(b @ b.T - np.eye(ambient_dim), "fro") > max(tol.residual_eps, 1e-9):
+    if not np.linalg.norm(b @ b.T - np.eye(ambient_dim), "fro") <= max(tol.residual_eps, 1e-9):
         raise ValueError("basis is not orthonormal")
     return b
 

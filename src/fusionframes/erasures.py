@@ -27,6 +27,7 @@ rather than sample once the subset count exceeds the cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -328,10 +329,12 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     With at most ``_TABLE_MAX`` subsets the report lists every value, so
     the same expansion runs with nothing pruned and only leaves measured.
     A prefix is stored as its sum, its last member, its norm and its colex
-    rank sum_k C(p_k, k), from which a leaf's subset is read back
-    (:func:`_unrank`); a child's rank is its parent's plus C(j, d + 1).
-    The levels share the chunk budget, none getting more rows than the tree
-    has prefixes of its length, so memory never holds the whole frontier.
+    rank sum_k C(p_k, k); a child's rank is its parent's plus C(j, d + 1).
+    The search keeps the rank and value of every leaf it lists, or else of
+    every leaf that reached the floor when measured, and reads the subsets
+    back (:func:`_unrank`) once it is over. The levels share the chunk
+    budget, none getting more rows than the tree has prefixes of its
+    length, so memory never holds the whole frontier.
     """
     m, n = components.count, components.dim
     if not 1 <= r < m:
@@ -344,7 +347,7 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
         )
     if norm_kind not in ("frobenius", "operator"):
         raise ValueError(f"unknown norm kind {norm_kind!r}")
-    table: list[tuple[tuple[int, ...], float]] | None = [] if count <= _TABLE_MAX else None
+    listing = count <= _TABLE_MAX
     s = m - r  # a prefix of length d has a completion iff p_d <= s + d - 1 (0-based)
     tabs = _binomials(s, r)
     # level d of the tree has C(s + d, d) prefixes; a row takes its sum and
@@ -359,7 +362,7 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     # the running worst value is the floor; when pruning it starts at the
     # exact value of a leaf that the search is bound to measure again
     worst = -1.0
-    if table is None:
+    if not listing:
         norms = _norms(components, np.arange(m)[:, None], norm_kind)
         gain = _gain_band(norms, r)  # row r - d: own norm + r - d largest after, at depth d
         slack = 32.0 * np.finfo(float).eps * (n * n + r * r) * float(np.sort(norms)[-r:].sum())
@@ -372,14 +375,14 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
         size = 0
 
         def batch():
-            bounds = _sum_norms(sums[:size], norm_kind) if table is None and d < r else None
+            bounds = _sum_norms(sums[:size], norm_kind) if not listing and d < r else None
             return sums[:size], last[:size], ranks[:size], bounds
 
         for up_sums, up_last, up_ranks, up_norms in parents:
             for lo in range(0, len(up_last), windows[d - 1]):
                 j = up_last[lo : lo + windows[d - 1], None] + steps
                 valid = j <= s + d - 1
-                if table is None:
+                if not listing:
                     reach = up_norms[lo : lo + windows[d - 1], None] + gain[r - d].take(j - d + 1, mode="clip")
                     valid &= reach + slack >= worst * (1.0 - _TIE_REL)
                     reach = reach[valid]
@@ -388,7 +391,7 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
                 while a < len(par):
                     b = a + k - size
                     p, q = par[a:b], j[a:b]
-                    if table is None:
+                    if not listing:
                         # the floor may have risen since the window was screened
                         keep = reach[a:b] + slack >= worst * (1.0 - _TIE_REL)
                         p, q = p[keep], q[keep]
@@ -404,7 +407,8 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
         if size:
             yield batch()
 
-    ties: list[tuple[tuple[int, ...], float]] = []
+    # (colex ranks, values) of the leaves that the report may name, in lexicographic order
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
     # chained here rather than by ``level`` calling itself: a closure that
     # refers to itself is a reference cycle, and would keep the components
     # and the batches alive until the cyclic collector runs
@@ -417,26 +421,20 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     try:
         for sums, _, ranks, _ in batches:
             values = _sum_norms(sums, norm_kind)
-            if table is not None:
-                worst = max(worst, float(values.max()))
-                table.extend(zip(_unrank(tabs, ranks, r), values.tolist()))
-                continue
-            batch_worst = float(values.max())
-            if batch_worst > worst:
-                worst = batch_worst
-                ties = [t for t in ties if t[1] >= worst * (1.0 - _TIE_REL)]
-            hits = np.flatnonzero(values >= worst * (1.0 - _TIE_REL))
-            ties += zip(_unrank(tabs, ranks[hits], r), values[hits].tolist())
+            worst = max(worst, float(values.max()))
+            hit = values >= (-math.inf if listing else worst * (1.0 - _TIE_REL))
+            kept.append((ranks[hit], values[hit]))
     finally:
         sys.setrecursionlimit(limit)
-    if table is not None:
-        ties = [t for t in table if t[1] >= worst * (1.0 - _TIE_REL)]
+    ranks, values = map(np.concatenate, zip(*kept))
+    top = values >= worst * (1.0 - _TIE_REL)
+    subsets = _unrank(tabs, ranks if listing else ranks[top], r)
     return ErasureReport(
         r=r,
         norm_kind=norm_kind,
         worst_value=worst,
-        argmax_subsets=tuple(subset for subset, _ in ties),
-        per_subset_values=None if table is None else tuple(table),
+        argmax_subsets=tuple(itertools.compress(subsets, top) if listing else subsets),
+        per_subset_values=tuple(zip(subsets, values.tolist())) if listing else None,
     )
 
 

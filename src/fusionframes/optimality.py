@@ -17,8 +17,9 @@ import numpy as np
 from .discrete import (
     DiscreteFrame,
     DualPerturbation,
+    _bridge_rows,
+    _check_orthonormal_basis,
     _whitened_members,
-    bridge_dual_to_discrete,
     bridge_fusion_to_discrete,
     discrete_canonical_dual,
     dual_from_perturbation,
@@ -44,7 +45,6 @@ from .fusion import (
     _image_frame,
     _inverse,
     classify,
-    fusion_frame,
     is_nontrivial,
 )
 from .linalg import (
@@ -293,8 +293,9 @@ def _pick_and_complete_basis(
     """One normalized representative per member, completed to an orthonormal basis.
 
     The representative of each member is the projection of the first standard
-    basis direction that meets it; completion runs over the standard basis in
-    index order. Deterministic so constructed fixtures are reproducible.
+    basis direction that meets it; the rows after them are the basis of the
+    :func:`orthogonal_complement` of their span. Deterministic so constructed
+    fixtures are reproducible.
     """
     eye = np.eye(ambient_dim)
     chosen: list[np.ndarray] = []
@@ -308,20 +309,8 @@ def _pick_and_complete_basis(
                 break
         else:
             raise ValueError("a member has no nonzero projection of any coordinate direction")
-    basis = list(chosen)
-    for k in range(ambient_dim):
-        if len(basis) == ambient_dim:
-            break
-        v = eye[k].copy()
-        for _ in range(2):
-            for q in basis:
-                v -= (q @ v) * q
-        norm = float(np.linalg.norm(v))
-        if norm > tol.rank_eps:
-            basis.append(v / norm)
-    if len(basis) != ambient_dim:
-        raise ArithmeticError("basis completion failed")
-    return np.vstack(basis)
+    rest = orthogonal_complement(Subspace(ambient_dim, np.array(chosen).T))
+    return np.vstack([*chosen, *rest.basis.T])
 
 
 def parseval_optimal_family(
@@ -360,17 +349,17 @@ def parseval_optimal_family(
         if not subspace_contains(outer, inner, tol):
             raise ValueError(f"extension {idx} does not contain the whitened member")
     if basis is None:
-        basis_arr = _pick_and_complete_basis(whitened, w.ambient_dim, tol)
-    else:
-        basis_arr = np.asarray(basis, dtype=float)
+        basis = _pick_and_complete_basis(whitened, w.ambient_dim, tol)
+    b = _check_orthonormal_basis(basis, w.ambient_dim, tol)
+    ones = [1.0] * w.member_count
     # the rows of bridge_fusion_to_discrete's parseval_sqrt mode, from the members whitened above
-    f = bridge_dual_to_discrete(fusion_frame(whitened), basis_arr, tol)
+    f = _bridge_rows(whitened, ones, b)
     parseval_residual = verify_discrete_dual(f, f, tol)[1]  # F is its own dual iff Parseval
     if parseval_residual > max(tol.residual_eps, 1e-9):
         raise ArithmeticError("bridged frame is not Parseval")
     duals = [
         discrete_canonical_dual(f, tol),
-        bridge_dual_to_discrete(fusion_frame(list(extensions)), basis_arr, tol),
+        _bridge_rows(extensions, ones, b),
     ]
     checks = []
     for g in duals:

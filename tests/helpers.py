@@ -11,6 +11,7 @@ dual.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from pathlib import Path
@@ -20,6 +21,7 @@ import numpy as np
 
 from fusionframes import (
     DEFAULT_TOL,
+    DiscreteFrame,
     DualPerturbation,
     FusionFrame,
     Subspace,
@@ -169,6 +171,16 @@ def preserving_pair_r3():
 
 
 PRESERVING_RECON = np.array([[1, 0, -0.2], [0, 1, -0.24], [0, 0, 0.28]])
+
+
+def record_canonical_dual_formations(monkeypatch) -> list:
+    """Route ``DiscreteFrame``'s cached canonical dual through a wrapper; returns the frames it is formed for."""
+    formed = []
+    form = DiscreteFrame.__dict__["_canonical_dual"].func
+    prop = functools.cached_property(lambda frame: (formed.append(frame), form(frame))[1])
+    prop.__set_name__(DiscreteFrame, "_canonical_dual")
+    monkeypatch.setattr(DiscreteFrame, "_canonical_dual", prop)
+    return formed
 
 
 # --- randomized generators ---------------------------------------------------

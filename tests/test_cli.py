@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from helpers import (
     PRESERVING_RECON,
     SQRT54,
     jsonable_reference,
+    record_canonical_dual_formations,
 )
 
 OVERLAP = str(FIXTURES / "overlap_r4.json")
@@ -295,6 +297,33 @@ class TestParsing:
         assert "member dims:     [1, 1, 1]" in out
         assert "classification:  fusion frame, not Riesz, bounds (1, 2)" in out
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["erasure", "--fixed", "1,2"], ["construct", "--what", "bridge"], ["construct", "--what", "parseval-family"]],
+        ids=" ".join,
+    )
+    def test_non_finite_basis_entry_names_its_row(self, tmp_path, capsys, argv, entry):
+        # it used to pass the orthonormality test (a NaN residual fails "> eps"),
+        # and the basis commands then refused "frame vectors have non-finite entries"
+        text = (FIXTURES / "orthobasis_r3.json").read_text()
+        p = tmp_path / "basis.json"
+        p.write_text(text.replace('"basis": [[1, 0, 0], [0, 1, 0]', f'"basis": [[1, 0, 0], [0, 1, {entry}]'))
+        assert p.read_text() != text
+        assert main([argv[0], str(p), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", "error: basis[1]: non-finite entry\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["erasure", "--fixed", "1,2"], ["construct", "--what", "bridge"], ["construct", "--what", "parseval-family"]], ids=" ".join
+    )
+    def test_non_orthonormal_basis_refused(self, tmp_path, capsys, argv):
+        text = (FIXTURES / "orthobasis_r3.json").read_text()
+        p = tmp_path / "basis.json"
+        p.write_text(text.replace('"basis": [[1, 0, 0]', '"basis": [[1, 0, "1/2"]'))
+        assert main([argv[0], str(p), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", "error: basis is not orthonormal\n")
+        assert main(["classify", str(p)]) == 0
+
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -340,6 +369,24 @@ class TestClassify:
         assert main(["classify", OVERLAP]) == 0
         out = capsys.readouterr().out
         assert "fusion frame, not Riesz" in out
+
+    @pytest.mark.parametrize(
+        "lines, weight, summary",
+        [
+            ([[1, 0], [1, 1]], 1.0, "Riesz fusion basis, bounds (0.292893218813, 1.70710678119)"),
+            ([[1, 0], [-0.5, 3**0.5 / 2], [-0.5, -(3**0.5) / 2]], (2 / 3) ** 0.5, "Parseval fusion frame"),
+            ([[1, 0], [-0.5, 3**0.5 / 2], [-0.5, -(3**0.5) / 2]], 1.0, "tight fusion frame (bound 1.5)"),
+        ],
+        ids=["riesz-45-degrees", "parseval-120-degrees", "tight-120-degrees"],
+    )
+    def test_summaries_of_small_frames(self, tmp_path, capsys, lines, weight, summary):
+        p = tmp_path / "lines.json"
+        p.write_text(json.dumps({"ambient_dim": 2, "subspaces": [{"weight": weight, "spanning_vectors": [v]} for v in lines]}))
+        assert main(["classify", str(p)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"classification:  {summary}"
+        result = run_json(capsys, ["classify", str(p)])["result"]
+        assert result["summary"] == summary
+        assert result["member_dims"] == [1] * len(lines)
 
 
 class TestVerifyDual:
@@ -419,6 +466,14 @@ class TestErasure:
         monkeypatch.setattr(cli, "make_dual_pair", refuse)
         monkeypatch.setattr(cli, "canonical_pair", refuse)
         assert run_json(capsys, argv) == expected
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_bridged_fixed_forms_the_canonical_dual_once(self, capsys, monkeypatch, flags):
+        # cli._bridged, halving_perturbation and dual_from_perturbation each formed it: 3 before
+        formed = record_canonical_dual_formations(monkeypatch)
+        assert main([*flags, "erasure", OVERCOMPLETE, "--fixed", "1,2"]) == 0
+        assert "ratio" in capsys.readouterr().out
+        assert len(formed) == 1 and formed[0].count == 7
 
     @pytest.mark.parametrize(
         "fixture, fixed", [("overlap_r4", "1,1"), ("overlap_r4", "3,1,3"), ("overcomplete_r3", "2,2")]
@@ -770,6 +825,45 @@ class TestReportContracts:
     def test_digest_present(self, capsys):
         report = run_json(capsys, ["classify", OVERLAP])
         assert len(report["input"]["sha256"]) == 64
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_input_is_read_once(self, capsys, monkeypatch, flags):
+        # --json used to hash a second read of the file, which could hold other bytes
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            original = getattr(Path, name)
+            monkeypatch.setattr(Path, name, lambda path, *a, _original=original, **k: (reads.append(path), _original(path, *a, **k))[1])
+        assert main([*flags, "classify", OVERLAP]) == 0
+        out = capsys.readouterr().out
+        assert reads == [Path(OVERLAP)]
+        if flags:
+            with open(OVERLAP, "rb") as fh:
+                assert json.loads(out)["input"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"ambient_dim": 2,\r\n "subspaces":\r [\r\n oops]}',
+            b'{\r"a":\r1,\r\rx}',
+            b'{"ambient_dim": 2, "x": "\xff"}',
+            b'{"ambient_dim": 2, "x": "' + b"a" * 20000 + b'\xc3"}',
+            b'{"ambient_dim": 2, "x": "\xe2\x82',
+            b'\xef\xbb\xbf{"ambient_dim": 2}',
+        ],
+        ids=["crlf", "cr", "bad-byte", "late-bad-byte", "truncated", "bom"],
+    )
+    def test_bytes_decode_as_read_text_does(self, tmp_path, capsys, data):
+        # UTF-8 with universal newlines: line numbers and codec positions as before
+        p = tmp_path / "doc.json"
+        p.write_bytes(data)
+        try:
+            json.loads(p.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            expected = f"error: {p}: invalid JSON at line {exc.lineno}: {exc.msg}\n"
+        except UnicodeDecodeError as exc:
+            expected = f"error: {exc}\n"
+        assert main(["classify", str(p)]) == 1
+        assert capsys.readouterr() == ("", expected)
 
     def test_tol_override(self, capsys):
         report = run_json(capsys, ["--tol", "1e-6", "classify", OVERLAP])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fusionframes import (
+    DEFAULT_TOL,
     DualPerturbation,
+    Tolerance,
     bridge_dual_to_discrete,
     bridge_fusion_to_discrete,
     canonical_dual,
@@ -37,7 +39,9 @@ from helpers import (
     random_perturbation,
     random_riesz_basis,
     random_unitary,
+    record_canonical_dual_formations,
 )
+from fusionframes.fusion import _inverse
 
 # frame operator of the bridged overcomplete frame, by direct summation of
 # outer products of the seven displayed vectors
@@ -97,6 +101,26 @@ class TestCanonicalDual:
         f = discrete_frame([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="eigenvalue"):
             discrete_canonical_dual(f)
+
+    def test_formed_once_and_frame_tested_on_every_call(self, monkeypatch):
+        f = discrete_frame(OVERCOMPLETE_BRIDGED)
+        formed = record_canonical_dual_formations(monkeypatch)
+        first = discrete_canonical_dual(f)
+        assert np.array_equal(first.vectors, f.vectors @ _inverse(f, DEFAULT_TOL))
+        assert not first.vectors.flags.writeable
+        with pytest.raises(ValueError, match="not a frame"):
+            discrete_canonical_dual(f, Tolerance(rank_eps=2 * float(f.spectrum[0][0])))
+        assert discrete_canonical_dual(f) is first
+        assert formed == [f]
+
+    def test_halving_dual_shares_the_canonical_dual(self, monkeypatch):
+        # halving_perturbation and dual_from_perturbation each read it: 2 formations before
+        f = discrete_frame(OVERCOMPLETE_BRIDGED)
+        formed = record_canonical_dual_formations(monkeypatch)
+        g = halving_dual(f, [1, 2])
+        canonical = discrete_canonical_dual(f)
+        assert formed == [f]
+        assert np.array_equal(g.vectors[:2], 0.5 * canonical.vectors[:2])
 
 
 class TestVerifyDual:
@@ -172,6 +196,17 @@ class TestBridge:
         w = orthobasis_frame_r3()
         with pytest.raises(ValueError, match="orthonormal"):
             bridge_fusion_to_discrete(w, np.eye(3) * 2.0, "canonical_weighted")
+
+    def test_nan_basis_rejected(self):
+        # a NaN residual fails every comparison, so the test accepts only a residual within the bound
+        w = orthobasis_frame_r3()
+        basis = np.eye(3)
+        basis[1, 2] = np.nan
+        for mode in ("canonical_weighted", "parseval_sqrt"):
+            with pytest.raises(ValueError, match="basis is not orthonormal"):
+                bridge_fusion_to_discrete(w, basis, mode)
+        with pytest.raises(ValueError, match="basis is not orthonormal"):
+            bridge_dual_to_discrete(w, basis)
 
     def test_parseval_sqrt_requires_unit_weights(self):
         w = fusion_frame(

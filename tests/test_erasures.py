@@ -491,6 +491,31 @@ class TestBranchAndBound:
         assert len(argmax) == math.comb(60, 2)
         assert len({matrix_norm(components[i - 1] + components[j - 1], norm) for i, j in argmax}) > 1
 
+    @pytest.mark.parametrize("listing", [True, False], ids=["table", "pruned"])
+    def test_subsets_are_read_back_once_after_the_search(self, rng, monkeypatch, listing):
+        # ranks and values are kept as arrays while leaves are measured; the
+        # subsets are unranked once, after the last measurement
+        events = []
+        for name in ("_sum_norms", "_unrank"):
+            original = getattr(erasures, name)
+            monkeypatch.setattr(
+                erasures, name, lambda *a, _name=name, _original=original: (events.append(_name), _original(*a))[1]
+            )
+        monkeypatch.setattr(erasures, "_CHUNK_BYTES", 7 * 8 * 3 * 3)  # leaves arrive in many batches
+        if not listing:
+            monkeypatch.setattr(erasures, "_TABLE_MAX", 0)
+        # every vector twice, adjacent: an odd-sized argmax set holds some pair
+        # once, and swapping in its twin gives a bitwise tie
+        f = discrete_frame(np.repeat(rng.standard_normal((7, 3)), 2, axis=0))
+        g = discrete_canonical_dual(f)
+        report = discrete_worst_case(f, g, 3, "frobenius")
+        assert events.count("_unrank") == 1 and events[-1] == "_unrank"
+        assert events.count("_sum_norms") > 3
+        worst, argmax, table = brute_force_worst(discrete_components_reference(f, g), 3, "frobenius")
+        assert (report.worst_value, report.argmax_subsets) == (worst, argmax)
+        assert len(argmax) >= 2
+        assert report.per_subset_values == (tuple(table) if listing else None)
+
     @pytest.mark.parametrize("norm", NORMS)
     def test_deep_table_moves_in_full_batches(self, rng, monkeypatch, norm):
         # C(200, 199) = 200 subsets under a tree of 199 levels and about

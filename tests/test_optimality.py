@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+import fusionframes.fusion
+from fusionframes import optimality
 from fusionframes import (
+    DEFAULT_TOL,
     DualPerturbation,
+    FusionFrame,
+    Subspace,
     bridge_fusion_to_discrete,
     canonical_pair,
     certify_canonical_optimal,
@@ -16,9 +21,11 @@ from fusionframes import (
     fusion_frame,
     image_subspace,
     make_dual_pair,
+    orthogonal_complement,
     orthonormal_basis,
     parseval_optimal_family,
     probe_duals,
+    projector,
     riesz_bridge_partial_optimal,
     spd_inv_sqrt,
     subspace_sum,
@@ -40,7 +47,9 @@ from helpers import (
     random_perturbation,
     random_riesz_basis,
     random_unitary,
+    record_canonical_dual_formations,
 )
+from fusionframes.discrete import _whitened_members
 
 
 def repeated_line_frame():
@@ -282,6 +291,42 @@ class TestParsevalFamily:
                 d1 = discrete_worst_case(f, g, 1, "operator").worst_value
                 assert d1 == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("basis", [np.eye(3), None], ids=["given", "constructed"])
+    def test_basis_checked_once_and_no_frame_wrapped(self, monkeypatch, basis):
+        # the basis was checked twice, and the whitened members and the
+        # extensions each wrapped in a frame; only the whitening pass builds one
+        checked, built = [], []
+        check = optimality._check_orthonormal_basis
+        monkeypatch.setattr(optimality, "_check_orthonormal_basis", lambda *a: (checked.append(a), check(*a))[1])
+        post_init = FusionFrame.__post_init__
+        monkeypatch.setattr(FusionFrame, "__post_init__", lambda frame: (built.append(frame), post_init(frame))[1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fusion_frame called")
+
+        monkeypatch.setattr(fusionframes.fusion, "fusion_frame", refuse)
+        monkeypatch.setattr(optimality, "fusion_frame", refuse, raising=False)
+        w, extensions = orthobasis_frame_r3(), list(orthobasis_alt_dual().subspaces)
+        built.clear()
+        _, _, _, checks = parseval_optimal_family(w, extensions, basis=basis)
+        assert len(checked) == 1 and len(built) == 1
+        assert [ok for ok, _, _ in checks] == [True, True]
+
+    def test_constructed_basis_completes_the_representatives(self, rng):
+        # one representative per whitened member, then the orthogonal complement of their span
+        for _ in range(5):
+            n = int(rng.integers(3, 6))
+            w = random_riesz_basis(rng, n, int(rng.integers(2, min(4, n) + 1)))
+            whitened = _whitened_members(w, DEFAULT_TOL)
+            basis = optimality._pick_and_complete_basis(whitened, n, DEFAULT_TOL)
+            m = len(whitened)
+            assert np.abs(basis @ basis.T - np.eye(n)).max() < 1e-12
+            for row, s in zip(basis[:m], whitened):
+                assert np.linalg.norm(row - projector(s) @ row) < 1e-12
+            rest = orthogonal_complement(Subspace(n, basis[:m].T))
+            assert np.array_equal(basis[m:], rest.basis.T)
+            assert np.array_equal(optimality._pick_and_complete_basis(whitened, n, DEFAULT_TOL), basis)
+
     def test_non_riesz_rejected(self):
         w = overlap_frame_r4()
         with pytest.raises(ValueError, match="Riesz"):
@@ -318,6 +363,14 @@ class TestRieszBridgePartialOptimal:
             values = riesz_bridge_partial_optimal(w, np.eye(4), u)
             for perturbed, canonical in values:
                 assert perturbed == pytest.approx(canonical, abs=1e-9)
+
+    def test_canonical_dual_formed_once(self, rng, monkeypatch):
+        # dual_from_perturbation and the canonical column each formed it: 2 before
+        formed = record_canonical_dual_formations(monkeypatch)
+        w = random_riesz_basis(rng, 4, 2)
+        f = bridge_fusion_to_discrete(w, np.eye(4), "canonical_weighted")
+        riesz_bridge_partial_optimal(w, np.eye(4), random_perturbation(rng, f))
+        assert len(formed) == 1
 
     def test_non_riesz_rejected(self, rng):
         w = overlap_frame_r4()
