@@ -72,12 +72,6 @@ class DiscreteFrame(_Spectral):
     def _canonical_dual(self) -> "DiscreteFrame":
         return DiscreteFrame(self.ambient_dim, self.vectors @ self._s_inv, self.labels)
 
-    def vector(self, k: int) -> np.ndarray:
-        """Vector ``k`` (1-based)."""
-        if not 1 <= k <= self.count:
-            raise ValueError(f"vector index {k} out of range 1..{self.count}")
-        return self.vectors[k - 1]
-
 
 def discrete_frame(vectors: Sequence, labels=None) -> DiscreteFrame:
     arr = np.asarray(vectors, dtype=float)
@@ -169,7 +163,13 @@ def _check_orthonormal_basis(basis: Sequence, ambient_dim: int, tol: Tolerance) 
         raise ValueError(
             f"basis must consist of {ambient_dim} vectors of length {ambient_dim}"
         )
-    if not np.linalg.norm(b @ b.T - np.eye(ambient_dim), "fro") <= max(tol.residual_eps, 1e-9):
+    finite = np.isfinite(b).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"basis[{finite.argmin()}]: non-finite entry")
+    # a huge entry overflows the product to inf or nan, which fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(b @ b.T - np.eye(ambient_dim), "fro")
+    if not residual <= max(tol.residual_eps, 1e-9):
         raise ValueError("basis is not orthonormal")
     return b
 

@@ -8,21 +8,21 @@ worked examples.
 Every error operator is a sum of per-index components: for a fusion pair the
 rows ``w_i v_i P_{V_i} S_W^{-1} P_{W_i}`` of the component stack that
 :func:`~fusionframes.duality.make_dual_pair` built once, for a discrete pair
-``g_k f_k^T``, formed per gathered chunk, so never all at once. Worst-case
-reports come from one exact branch-and-bound search over the lexicographic
-tree of subset prefixes. By the triangle inequality, which holds for both
-norms, no subset below a prefix P can exceed ``||S_P||`` plus the largest
-component norms still available. A prefix whose bound, widened by a written
-rounding slack, falls below the tie window of an exact value already found
-is skipped with its whole subtree; every other subset is summed and measured
-exactly. The result is the maximum over all C(m, r) subsets, proved rather
-than sampled, with complete argmax sets. Values are bitwise those of summing
-each subset onto a zero matrix in index order and measuring it, so they do
-not depend on the search order or the pruning. With at most 4096 subsets the
-report lists every value, so the same search runs with nothing pruned. Memory
-holds one batch of prefix sums per level of the tree, the levels sharing a
-fixed byte budget, so it does not grow with C(m, r). The operations refuse
-rather than sample once the subset count exceeds the cap.
+``g_k f_k^T``, formed per gathered chunk, so never all at once. A worst-case
+report of at most 4096 subsets lists every value, from one pass over the
+subsets in lexicographic order. Larger ones come from one exact
+branch-and-bound search over the lexicographic tree of subset prefixes. By the
+triangle inequality, which holds for both norms, no subset below a prefix P
+can exceed ``||S_P||`` plus the largest component norms still available. A
+prefix whose bound, widened by a written rounding slack, falls below the tie
+window of an exact value already found is skipped with its whole subtree;
+every other subset is summed and measured exactly. The result is the maximum
+over all C(m, r) subsets, proved rather than sampled, with complete argmax
+sets. Values are bitwise those of summing each subset onto a zero matrix in
+index order and measuring it, so they do not depend on the search order or the
+pruning. Memory holds one batch of prefix sums per level of the tree, the
+levels sharing a fixed byte budget, so it does not grow with C(m, r). The
+operations refuse rather than sample once the subset count exceeds the cap.
 """
 
 from __future__ import annotations
@@ -282,30 +282,33 @@ def _level_rows(need: list[int], total: int) -> list[int]:
 
 
 def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> ErasureReport:
-    """Exact worst-case report over all r-subsets of the m components, by branch and bound.
+    """Exact worst-case report over all r-subsets of the m components.
+
+    A report of at most ``_TABLE_MAX`` subsets lists every value, measured
+    in one pass over the r-subsets in lexicographic order; larger ones come
+    from a branch-and-bound search.
 
     The search walks the lexicographic tree of prefixes P = (p_1 < ... < p_d)
     with one generator per depth. ``level(d, parents)`` gathers the
     children of the batches that ``parents``, the generator of depth d - 1,
     yields into one batch of its own, across as many parent batches as it
-    takes, and yields it once it is full, or once ``parents`` is exhausted.
-    Each parent batch is used up before the next is asked for, so the
-    leaves (the r-subsets, from depth r) arrive in lexicographic order, and
-    deep or unpruned trees still move in full batches. A child's sum is its
-    parent's sum plus its own member, so every subset sum is built as
+    takes, measures it and yields it once it is full, or once ``parents`` is
+    exhausted. Each parent batch is used up before the next is asked for, so
+    the leaves (the r-subsets, from depth r) arrive in lexicographic order,
+    and deep trees still move in full batches. A child's sum is its parent's
+    sum plus its own member, so every subset sum is built as
     ``_chunk_sums`` builds it, (0 + E_{p_1}) + E_{p_2} + ..., and every leaf
     value is :func:`_sum_norms` of it: each reported value equals
-    :func:`matrix_norm` of that subset's sum bit for bit.
+    :func:`matrix_norm` of that subset's sum bit for bit, in either path.
 
     Bound: a leaf below P adds t more members after p_d to S_P, so by the
     triangle inequality, in either norm, its value is at most
     ``||S_P|| + ||E_j|| + top_{t-1}(> j)`` for its next member j, where
-    top_s(> j) sums the s largest ``||E_i||`` with i > j. Every prefix is
-    measured when its batch is yielded, and a child (P, j) whose bound
-    plus ``slack`` is below ``floor * (1 - _TIE_REL)`` is pruned before its
-    sum is formed. The floor starts at the exact value of one leaf found by
-    a greedy local search (:func:`_greedy_leaf`) and rises with every
-    measured leaf, so it never exceeds the final worst value.
+    top_s(> j) sums the s largest ``||E_i||`` with i > j. A child (P, j)
+    whose bound plus ``slack`` is below ``floor * (1 - _TIE_REL)`` is pruned
+    before its sum is formed. The floor starts at the exact value of one
+    leaf found by a greedy local search (:func:`_greedy_leaf`) and rises
+    with every measured leaf, so it never exceeds the final worst value.
 
     Slack: let u = eps / 2, c_j the computed ``||E_j||`` and T the sum of
     the r largest c_j; every partial sum, norm and bound below is at most
@@ -326,15 +329,13 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     the reported worst value and argmax sets are those of exhaustive
     enumeration, proved over every subset, not sampled.
 
-    With at most ``_TABLE_MAX`` subsets the report lists every value, so
-    the same expansion runs with nothing pruned and only leaves measured.
     A prefix is stored as its sum, its last member, its norm and its colex
     rank sum_k C(p_k, k); a child's rank is its parent's plus C(j, d + 1).
-    The search keeps the rank and value of every leaf it lists, or else of
-    every leaf that reached the floor when measured, and reads the subsets
-    back (:func:`_unrank`) once it is over. The levels share the chunk
-    budget, none getting more rows than the tree has prefixes of its
-    length, so memory never holds the whole frontier.
+    The search keeps the rank and value of every leaf that reached the floor
+    when measured, and reads the subsets back (:func:`_unrank`) once it is
+    over. The levels share the chunk budget, none getting more rows than
+    the tree has prefixes of its length, so memory never holds the whole
+    frontier.
     """
     m, n = components.count, components.dim
     if not 1 <= r < m:
@@ -347,7 +348,12 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
         )
     if norm_kind not in ("frobenius", "operator"):
         raise ValueError(f"unknown norm kind {norm_kind!r}")
-    listing = count <= _TABLE_MAX
+    if count <= _TABLE_MAX:
+        subsets = list(itertools.combinations(range(1, m + 1), r))
+        values = _norms(components, np.array(subsets, dtype=np.intp) - 1, norm_kind)
+        worst = float(values.max())
+        argmax = itertools.compress(subsets, values >= worst * (1.0 - _TIE_REL))
+        return ErasureReport(r, norm_kind, worst, tuple(argmax), tuple(zip(subsets, values.tolist())))
     s = m - r  # a prefix of length d has a completion iff p_d <= s + d - 1 (0-based)
     tabs = _binomials(s, r)
     # level d of the tree has C(s + d, d) prefixes; a row takes its sum and
@@ -359,42 +365,34 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     # at least a share of the budget
     windows = [max(k // (s + 1), _CHUNK_BYTES // (64 * (s + 1) * r), 1) for k in rows[1:]]
     steps = np.arange(1, s + 2)
-    # the running worst value is the floor; when pruning it starts at the
-    # exact value of a leaf that the search is bound to measure again
-    worst = -1.0
-    if not listing:
-        norms = _norms(components, np.arange(m)[:, None], norm_kind)
-        gain = _gain_band(norms, r)  # row r - d: own norm + r - d largest after, at depth d
-        slack = 32.0 * np.finfo(float).eps * (n * n + r * r) * float(np.sort(norms)[-r:].sum())
-        worst = _greedy_leaf(components, norms, r, norm_kind)
+    norms = _norms(components, np.arange(m)[:, None], norm_kind)
+    gain = _gain_band(norms, r)  # row r - d: own norm + r - d largest after, at depth d
+    slack = 32.0 * np.finfo(float).eps * (n * n + r * r) * float(np.sort(norms)[-r:].sum())
+    # the running worst value is the floor; it starts at the exact value of
+    # a leaf that the search is bound to measure again
+    worst = _greedy_leaf(components, norms, r, norm_kind)
 
     def level(d: int, parents: Iterable[tuple]) -> Iterable[tuple]:
-        """Batches (sums, last members, colex ranks, prefix norms or None) of the depth-d children of ``parents`` that can reach the tie window."""
+        """Batches (sums, last members, colex ranks, norms) of the depth-d children of ``parents`` that can reach the tie window."""
         k = rows[d]
         sums, last, ranks = np.empty((k, n, n)), np.empty(k, dtype=np.intp), np.empty(k, dtype=np.int64)
         size = 0
 
         def batch():
-            bounds = _sum_norms(sums[:size], norm_kind) if not listing and d < r else None
-            return sums[:size], last[:size], ranks[:size], bounds
+            return sums[:size], last[:size], ranks[:size], _sum_norms(sums[:size], norm_kind)
 
         for up_sums, up_last, up_ranks, up_norms in parents:
             for lo in range(0, len(up_last), windows[d - 1]):
                 j = up_last[lo : lo + windows[d - 1], None] + steps
-                valid = j <= s + d - 1
-                if not listing:
-                    reach = up_norms[lo : lo + windows[d - 1], None] + gain[r - d].take(j - d + 1, mode="clip")
-                    valid &= reach + slack >= worst * (1.0 - _TIE_REL)
-                    reach = reach[valid]
-                par, j = valid.nonzero()[0] + lo, j[valid]
+                reach = up_norms[lo : lo + windows[d - 1], None] + gain[r - d].take(j - d + 1, mode="clip")
+                valid = (j <= s + d - 1) & (reach + slack >= worst * (1.0 - _TIE_REL))
+                par, j, reach = valid.nonzero()[0] + lo, j[valid], reach[valid]
                 a = 0
                 while a < len(par):
                     b = a + k - size
-                    p, q = par[a:b], j[a:b]
-                    if not listing:
-                        # the floor may have risen since the window was screened
-                        keep = reach[a:b] + slack >= worst * (1.0 - _TIE_REL)
-                        p, q = p[keep], q[keep]
+                    # the floor may have risen since the window was screened
+                    keep = reach[a:b] + slack >= worst * (1.0 - _TIE_REL)
+                    p, q = par[a:b][keep], j[a:b][keep]
                     a, hi = b, size + len(q)
                     up_sums.take(p, axis=0, out=sums[size:hi])
                     sums[size:hi] += components.take(q)
@@ -407,7 +405,7 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
         if size:
             yield batch()
 
-    # (colex ranks, values) of the leaves that the report may name, in lexicographic order
+    # (colex ranks, values) of the leaves that reached the floor, in lexicographic order
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     # chained here rather than by ``level`` calling itself: a closure that
     # refers to itself is a reference cycle, and would keep the components
@@ -419,22 +417,18 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + r)
     try:
-        for sums, _, ranks, _ in batches:
-            values = _sum_norms(sums, norm_kind)
+        for _, _, ranks, values in batches:
             worst = max(worst, float(values.max()))
-            hit = values >= (-math.inf if listing else worst * (1.0 - _TIE_REL))
+            hit = values >= worst * (1.0 - _TIE_REL)
             kept.append((ranks[hit], values[hit]))
     finally:
         sys.setrecursionlimit(limit)
     ranks, values = map(np.concatenate, zip(*kept))
-    top = values >= worst * (1.0 - _TIE_REL)
-    subsets = _unrank(tabs, ranks if listing else ranks[top], r)
     return ErasureReport(
         r=r,
         norm_kind=norm_kind,
         worst_value=worst,
-        argmax_subsets=tuple(itertools.compress(subsets, top) if listing else subsets),
-        per_subset_values=tuple(zip(subsets, values.tolist())) if listing else None,
+        argmax_subsets=tuple(_unrank(tabs, ranks[values >= worst * (1.0 - _TIE_REL)], r)),
     )
 
 

@@ -97,10 +97,6 @@ class Certificate:
     verdict: str
     notes: str
 
-    @property
-    def certified(self) -> bool:
-        return self.verdict == "certified_optimal"
-
 
 def _argmax_split(values: Sequence[float]) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     c = max(values)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,22 @@ class TestParsing:
         assert capsys.readouterr() == ("", "error: basis is not orthonormal\n")
         assert main(["classify", str(p)]) == 0
 
+    @pytest.mark.parametrize("entry", ["1e200", "-1e200"])
+    @pytest.mark.parametrize(
+        "argv", [["erasure", "--fixed", "1"], ["construct", "--what", "bridge"], ["construct", "--what", "parseval-family"]], ids=" ".join
+    )
+    def test_huge_basis_entry_refused_without_warning(self, tmp_path, capsys, argv, entry):
+        # finite, so it parses; squaring it in the orthonormality test used to
+        # print numpy's overflow warning ahead of the refusal
+        text = (FIXTURES / "orthobasis_r3.json").read_text()
+        p = tmp_path / "basis.json"
+        p.write_text(text.replace('"basis": [[1, 0, 0], [0, 1, 0]', f'"basis": [[1, 0, 0], [0, 1, {entry}]'))
+        assert p.read_text() != text
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([argv[0], str(p), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", "error: basis is not orthonormal\n")
+
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -510,6 +527,20 @@ class TestErasure:
         assert main(["erasure", str(p), "--r", "3"]) == 0
         assert capsys.readouterr().out.count("\n    {") == rows
         assert len(calls) >= rows
+
+    def test_report_past_the_table_size_lists_no_values(self, capsys, tmp_path):
+        # C(20, 4) = 4845 subsets: worst value and argmax sets, no table
+        p = tmp_path / "enum.json"
+        p.write_text(json.dumps(_random_document(4, 20, 2, seed=7)))
+        result = run_json(capsys, ["erasure", str(p), "--r", "4"])["result"]
+        assert result["table"] == [] and len(result["argmax_subsets"]) >= 1
+        assert main(["erasure", str(p), "--r", "4"]) == 0
+        text = capsys.readouterr().out
+        assert text == "\n".join(cli._text("erasure", result)) + "\n"
+        lines = text.splitlines()
+        assert len(lines) == 3 and "per-subset values:" not in text
+        assert lines[0] == "worst-case erasure error (r=4, norm=frobenius, dual=canonical)"
+        assert lines[2] == "argmax sets:  " + ", ".join("{" + ", ".join(map(str, s)) + "}" for s in result["argmax_subsets"])
 
     def test_r_equal_member_count_refused(self, capsys):
         assert main(["erasure", OVERLAP, "--r", "3"]) == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from fusionframes import (
     halving_dual,
     halving_perturbation,
     make_dual_pair,
+    parseval_optimal_family,
     perturbation_residual,
     projector,
     spd_inverse,
@@ -197,16 +200,29 @@ class TestBridge:
         with pytest.raises(ValueError, match="orthonormal"):
             bridge_fusion_to_discrete(w, np.eye(3) * 2.0, "canonical_weighted")
 
-    def test_nan_basis_rejected(self):
-        # a NaN residual fails every comparison, so the test accepts only a residual within the bound
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            (np.nan, r"basis\[1\]: non-finite entry"),
+            (np.inf, r"basis\[1\]: non-finite entry"),
+            (-np.inf, r"basis\[1\]: non-finite entry"),
+            (1e200, "basis is not orthonormal"),
+            (-1e200, "basis is not orthonormal"),
+        ],
+    )
+    def test_extreme_basis_entry_refused_without_warning(self, entry, error):
+        # refused before the product, or with its overflow silenced: a warning
+        # there would surface as numpy's message ahead of the refusal
         w = orthobasis_frame_r3()
         basis = np.eye(3)
-        basis[1, 2] = np.nan
-        for mode in ("canonical_weighted", "parseval_sqrt"):
-            with pytest.raises(ValueError, match="basis is not orthonormal"):
-                bridge_fusion_to_discrete(w, basis, mode)
-        with pytest.raises(ValueError, match="basis is not orthonormal"):
-            bridge_dual_to_discrete(w, basis)
+        basis[1, 2] = entry
+        calls = [lambda mode=mode: bridge_fusion_to_discrete(w, basis, mode) for mode in ("canonical_weighted", "parseval_sqrt")]
+        calls += [lambda: bridge_dual_to_discrete(w, basis), lambda: parseval_optimal_family(w, basis=basis)]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=error):
+                    call()
 
     def test_parseval_sqrt_requires_unit_weights(self):
         w = fusion_frame(

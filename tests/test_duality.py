@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from fusionframes import (
     make_dual_pair,
     orthonormal_basis,
     projector,
+    reconstruction_matrix,
     riesz_dual_family_check,
     spd_inverse,
     subspace_contains,
@@ -28,7 +31,9 @@ from fusionframes import (
     worst_case_error,
     zero_subspace,
 )
+from fusionframes.cli import main, parse_document
 from helpers import (
+    FIXTURES,
     PRESERVING_RECON,
     inflated_dual,
     orthobasis_alt_dual,
@@ -38,6 +43,40 @@ from helpers import (
     preserving_pair_r3,
     random_fusion_frame,
 )
+
+
+def _fixture_pair(name):
+    """(frame, its document dual or else its canonical dual, tolerance) of a bundled fixture."""
+    doc = parse_document(FIXTURES / f"{name}.json")
+    return doc.frame, doc.dual if doc.dual is not None else canonical_dual(doc.frame, doc.tol), doc.tol
+
+
+class TestReconstructionMatrix:
+    @pytest.mark.parametrize("name", ["overlap_r4", "overlap_r4_extended_dual", "orthobasis_r3", "preserving_nondual_r3"])
+    def test_is_the_pairs_reconstruction(self, name):
+        w, v, tol = _fixture_pair(name)
+        recon = reconstruction_matrix(w, v, tol)
+        assert recon.tobytes() == make_dual_pair(w, v, tol).reconstruction.tobytes()
+
+    def test_is_the_pairs_reconstruction_on_a_random_pair(self, rng):
+        w = random_fusion_frame(rng, 4, 6, weighted=True)
+        v = inflated_dual(rng, w)
+        assert reconstruction_matrix(w, v).tobytes() == make_dual_pair(w, v).reconstruction.tobytes()
+
+    @pytest.mark.parametrize("name", ["overlap_r4", "overlap_r4_extended_dual"])
+    def test_duals_reconstruct_the_identity(self, name):
+        w, v, tol = _fixture_pair(name)
+        recon = reconstruction_matrix(w, v, tol)
+        assert np.linalg.norm(recon - np.eye(w.ambient_dim)) <= tol.residual_eps
+
+    def test_non_dual_map_is_the_one_verify_dual_prints(self, capsys):
+        w, v, tol = _fixture_pair("preserving_nondual_r3")
+        recon = reconstruction_matrix(w, v, tol)
+        assert main(["--json", "verify-dual", str(FIXTURES / "preserving_nondual_r3.json")]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert not result["is_dual"]
+        assert result["reconstruction"] == recon.tolist()
+        assert np.abs(recon - PRESERVING_RECON).max() < 1e-12
 
 
 class TestPairState:

@@ -493,8 +493,9 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("listing", [True, False], ids=["table", "pruned"])
     def test_subsets_are_read_back_once_after_the_search(self, rng, monkeypatch, listing):
-        # ranks and values are kept as arrays while leaves are measured; the
-        # subsets are unranked once, after the last measurement
+        # the search keeps ranks and values as arrays while leaves are
+        # measured and unranks the subsets once, after the last measurement;
+        # a listed table is measured in lexicographic order and never unranked
         events = []
         for name in ("_sum_norms", "_unrank"):
             original = getattr(erasures, name)
@@ -509,7 +510,7 @@ class TestBranchAndBound:
         f = discrete_frame(np.repeat(rng.standard_normal((7, 3)), 2, axis=0))
         g = discrete_canonical_dual(f)
         report = discrete_worst_case(f, g, 3, "frobenius")
-        assert events.count("_unrank") == 1 and events[-1] == "_unrank"
+        assert events.count("_unrank") == (0 if listing else 1) and events[-1] == ("_sum_norms" if listing else "_unrank")
         assert events.count("_sum_norms") > 3
         worst, argmax, table = brute_force_worst(discrete_components_reference(f, g), 3, "frobenius")
         assert (report.worst_value, report.argmax_subsets) == (worst, argmax)
@@ -517,11 +518,55 @@ class TestBranchAndBound:
         assert report.per_subset_values == (tuple(table) if listing else None)
 
     @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("m, r", [(12, 5), (64, 2), (40, 39)])
+    def test_listed_report_runs_no_search(self, rng, monkeypatch, m, r, norm):
+        # up to 4096 subsets every one is listed, so nothing is bounded,
+        # searched for or unranked, and each subset is measured exactly once
+        assert math.comb(m, r) <= 4096
+        for name in ("_gain_band", "_greedy_leaf", "_unrank"):
+            monkeypatch.setattr(erasures, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
+        rows = counting_norms(monkeypatch)
+        f = discrete_frame(rng.standard_normal((m, 3)))
+        g = dual_from_perturbation(f, random_perturbation(rng, f))
+        report = discrete_worst_case(f, g, r, norm)
+        assert sum(rows) == math.comb(m, r)
+        assert_matches_brute_force(report, discrete_components_reference(f, g), r, norm)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_deep_table_is_measured_in_one_call(self, rng, monkeypatch, norm):
+        # C(1000, 999) = 1000 subsets of 999 rank-one components in R^2 fit
+        # one chunk of sums
+        m, r = 1000, 999
+        f = discrete_frame(rng.standard_normal((m, 2)))
+        g = discrete_frame(rng.standard_normal((m, 2)))
+        rows = counting_norms(monkeypatch)
+        report = discrete_worst_case(f, g, r, norm)
+        assert rows == [m]
+        table = report.per_subset_values
+        assert [s for s, _ in table] == list(itertools.combinations(range(1, m + 1), r))
+        # the subset missing member k: its components added in index order onto zero
+        products = discrete_components_reference(f, g)
+        for k in (0, 499, 999):
+            total = np.zeros((2, 2))
+            for i in range(m):
+                if i != k:
+                    total = total + products[i]
+            assert table[m - 1 - k][1] == matrix_norm(total, norm)
+        assert report.worst_value == max(v for _, v in table)
+
+    def test_level_has_no_listing_branch(self):
+        # the search only ever prunes: ``level`` reads the floor, never a table flag
+        (level,) = [c for c in erasures._worst_report.__code__.co_consts if inspect.iscode(c) and c.co_name == "level"]
+        assert "worst" in level.co_freevars
+        assert not {"listing", "count", "_TABLE_MAX"} & {*level.co_freevars, *level.co_names}
+
+    @pytest.mark.parametrize("norm", NORMS)
     def test_deep_table_moves_in_full_batches(self, rng, monkeypatch, norm):
-        # C(200, 199) = 200 subsets under a tree of 199 levels and about
-        # 20,000 prefixes: each level gathers its children across parent
-        # batches, so sums are formed in a few steps per level, not in
-        # thousands of small batches, with or without pruning
+        # C(200, 199) = 200 subsets: listed, they are summed in one pass of
+        # r steps; with no table they go through a tree of 199 levels and
+        # about 20,000 prefixes, where each level gathers its children
+        # across parent batches, so sums are formed in a few steps per
+        # level, not in thousands of small batches
         m, r = 200, 199
         pair = canonical_pair(fusion_frame([random_subspace(rng, 2, 1) for _ in range(m)], 0.5 + rng.random(m)))
         steps = []
@@ -550,11 +595,15 @@ class TestBranchAndBound:
         assert report.argmax_subsets == argmax
         assert len(rows) < 2 * r
 
-    def test_deep_tree_needs_no_recursion_headroom(self, rng):
+    def test_deep_tree_needs_no_recursion_headroom(self, rng, monkeypatch):
         # one generator per level nests 199 deep here, more than the caller
-        # leaves room for
+        # leaves room for; with no table the 200 subsets go through the tree
         m, r = 200, 199
         pair = canonical_pair(fusion_frame([random_subspace(rng, 2, 1) for _ in range(m)], 0.5 + rng.random(m)))
+        monkeypatch.setattr(erasures, "_TABLE_MAX", 0)
+        # a first search loads what numpy imports lazily (``np.setdiff1d``
+        # imports ``numpy.ma``), which needs more headroom than the search
+        worst_case_error(pair, r, "frobenius")
         limit, tight = sys.getrecursionlimit(), len(inspect.stack(0)) + 50
         sys.setrecursionlimit(tight)
         try:
@@ -563,7 +612,8 @@ class TestBranchAndBound:
         finally:
             sys.setrecursionlimit(limit)
         assert restored == tight
-        assert_matches_brute_force(report, fusion_components_reference(pair), r, "frobenius")
+        worst, argmax, _ = brute_force_worst(fusion_components_reference(pair), r, "frobenius")
+        assert (report.worst_value, report.argmax_subsets) == (worst, argmax)
 
     @pytest.mark.parametrize("norm", NORMS)
     def test_prunes_most_of_a_large_enumeration(self, rng, monkeypatch, norm):
