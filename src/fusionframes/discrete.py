@@ -21,7 +21,6 @@ from .linalg import DEFAULT_TOL, Subspace, Tolerance, projector
 
 __all__ = [
     "DiscreteFrame",
-    "DualPerturbation",
     "discrete_frame",
     "discrete_frame_operator",
     "discrete_canonical_dual",
@@ -80,27 +79,6 @@ def discrete_frame(vectors: Sequence, labels=None) -> DiscreteFrame:
     return DiscreteFrame(arr.shape[1], arr, labels)
 
 
-@dataclass(frozen=True, eq=False)
-class DualPerturbation:
-    """Additive perturbation {u_k} of the canonical dual.
-
-    Valid exactly when the synthesis of the perturbation against the frame
-    vanishes: sum_k u_k f_k^T = 0.
-    """
-
-    u_vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.asarray(self.u_vectors, dtype=float)
-        if u.ndim != 2:
-            raise ValueError("perturbation must be an m x n array")
-        if u.size and not np.all(np.isfinite(u)):
-            raise ValueError("perturbation has non-finite entries")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "u_vectors", u)
-
-
 def discrete_frame_operator(f: DiscreteFrame) -> np.ndarray:
     """S_F = sum of f_k f_k^T."""
     return f.vectors.T @ f.vectors
@@ -125,15 +103,21 @@ def verify_discrete_dual(
     return residual <= tol.residual_eps, residual
 
 
-def perturbation_residual(f: DiscreteFrame, u: DualPerturbation) -> float:
-    """Frobenius norm of sum u_k f_k^T, zero for a valid perturbation."""
-    if u.u_vectors.shape != f.vectors.shape:
-        raise ValueError("perturbation shape does not match the frame")
-    return float(np.linalg.norm(u.u_vectors.T @ f.vectors, "fro"))
+def perturbation_residual(f: DiscreteFrame, u: np.ndarray) -> float:
+    """Frobenius norm of sum u_k f_k^T for a perturbation {u_k} (rows of a count x n array).
+
+    Zero exactly for a valid perturbation of the canonical dual.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != f.vectors.shape:
+        raise ValueError(f"perturbation must be a {f.count} x {f.ambient_dim} array, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("perturbation has non-finite entries")
+    return float(np.linalg.norm(u.T @ f.vectors, "fro"))
 
 
 def dual_from_perturbation(
-    f: DiscreteFrame, u: DualPerturbation, tol: Tolerance = DEFAULT_TOL
+    f: DiscreteFrame, u: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> DiscreteFrame:
     """Dual {S_F^{-1} f_k + u_k}; rejects perturbations outside the synthesis nullspace."""
     residual = perturbation_residual(f, u)
@@ -141,8 +125,7 @@ def dual_from_perturbation(
         raise ValueError(
             f"perturbation violates the dual relation (residual {residual:.3e})"
         )
-    canonical = discrete_canonical_dual(f, tol)
-    return DiscreteFrame(f.ambient_dim, canonical.vectors + u.u_vectors, f.labels)
+    return DiscreteFrame(f.ambient_dim, discrete_canonical_dual(f, tol).vectors + u, f.labels)
 
 
 def synthesis_nullspace(f: DiscreteFrame, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -238,8 +221,8 @@ def compact_nonzero(
 
 def halving_perturbation(
     f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL
-) -> DualPerturbation:
-    """Perturbation that halves the canonical dual on the ``lost`` indices (1-based).
+) -> np.ndarray:
+    """Perturbation (a count x n array) that halves the canonical dual on the ``lost`` indices (1-based).
 
     Rows in ``lost`` are fixed to minus half the canonical dual vector; the
     remaining rows solve the dual relation by minimum-norm least squares.
@@ -266,11 +249,10 @@ def halving_perturbation(
             "halving construction is infeasible for the lost set "
             f"{lost_set} (residual {residual:.3e})"
         )
-    return DualPerturbation(u)
+    return u
 
 
-def halving_dual(
-    f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL
-) -> DiscreteFrame:
-    """Dual frame built from :func:`halving_perturbation`."""
-    return dual_from_perturbation(f, halving_perturbation(f, lost, tol), tol)
+def halving_dual(f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL) -> DiscreteFrame:
+    """Dual frame built from :func:`halving_perturbation`, which has checked the dual relation."""
+    u = halving_perturbation(f, lost, tol)
+    return DiscreteFrame(f.ambient_dim, discrete_canonical_dual(f, tol).vectors + u, f.labels)

@@ -25,7 +25,6 @@ from .linalg import (
 
 __all__ = [
     "DualPair",
-    "LeftInverseMap",
     "make_dual_pair",
     "canonical_pair",
     "verify_dual",
@@ -135,45 +134,31 @@ def riesz_dual_family_check(
     return contained
 
 
-@dataclass(frozen=True, eq=False)
-class LeftInverseMap:
-    """A left inverse of the analysis map, stored as one n x n block per member.
+def left_inverse_residual(a: np.ndarray, w: FusionFrame) -> float:
+    """Frobenius distance of sum_i a_i w_i proj_{W_i} from the identity.
 
-    Applied as f -> sum_i block_i (w_i proj_{W_i} f); the left-inverse
-    property is sum_i block_i w_i proj_{W_i} = I. Masking members amounts to
-    zeroing blocks.
+    ``a`` is a map f -> sum_i a_i (w_i proj_{W_i} f) as an ``(m, n, n)`` block
+    stack; it is a left inverse of the analysis map when the distance is 0.
     """
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
-        if not blocks:
-            raise ValueError("at least one block is required")
-        n = blocks[0].shape[0]
-        for b in blocks:
-            if b.shape != (n, n):
-                raise ValueError("all blocks must be square with equal size")
-        object.__setattr__(self, "blocks", blocks)
-
-
-def left_inverse_residual(a: LeftInverseMap, w: FusionFrame) -> float:
-    """Frobenius distance of sum_i block_i w_i proj_{W_i} from the identity."""
-    if len(a.blocks) != w.member_count:
-        raise ValueError("block count does not match the member count")
-    total = np.zeros((w.ambient_dim, w.ambient_dim))
-    for block, sub, weight in zip(a.blocks, w.subspaces, w.weights):
+    a = np.asarray(a, dtype=float)
+    n = w.ambient_dim
+    if a.shape != (w.member_count, n, n):
+        raise ValueError(f"left inverse must be a {w.member_count} x {n} x {n} block stack, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("left inverse has non-finite entries")
+    total = np.zeros((n, n))
+    for block, sub, weight in zip(a, w.subspaces, w.weights):
         total += block @ (weight * projector(sub))
-    return float(np.linalg.norm(total - np.eye(w.ambient_dim), "fro"))
+    return float(np.linalg.norm(total - np.eye(n), "fro"))
 
 
 def component_preserving_check(
     w: FusionFrame,
     v: FusionFrame,
-    a: LeftInverseMap,
+    a: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> bool:
-    """True iff block_j maps W_j onto V_j (mutual containment) for every j."""
+    """True iff block a_j maps W_j onto V_j (mutual containment) for every j."""
     residual = left_inverse_residual(a, w)
     if residual > tol.residual_eps:
         raise ValueError(
@@ -181,7 +166,7 @@ def component_preserving_check(
         )
     if v.member_count != w.member_count:
         raise ValueError("member counts differ")
-    for block, ws, vs in zip(a.blocks, w.subspaces, v.subspaces):
+    for block, ws, vs in zip(a, w.subspaces, v.subspaces):
         if not subspaces_equal(image_subspace(block, ws, tol), vs, tol):
             return False
     return True

@@ -166,14 +166,16 @@ def _inverse_form(frame: _Spectral, root: bool) -> np.ndarray:
 def _inverse(frame: _Spectral, tol: Tolerance, root: bool = False) -> np.ndarray:
     """S^{-1} (or S^{-1/2} with ``root``) of the frame operator S, formed once per frame and read-only.
 
-    Every call first runs classify's frame test at ``tol``, the smallest eigenvalue
-    above ``rank_eps``: the one refusal of a family that does not span, fusion or discrete.
+    Every call first runs classify's frame test at ``tol``, the smallest eigenvalue above ``rank_eps``
+    times the largest: the one refusal of a family that does not span, fusion or discrete.
     """
     eigvals = frame.spectrum[0]
-    if not eigvals[0] > tol.rank_eps:
+    threshold = tol.rank_eps * eigvals[-1]
+    if not eigvals[0] > threshold:
         raise ValueError(
             f"not a frame: the family does not span R^{frame.ambient_dim} (smallest eigenvalue "
-            f"of the frame operator {eigvals[0]:.3e} <= rank_eps {tol.rank_eps:.3e})"
+            f"of the frame operator {eigvals[0]:.3e} <= rank_eps {tol.rank_eps:.3e} x largest "
+            f"eigenvalue {eigvals[-1]:.3e} = {threshold:.3e})"
         )
     return frame._s_inv_sqrt if root else frame._s_inv
 
@@ -181,16 +183,14 @@ def _inverse(frame: _Spectral, tol: Tolerance, root: bool = False) -> np.ndarray
 def frame_bounds(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Optimal bounds (A, B) as the extreme eigenvalues of the frame operator.
 
-    A is clamped to exactly 0 when it is not numerically positive; A > 0 is
-    equivalent to the family being a frame.
+    A is clamped to exactly 0 unless it exceeds ``rank_eps * B``, a test that weight
+    scaling never changes; A > 0 is equivalent to the family being a frame.
     """
     eigvals = w.spectrum[0]
     lower = float(eigvals[0])
     upper = float(eigvals[-1])
-    if lower <= tol.rank_eps:
+    if not lower > tol.rank_eps * upper:
         lower = 0.0
-    if upper <= tol.rank_eps:
-        upper = 0.0
     return lower, upper
 
 
@@ -204,8 +204,7 @@ def classify(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FrameClassificatio
     """
     lower, upper = frame_bounds(w, tol)
     is_frame = lower > 0.0
-    scale = max(1.0, upper)
-    is_tight = is_frame and (upper - lower) <= tol.residual_eps * scale
+    is_tight = is_frame and (upper - lower) <= tol.residual_eps * upper
     is_parseval = is_tight and abs(lower - 1.0) <= tol.residual_eps and abs(upper - 1.0) <= tol.residual_eps
     dims_add_up = sum(s.dim for s in w.subspaces) == w.ambient_dim
     is_riesz = is_frame and dims_add_up

@@ -41,8 +41,9 @@ __all__ = [
 class Tolerance:
     """Numerical thresholds used by every rank / residual decision.
 
-    ``rank_eps`` decides when a direction or eigenvalue counts as zero,
-    ``residual_eps`` bounds acceptable residuals in identity checks.
+    ``rank_eps`` decides when a direction or eigenvalue counts as zero (the frame
+    test, unchanged by weight scaling: smallest eigenvalue of S above ``rank_eps``
+    times the largest), ``residual_eps`` bounds acceptable residuals in identity checks.
     """
 
     rank_eps: float = 1e-9

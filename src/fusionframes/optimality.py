@@ -16,7 +16,6 @@ import numpy as np
 
 from .discrete import (
     DiscreteFrame,
-    DualPerturbation,
     _bridge_rows,
     _check_orthonormal_basis,
     _whitened_members,
@@ -198,7 +197,7 @@ def certify_tight_uniform(pair: DualPair) -> Certificate:
     ]
     c = float(max(member_values))
     spread = c - float(min(member_values))
-    if spread > tol.residual_eps * max(1.0, c):
+    if spread > tol.residual_eps * c:
         reasons.append("member value w_i^2 sqrt(dim W_i) is not constant")
     ok, residual, _ = verify_dual(pair)
     if not ok:
@@ -229,16 +228,17 @@ def certify_tight_uniform(pair: DualPair) -> Certificate:
     )
 
 
-def expand_optimal_family(pair: DualPair, i: int, check_r_max: int = 2) -> list[FusionFrame]:
+def expand_optimal_family(pair: DualPair, i: int) -> list[FusionFrame]:
     """All single-member rewrites of an optimal dual that keep every erasure value.
 
     At member ``i`` (1-based) this emits, when applicable: the zero-member
     variant (dual member equals the complement of the canonical member), the
     trimmed variant (complement properly contained in the dual member), and
     one enlarged variant per direction orthogonal to both the dual member and
-    the canonical member. Every emitted family is re-verified as a dual and
-    its worst-case reports are checked against the input for r up to
-    ``check_r_max``; an empty list means no variant applies.
+    the canonical member. Every emitted family is re-verified as a dual, and its
+    component stack must lie within ``residual_eps`` of the input's (Frobenius),
+    since equal components give equal erasure values for every r and both
+    norms; an empty list means no variant applies.
     """
     _require_verified(pair)
     tol = pair.tol
@@ -262,24 +262,14 @@ def expand_optimal_family(pair: DualPair, i: int, check_r_max: int = 2) -> list[
         enlarged = subspace_sum([vs, direction])
         variants.append(v.replace_member(i, enlarged))
 
-    m = w.member_count
-    reference = {
-        (r, kind): worst_case_error(pair, r, kind).worst_value
-        for r in range(1, min(check_r_max, m - 1) + 1)
-        for kind in ("frobenius", "operator")
-    }
     for variant in variants:
         new_pair = make_dual_pair(w, variant, tol)
         ok, residual, _ = verify_dual(new_pair)
         if not ok:
             raise ArithmeticError(f"emitted variant failed dual verification ({residual:.3e})")
-        for (r, kind), value in reference.items():
-            got = worst_case_error(new_pair, r, kind).worst_value
-            if abs(got - value) > 1e-9 * max(1.0, value):
-                raise ArithmeticError(
-                    f"emitted variant changed the worst {kind} error for r={r}: "
-                    f"{got!r} vs {value!r}"
-                )
+        drift = float(np.linalg.norm(new_pair.components - pair.components))
+        if drift > tol.residual_eps:
+            raise ArithmeticError(f"emitted variant changed the error components (distance {drift:.3e})")
     return variants
 
 
@@ -374,10 +364,10 @@ def parseval_optimal_family(
 def riesz_bridge_partial_optimal(
     w: FusionFrame,
     basis: Sequence,
-    u: DualPerturbation,
+    u: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[tuple[float, float]]:
-    """Block erasure errors of a perturbed dual versus the canonical dual.
+    """Block erasure errors of the dual perturbed by ``u`` versus the canonical dual.
 
     For a Riesz fusion basis, every dual of the bridged frame has the same
     error on each member block; the returned per-member pairs (perturbed,
@@ -479,7 +469,7 @@ def probe_duals(
             probes.append(FusionFrame(w.ambient_dim, tuple(members), base.dual_candidate.weights))
         elif mode == 1 and probes:
             source = make_dual_pair(w, probes[int(rng.integers(0, len(probes)))], tol)
-            variants = expand_optimal_family(source, int(rng.integers(1, m + 1)), check_r_max=1)
+            variants = expand_optimal_family(source, int(rng.integers(1, m + 1)))
             probes.extend(variants[: max(0, count - len(probes))])
         else:
             source = make_dual_pair(w, probes[int(rng.integers(0, len(probes)))], tol)

@@ -22,7 +22,6 @@ import numpy as np
 from fusionframes import (
     DEFAULT_TOL,
     DiscreteFrame,
-    DualPerturbation,
     FusionFrame,
     Subspace,
     Tolerance,
@@ -264,10 +263,10 @@ def certified_random_frame(rng: np.random.Generator, n: int) -> FusionFrame:
     return fusion_frame(subs)
 
 
-def random_perturbation(rng: np.random.Generator, f, scale: float = 0.5) -> DualPerturbation:
+def random_perturbation(rng: np.random.Generator, f, scale: float = 0.5) -> np.ndarray:
     nullsp = synthesis_nullspace(f)
     coeff = scale * rng.standard_normal((nullsp.shape[1], f.ambient_dim))
-    return DualPerturbation(nullsp @ coeff)
+    return nullsp @ coeff
 
 
 # --- brute-force erasure reference ------------------------------------------

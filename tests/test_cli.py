@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -382,6 +383,23 @@ class TestClassify:
         assert report["result"]["lower_bound"] == 1.0
         assert report["result"]["upper_bound"] == 2.0
 
+    def test_tiny_weights_keep_an_orthonormal_basis_a_frame(self, capsys, tmp_path):
+        # weights 1e-5 give S_W = 1e-10 I; the frame test is relative to the
+        # largest eigenvalue, so every command answers it as a Riesz fusion basis
+        p = tmp_path / "tiny.json"
+        p.write_text(
+            json.dumps({"ambient_dim": 3, "subspaces": [{"weight": 1e-5, "spanning_vectors": [row]} for row in np.eye(3).tolist()]})
+        )
+        result = run_json(capsys, ["classify", str(p)])["result"]
+        assert result["summary"] == "Riesz fusion basis, bounds (1e-10, 1e-10)"
+        assert (result["lower_bound"], result["upper_bound"]) == pytest.approx((1e-10, 1e-10), rel=1e-12, abs=0.0)
+        worst = run_json(capsys, ["erasure", str(p), "--r", "1"])["result"]
+        assert worst["worst_value"] == pytest.approx(1.0, abs=1e-12)
+        assert run_json(capsys, ["certify", str(p), "--which", "canonical"])["result"]["verdict"] == "certified_optimal"
+        for argv in (["erasure", str(p), "--r", "1"], ["certify", str(p), "--which", "canonical"]):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+
     def test_text_output(self, capsys):
         assert main(["classify", OVERLAP]) == 0
         out = capsys.readouterr().out
@@ -456,7 +474,7 @@ class TestErasure:
         assert report["result"]["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_fusion_fixed_uses_document_tolerance(self, capsys, tmp_path):
-        # S_W = 1e-10 I: invertible under rank_eps = 1e-13, not under the default 1e-9
+        # S_W = 1e-10 I, read at the document's tolerance
         p = tmp_path / "small_weights.json"
         p.write_text(
             json.dumps(
@@ -472,6 +490,24 @@ class TestErasure:
         worst = run_json(capsys, ["erasure", str(p), "--r", "1"])["result"]
         fixed = run_json(capsys, ["erasure", str(p), "--fixed", "1"])["result"]
         assert fixed["value"] == worst["worst_value"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_frame_test_reads_the_document_tolerance(self, capsys, tmp_path):
+        # S_W = diag(1, 1, 1e-10): its eigenvalue ratio 1e-10 passes the frame
+        # test under rank_eps = 1e-13, not under the default 1e-9
+        raw = {
+            "ambient_dim": 3,
+            "subspaces": [{"weight": w, "spanning_vectors": [row]} for w, row in zip([1, 1, 1e-5], np.eye(3).tolist())],
+        }
+        p = tmp_path / "ratio.json"
+        p.write_text(json.dumps(raw))
+        assert main(["erasure", str(p), "--r", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: not a frame: the family does not span R^3 (smallest eigenvalue of the frame operator "
+            "1.000e-10 <= rank_eps 1.000e-09 x largest eigenvalue 1.000e+00 = 1.000e-09)\n"
+        )
+        raw["tolerance"] = {"rank_eps": 1e-13, "residual_eps": 1e-13}
+        p.write_text(json.dumps(raw))
+        assert run_json(capsys, ["erasure", str(p), "--r", "1"])["result"]["worst_value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_bridged_fixed_builds_no_fusion_pair(self, capsys, monkeypatch):
         argv = ["erasure", OVERCOMPLETE, "--norm", "frobenius", "--fixed", "1,2"]
@@ -549,7 +585,7 @@ class TestErasure:
 
 NOT_SPANNING_R3 = (
     "error: not a frame: the family does not span R^3 "
-    "(smallest eigenvalue of the frame operator 0.000e+00 <= rank_eps 1.000e-09)\n"
+    "(smallest eigenvalue of the frame operator 0.000e+00 <= rank_eps 1.000e-09 x largest eigenvalue 1.000e+00 = 1.000e-09)\n"
 )
 
 
@@ -664,6 +700,23 @@ class TestConstruct:
         for entry in result["variants"]:
             assert entry["residual"] < 1e-9
             assert entry["d1_frobenius"] == pytest.approx(SQRT54, abs=1e-9)
+
+    def test_expand_with_a_changed_component_exits_3(self, capsys, monkeypatch):
+        build = optimality.make_dual_pair
+
+        def corrupted(*args):
+            built = build(*args)
+            components = built.components.copy()
+            components[0, 0, 0] += 1e-6
+            return dataclasses.replace(built, components=components)
+
+        monkeypatch.setattr(optimality, "make_dual_pair", corrupted)
+        for flags in ([], ["--json"]):
+            assert main([*flags, "construct", OVERLAP, "--what", "expand", "--index", "3"]) == 3
+            assert capsys.readouterr() == (
+                "",
+                "error: internal check failed: emitted variant changed the error components (distance 1.000e-06)\n",
+            )
 
     def test_expand_requires_index(self, capsys):
         assert main(["construct", OVERLAP, "--what", "expand"]) == 1

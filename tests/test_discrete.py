@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from fusionframes import (
     DEFAULT_TOL,
-    DualPerturbation,
     Tolerance,
     bridge_dual_to_discrete,
     bridge_fusion_to_discrete,
@@ -151,7 +151,7 @@ class TestVerifyDual:
 class TestPerturbations:
     def test_zero_perturbation_gives_canonical(self):
         f = discrete_frame(OVERCOMPLETE_BRIDGED)
-        g = dual_from_perturbation(f, DualPerturbation(np.zeros((7, 3))))
+        g = dual_from_perturbation(f, np.zeros((7, 3)))
         assert np.allclose(g.vectors, discrete_canonical_dual(f).vectors)
 
     def test_nullspace_dimensions(self, rng):
@@ -169,10 +169,28 @@ class TestPerturbations:
             ok, residual = verify_discrete_dual(f, g)
             assert ok, residual
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_perturbation_refused_without_warning(self, bad):
+        f = discrete_frame(OVERCOMPLETE_BRIDGED)
+        u = np.zeros((7, 3))
+        u[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^perturbation has non-finite entries$"):
+                perturbation_residual(f, u)
+            with pytest.raises(ValueError, match="^perturbation has non-finite entries$"):
+                dual_from_perturbation(f, u)
+
+    def test_misshapen_perturbation_refused(self):
+        f = discrete_frame(OVERCOMPLETE_BRIDGED)
+        for shape in ((3, 7), (7,), (6, 3)):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'perturbation must be a 7 x 3 array, got {shape}')}$"):
+                dual_from_perturbation(f, np.zeros(shape))
+
     def test_invalid_perturbation_rejected(self, rng):
         f = discrete_frame(rng.standard_normal((5, 3)))
         with pytest.raises(ValueError, match="dual relation"):
-            dual_from_perturbation(f, DualPerturbation(np.ones((5, 3))))
+            dual_from_perturbation(f, np.ones((5, 3)))
 
 
 class TestBridge:
@@ -305,7 +323,7 @@ class TestHalving:
         # the free rows solve an underdetermined system; re-solving with the
         # pseudoinverse must reproduce them
         f = discrete_frame(OVERCOMPLETE_BRIDGED)
-        u = halving_perturbation(f, [3, 5]).u_vectors
+        u = halving_perturbation(f, [3, 5])
         lost = [2, 4]
         free = [k for k in range(7) if k not in lost]
         rhs = -f.vectors[lost].T @ u[lost]
@@ -316,7 +334,7 @@ class TestHalving:
         # the dual relation for the seven-vector frame collapses to two
         # aggregate equations plus a forced-zero final row
         f = discrete_frame(OVERCOMPLETE_BRIDGED)
-        u = halving_perturbation(f, [1, 2]).u_vectors
+        u = halving_perturbation(f, [1, 2])
         first = 5 * u[0] + u[1] + 2 * u[4] - u[5]
         second = u[0] + 3 * u[1] + u[2] + 3 * u[3] - 2 * u[4] + u[5]
         assert np.abs(first).max() < 1e-12

@@ -1,11 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from fusionframes import (
     ErasureMask,
-    LeftInverseMap,
     Tolerance,
     canonical_dual,
     canonical_pair,
@@ -81,7 +81,7 @@ class TestReconstructionMatrix:
 
 class TestPairState:
     def test_pair_is_analysed_at_its_own_tolerance(self):
-        # S_W = 1e-10 I: invertible under rank_eps = 1e-13, not under the default 1e-9
+        # S_W = 1e-10 I, analysed at the pair's tolerance
         tol = Tolerance(rank_eps=1e-13, residual_eps=1e-13)
         w = fusion_frame([coordinate_subspace(3, [k]) for k in (1, 2, 3)], [1e-5] * 3)
         pair = canonical_pair(w, tol)
@@ -167,13 +167,13 @@ class TestComponentPreserving:
         w = random_fusion_frame(rng, 4, 3, weighted=True)
         s_inv = spd_inverse(frame_operator(w))
         blocks = tuple(weight * s_inv for weight in w.weights)
-        a = LeftInverseMap(blocks)
+        a = np.array(blocks)
         assert left_inverse_residual(a, w) < 1e-9
         assert component_preserving_check(w, canonical_dual(w), a)
 
     def test_displayed_preserving_pair(self):
         w, v, blocks = preserving_pair_r3()
-        a = LeftInverseMap(blocks)
+        a = np.array(blocks)
         assert left_inverse_residual(a, w) < 1e-12
         assert component_preserving_check(w, v, a)
 
@@ -185,13 +185,32 @@ class TestComponentPreserving:
         assert make_dual_pair(w, v).duality_residual < 1e-9
         s_inv = spd_inverse(frame_operator(w))
         blocks = tuple(projector(vs) @ s_inv for vs in v.subspaces)
-        a = LeftInverseMap(blocks)
+        a = np.array(blocks)
         assert left_inverse_residual(a, w) < 1e-9
         assert not component_preserving_check(w, v, a)
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (np.zeros((3, 3, 3)), r"left inverse must be a 2 x 3 x 3 block stack, got \(3, 3, 3\)"),
+            (np.zeros((2, 3)), r"left inverse must be a 2 x 3 x 3 block stack, got \(2, 3\)"),
+            (np.full((2, 3, 3), np.nan), "left inverse has non-finite entries"),
+            (np.full((2, 3, 3), np.inf), "left inverse has non-finite entries"),
+        ],
+        ids=["three-blocks", "flat", "nan", "inf"],
+    )
+    def test_malformed_block_stack_refused_without_warning(self, blocks, message):
+        w, v, _ = preserving_pair_r3()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                left_inverse_residual(blocks, w)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                component_preserving_check(w, v, blocks)
+
     def test_invalid_left_inverse_rejected(self):
         w, v, _ = preserving_pair_r3()
-        bad = LeftInverseMap((np.eye(3), np.eye(3)))
+        bad = np.array((np.eye(3), np.eye(3)))
         with pytest.raises(ValueError, match="left inverse"):
             component_preserving_check(w, v, bad)
 

@@ -646,6 +646,21 @@ def test_worst_case_memory_is_bounded(rng):
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+@pytest.mark.parametrize("norm", NORMS)
+def test_deep_table_keeps_one_copy_of_its_subsets(rng, norm):
+    # C(1000, 999) = 1000 listed subsets of 999 members: their indices are
+    # read from the subset tuples that the table keeps, one column at a
+    # time, so the peak stays near the size of those tuples (a whole index
+    # array beside them doubled it)
+    m, r = 1000, 999
+    f = discrete_frame(rng.standard_normal((m, 2)))
+    g = discrete_frame(rng.standard_normal((m, 2)))
+    report, peak = traced_peak(lambda: discrete_worst_case(f, g, r, norm))
+    table = sum(sys.getsizeof(s) for s, _ in report.per_subset_values)
+    assert table > 7 * 2**20
+    assert peak < 1.25 * table, f"peak {peak / 2**20:.1f} MB, table {table / 2**20:.1f} MB"
+
+
 def test_single_erasures_of_many_members_skip_the_gram_matrix(rng):
     # 4500 members give 4500 subsets at r = 1, past the table threshold but
     # far fewer than the 4500^2 Gram entries (150 MB), which must not be built

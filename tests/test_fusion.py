@@ -29,6 +29,7 @@ from helpers import (
     overcomplete_frame_r3,
     overlap_frame_r4,
     random_fusion_frame,
+    random_riesz_basis,
     random_unitary,
 )
 
@@ -221,6 +222,34 @@ class TestInvariants:
             w = random_fusion_frame(rng, 4, 3)
             pair = make_dual_pair(w, inflated_dual(rng, w))
             assert pair.duality_residual < 1e-9
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3])
+    def test_weight_scaling_keeps_the_classification(self, c):
+        # scaling every weight by c scales S_W by c^2; the frame, tight and
+        # Riesz tests compare with its largest eigenvalue, so they keep
+        # their verdicts, and both bounds scale by c^2
+        rng = np.random.default_rng(60)
+        for k in range(60):
+            w = scaling_sample(rng, k)
+            scaled = fusion_frame(list(w.subspaces), [c * weight for weight in w.weights])
+            before, after = classify(w), classify(scaled)
+            verdicts = [(cls.is_frame, cls.is_tight, cls.is_riesz_fusion_basis) for cls in (before, after)]
+            assert verdicts[0] == verdicts[1], (k, verdicts)
+            assert after.lower_bound == pytest.approx(c**2 * before.lower_bound, rel=1e-9, abs=0.0)
+            assert after.upper_bound == pytest.approx(c**2 * before.upper_bound, rel=1e-9, abs=0.0)
+
+
+def scaling_sample(rng, k: int):
+    """Sample ``k`` of a seeded mix: weighted frames, Riesz bases, tight frames and non-spanning families."""
+    n = 3 + k % 3
+    kind = k % 4
+    if kind == 0:
+        return random_fusion_frame(rng, n, 3, weighted=True)
+    if kind == 1:
+        return random_riesz_basis(rng, n, 2)
+    lines = [orthonormal_basis([u[:, j]]) for u in (random_unitary(rng, n), random_unitary(rng, n)) for j in range(n)]
+    # two orthonormal bases of lines: a tight frame with bounds (2, 2); one basis short of a line spans no R^n
+    return fusion_frame(lines if kind == 2 else lines[: n - 1])
 
 
 def test_riesz_constants_orthonormal_basis():

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fusionframes.fusion
+from fusionframes import cli
 from fusionframes import optimality
 from fusionframes import (
     DEFAULT_TOL,
-    DualPerturbation,
     FusionFrame,
     Subspace,
     bridge_fusion_to_discrete,
@@ -36,6 +38,7 @@ from fusionframes import (
     worst_case_error,
 )
 from helpers import (
+    FIXTURES,
     ORTHOBASIS_ALT_DUAL_BRIDGED,
     ORTHOBASIS_BRIDGED,
     SQRT54,
@@ -160,6 +163,16 @@ class TestTightCertificate:
         assert cert.verdict == "certified_optimal"
         assert "bound c/alpha = 1" in cert.notes
 
+    @pytest.mark.parametrize("c", [1e-5, 1.0, 1e3])
+    def test_uneven_member_values_refused_at_every_weight_scale(self, c):
+        # the plane of R^2 at weight c and its two axes at weight 2c form a
+        # tight frame (S = 9 c^2 I) whose member values sqrt(2) c^2 and 4 c^2
+        # differ at every scale
+        w = fusion_frame([full_subspace(2), coordinate_subspace(2, [1]), coordinate_subspace(2, [2])], [c, 2 * c, 2 * c])
+        cert = certify_tight_uniform(canonical_pair(w))
+        assert cert.verdict == "not_applicable"
+        assert cert.notes.startswith("member value w_i^2 sqrt(dim W_i) is not constant")
+
     def test_non_tight_frame_not_applicable(self):
         w = overlap_frame_r4()
         cert = certify_tight_uniform(canonical_pair(w))
@@ -239,6 +252,56 @@ class TestExpandFamily:
         w, v, _ = preserving_pair_r3()
         with pytest.raises(ValueError, match="verified dual"):
             expand_optimal_family(make_dual_pair(w, v), 1)
+
+    # member dimensions of every variant at every member of the fixtures that carry a verified dual
+    FIXTURE_VARIANT_DIMS = {
+        ("overlap_r4", 1): [[3, 2, 1], [3, 2, 1]],
+        ("overlap_r4", 2): [[2, 3, 1], [2, 3, 1]],
+        ("overlap_r4", 3): [[2, 2, 2], [2, 2, 2], [2, 2, 2]],
+        ("overlap_r4_extended_dual", 1): [[4, 3, 2]],
+        ("overlap_r4_extended_dual", 2): [[3, 4, 2]],
+        ("overlap_r4_extended_dual", 3): [[3, 3, 3], [3, 3, 3]],
+        ("orthobasis_r3", 1): [[3, 2]],
+        ("orthobasis_r3", 2): [[2, 3]],
+        ("overcomplete_r3", 1): [[3, 1, 2]],
+        ("overcomplete_r3", 2): [[2, 2, 2], [2, 2, 2]],
+        ("overcomplete_r3", 3): [[2, 1, 3]],
+    }
+
+    def test_fixture_variants_are_checked_without_enumeration(self, monkeypatch):
+        # each variant is compared with the input by its component stack, so
+        # no worst-case report is built, and the variants are those that the
+        # worst-case comparison for r <= 2 accepted
+        pairs = {
+            name: cli._document_pair(cli.parse_document(FIXTURES / f"{name}.json"))[0]
+            for name in ("overlap_r4", "overlap_r4_extended_dual", "orthobasis_r3", "overcomplete_r3")
+        }
+        with monkeypatch.context() as mp:
+            mp.setattr(optimality, "worst_case_error", lambda *a: pytest.fail("worst_case_error called"))
+            found = {(name, i): expand_optimal_family(pair, i) for (name, i) in self.FIXTURE_VARIANT_DIMS for pair in [pairs[name]]}
+        assert {key: [[s.dim for s in v.subspaces] for v in variants] for key, variants in found.items()} == self.FIXTURE_VARIANT_DIMS
+        for (name, _), variants in found.items():
+            pair = pairs[name]
+            for variant in variants:
+                vpair = make_dual_pair(pair.primal, variant, pair.tol)
+                for r in range(1, min(2, pair.member_count - 1) + 1):
+                    for kind in ("frobenius", "operator"):
+                        expected = worst_case_error(pair, r, kind).worst_value
+                        assert worst_case_error(vpair, r, kind).worst_value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_changed_component_is_an_internal_error(self, monkeypatch):
+        pair = canonical_pair(overlap_frame_r4())
+        build = optimality.make_dual_pair
+
+        def corrupted(*args):
+            built = build(*args)
+            components = built.components.copy()
+            components[0, 0, 0] += 1e-6
+            return dataclasses.replace(built, components=components)
+
+        monkeypatch.setattr(optimality, "make_dual_pair", corrupted)
+        with pytest.raises(ArithmeticError, match=r"changed the error components \(distance 1.000e-06\)"):
+            expand_optimal_family(pair, 3)
 
 
 class TestParsevalFamily:
@@ -349,7 +412,7 @@ class TestParsevalFamily:
 class TestRieszBridgePartialOptimal:
     def test_zero_perturbation(self):
         w = orthobasis_frame_r3()
-        u = DualPerturbation(np.zeros((6, 3)))
+        u = np.zeros((6, 3))
         values = riesz_bridge_partial_optimal(w, np.eye(3), u)
         assert len(values) == 2
         for perturbed, canonical in values:
