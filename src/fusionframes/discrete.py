@@ -243,7 +243,7 @@ def halving_perturbation(
     if free_rows:
         sol, *_ = np.linalg.lstsq(f.vectors[free_rows].T, rhs, rcond=None)
         u[free_rows] = sol
-    residual = float(np.linalg.norm(f.vectors.T @ u, "fro"))
+    residual = perturbation_residual(f, u)
     if residual > tol.residual_eps:
         raise ValueError(
             "halving construction is infeasible for the lost set "

@@ -149,15 +149,11 @@ def _rank_one_components(f: DiscreteFrame, g: DiscreteFrame) -> _Components:
     return _Components(f.count, f.ambient_dim, lambda rows: gv[rows, :, None] * fv[rows, None, :])
 
 
-def _chunk_sums(components: _Components, idx) -> np.ndarray:
-    """Per row of ``idx``, the indexed components added in row order onto a zero matrix.
-
-    ``idx`` holds 0-based indices, or is a list of 1-based subset tuples, read a column at a time.
-    """
+def _chunk_sums(components: _Components, idx: np.ndarray) -> np.ndarray:
+    """Per row of ``idx``, the indexed components added in row order onto a zero matrix."""
     sums = np.zeros((len(idx), components.dim, components.dim))
-    columns = idx.T if isinstance(idx, np.ndarray) else (np.array(c, dtype=np.intp) - 1 for c in zip(*idx))
-    for column in columns:
-        sums += components.take(column)
+    for j in range(idx.shape[1]):
+        sums += components.take(idx[:, j])
     return sums
 
 
@@ -196,8 +192,8 @@ def _sum_norms(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
     return values
 
 
-def _norms(components: _Components, idx, norm_kind: NormKind) -> np.ndarray:
-    """Per row of ``idx``, read as :func:`_chunk_sums` reads it, the norm of the subset's sum, one chunk at a time."""
+def _norms(components: _Components, idx: np.ndarray, norm_kind: NormKind) -> np.ndarray:
+    """Per row of ``idx``, the norm of the subset's sum, one chunk of sums at a time."""
     rows = max(1, _CHUNK_BYTES // (8 * components.dim**2))
     return np.concatenate(
         [_sum_norms(_chunk_sums(components, idx[lo : lo + rows]), norm_kind) for lo in range(0, len(idx), rows)]
@@ -353,8 +349,11 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     if norm_kind not in ("frobenius", "operator"):
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     if count <= _TABLE_MAX:
+        # the index rows stream into one array, freed before the subset
+        # tuples are made, so the table is the only copy of its subsets
+        flat = itertools.chain.from_iterable(itertools.combinations(range(m), r))
+        values = _norms(components, np.fromiter(flat, np.intp, count * r).reshape(count, r), norm_kind)
         subsets = list(itertools.combinations(range(1, m + 1), r))
-        values = _norms(components, subsets, norm_kind)
         worst = float(values.max())
         argmax = itertools.compress(subsets, values >= worst * (1.0 - _TIE_REL))
         return ErasureReport(r, norm_kind, worst, tuple(argmax), tuple(zip(subsets, values.tolist())))

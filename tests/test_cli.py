@@ -474,14 +474,14 @@ class TestErasure:
         assert report["result"]["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_fusion_fixed_uses_document_tolerance(self, capsys, tmp_path):
-        # S_W = 1e-10 I, read at the document's tolerance
+        # S_W = diag(1, 1, 1e-10): a frame under rank_eps = 1e-13, not under the default 1e-9
         p = tmp_path / "small_weights.json"
         p.write_text(
             json.dumps(
                 {
                     "ambient_dim": 3,
                     "subspaces": [
-                        {"weight": 1e-5, "spanning_vectors": [row]} for row in np.eye(3).tolist()
+                        {"weight": w, "spanning_vectors": [row]} for w, row in zip([1, 1, 1e-5], np.eye(3).tolist())
                     ],
                     "tolerance": {"rank_eps": 1e-13, "residual_eps": 1e-13},
                 }

@@ -81,9 +81,9 @@ class TestReconstructionMatrix:
 
 class TestPairState:
     def test_pair_is_analysed_at_its_own_tolerance(self):
-        # S_W = 1e-10 I, analysed at the pair's tolerance
+        # S_W = diag(1, 1, 1e-10): a frame under rank_eps = 1e-13, not under the default 1e-9
         tol = Tolerance(rank_eps=1e-13, residual_eps=1e-13)
-        w = fusion_frame([coordinate_subspace(3, [k]) for k in (1, 2, 3)], [1e-5] * 3)
+        w = fusion_frame([coordinate_subspace(3, [k]) for k in (1, 2, 3)], [1, 1, 1e-5])
         pair = canonical_pair(w, tol)
         assert pair.tol is tol
         assert worst_case_error(pair, 1, "frobenius").worst_value == pytest.approx(1.0, abs=1e-12)

@@ -648,10 +648,10 @@ def test_worst_case_memory_is_bounded(rng):
 
 @pytest.mark.parametrize("norm", NORMS)
 def test_deep_table_keeps_one_copy_of_its_subsets(rng, norm):
-    # C(1000, 999) = 1000 listed subsets of 999 members: their indices are
-    # read from the subset tuples that the table keeps, one column at a
-    # time, so the peak stays near the size of those tuples (a whole index
-    # array beside them doubled it)
+    # C(1000, 999) = 1000 listed subsets of 999 members: their index array
+    # is freed before the subset tuples that the table keeps are made, so
+    # the peak stays near the size of those tuples (the index array beside
+    # them doubled it)
     m, r = 1000, 999
     f = discrete_frame(rng.standard_normal((m, 2)))
     g = discrete_frame(rng.standard_normal((m, 2)))
