@@ -30,7 +30,6 @@ from .fusion import (
     frame_operator,
     fusion_frame,
     is_nontrivial,
-    riesz_constants,
 )
 from .discrete import (
     DiscreteFrame,
@@ -55,7 +54,6 @@ from .duality import (
     lift_to_component_preserving,
     make_dual_pair,
     reconstruction_matrix,
-    riesz_dual_family_check,
     verify_dual,
 )
 from .erasures import (
@@ -80,7 +78,6 @@ from .optimality import (
     parseval_optimal_family,
     probe_duals,
     riesz_bridge_partial_optimal,
-    transport_by_invertible,
     transport_by_unitary,
 )
 

@@ -135,8 +135,7 @@ def synthesis_nullspace(f: DiscreteFrame, tol: Tolerance = DEFAULT_TOL) -> np.nd
     so random duals are draws U = N C with arbitrary coefficient matrices C.
     """
     _, svals, vh = np.linalg.svd(f.vectors.T, full_matrices=True)
-    scale = float(svals[0]) if svals.size else 0.0
-    rank = int(np.sum(svals > tol.rank_eps * max(1.0, scale)))
+    rank = int(np.sum(svals > tol.rank_eps * svals.max(initial=0.0)))
     return vh[rank:].T
 
 

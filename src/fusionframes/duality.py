@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .fusion import FusionFrame, _inverse, canonical_dual, classify
+from .fusion import FusionFrame, _inverse, canonical_dual
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     image_subspace,
     orthonormal_bases,
     projector,
-    subspace_contains,
     subspaces_equal,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "canonical_pair",
     "verify_dual",
     "reconstruction_matrix",
-    "riesz_dual_family_check",
     "left_inverse_residual",
     "component_preserving_check",
     "lift_to_component_preserving",
@@ -108,30 +106,6 @@ def _require_verified(pair: DualPair) -> None:
     ok, residual, _ = verify_dual(pair)
     if not ok:
         raise ValueError(f"pair is not a verified dual (residual {residual:.3e})")
-
-
-def riesz_dual_family_check(
-    w: FusionFrame, v: FusionFrame, tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    """For a Riesz fusion basis, duality is containment: S_W^{-1} W_i inside V_i.
-
-    Cross-checks the reconstruction residual whenever the containment holds;
-    a disagreement would indicate a numerical inconsistency and raises.
-    """
-    if not classify(w, tol).is_riesz_fusion_basis:
-        raise ValueError("the primal family is not a Riesz fusion basis")
-    pair = make_dual_pair(w, v, tol)
-    contained = all(
-        subspace_contains(vs, image_subspace(pair.s_inv, ws, tol), tol)
-        for ws, vs in zip(w.subspaces, v.subspaces)
-    )
-    if contained:
-        ok, residual, _ = verify_dual(pair)
-        if not ok:
-            raise ArithmeticError(
-                f"containment holds but the duality residual is {residual:.3e}"
-            )
-    return contained
 
 
 def left_inverse_residual(a: np.ndarray, w: FusionFrame) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "frame_bounds",
     "classify",
     "canonical_dual",
-    "riesz_constants",
     "is_nontrivial",
 ]
 
@@ -240,21 +239,6 @@ def _image_frame(u: np.ndarray, w: FusionFrame, tol: Tolerance) -> FusionFrame:
 def canonical_dual(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FusionFrame:
     """Canonical dual family {(S_W^{-1} W_i, w_i)}; member dimensions are preserved."""
     return _image_frame(_inverse(w, tol), w, tol)
-
-
-def riesz_constants(w: FusionFrame) -> tuple[float, float]:
-    """Riesz bounds of the unweighted family via the block synthesis map.
-
-    Stacks all member bases into one matrix and returns the squared extreme
-    singular values; for an orthonormal fusion basis both equal 1.
-    """
-    blocks = [s.basis for s in w.subspaces if s.dim > 0]
-    if not blocks:
-        return 0.0, 0.0
-    synthesis = np.hstack(blocks)
-    svals = np.linalg.svd(synthesis, compute_uv=False)
-    smin = float(svals[-1]) if synthesis.shape[1] <= synthesis.shape[0] else 0.0
-    return smin**2, float(svals[0]) ** 2
 
 
 def is_nontrivial(w: FusionFrame) -> bool:

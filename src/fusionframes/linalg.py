@@ -341,8 +341,10 @@ def subspace_intersection(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
     return Subspace(n, vh[rank:].T)
 
 
-def subspace_sum(parts: Sequence[Subspace], ambient_dim: int | None = None) -> Subspace:
-    """Orthonormal basis of the span of all part bases."""
+def subspace_sum(
+    parts: Sequence[Subspace], tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | None = None
+) -> Subspace:
+    """Orthonormal basis of the span of all part bases, rank decided at ``tol``."""
     if not parts:
         if ambient_dim is None:
             raise ValueError("ambient_dim is required for an empty part list")
@@ -352,7 +354,7 @@ def subspace_sum(parts: Sequence[Subspace], ambient_dim: int | None = None) -> S
         _check_same_ambient(parts[0], p)
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("parts do not match the requested ambient dimension")
-    return orthonormal_basis(np.vstack([p.basis.T for p in parts]), ambient_dim=n)
+    return orthonormal_basis(np.vstack([p.basis.T for p in parts]), tol, ambient_dim=n)
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:

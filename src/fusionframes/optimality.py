@@ -70,7 +70,6 @@ __all__ = [
     "parseval_optimal_family",
     "riesz_bridge_partial_optimal",
     "transport_by_unitary",
-    "transport_by_invertible",
     "probe_duals",
 ]
 
@@ -104,8 +103,8 @@ def _argmax_split(values: Sequence[float]) -> tuple[float, tuple[int, ...], tupl
     return float(c), lambda1, lambda2
 
 
-def _span_of_members(w: FusionFrame, indices: Sequence[int]) -> Subspace:
-    return subspace_sum([w.subspaces[i - 1] for i in indices], ambient_dim=w.ambient_dim)
+def _span_of_members(w: FusionFrame, indices: Sequence[int], tol: Tolerance) -> Subspace:
+    return subspace_sum([w.subspaces[i - 1] for i in indices], tol, ambient_dim=w.ambient_dim)
 
 
 def _nontriviality_note(w: FusionFrame) -> str:
@@ -123,8 +122,8 @@ def _split_certificate(
     lambda2) sum directly in their span.
     """
     c, lambda1, lambda2 = _argmax_split(values)
-    h1 = _span_of_members(w, lambda1)
-    h2 = _span_of_members(w, lambda2)
+    h1 = _span_of_members(w, lambda1, tol)
+    h2 = _span_of_members(w, lambda2, tol)
     inter = subspace_intersection(h1, h2, tol)
     side, span, name = (lambda1, h1, "extremal") if riesz_on_extremal else (lambda2, h2, "complementary")
     dims_add = sum(w.subspaces[i - 1].dim for i in side) == span.dim
@@ -259,7 +258,7 @@ def expand_optimal_family(pair: DualPair, i: int) -> list[FusionFrame]:
     extension_room = subspace_intersection(orthogonal_complement(vs), comp, tol)
     for k in range(extension_room.dim):
         direction = Subspace(w.ambient_dim, extension_room.basis[:, k : k + 1])
-        enlarged = subspace_sum([vs, direction])
+        enlarged = subspace_sum([vs, direction], tol)
         variants.append(v.replace_member(i, enlarged))
 
     for variant in variants:
@@ -352,7 +351,7 @@ def parseval_optimal_family(
         ok, residual = verify_discrete_dual(f, g, tol)
         if not ok:
             raise ArithmeticError(f"emitted dual failed verification (residual {residual:.3e})")
-        d1 = discrete_worst_case(f, g, 1, "operator").worst_value
+        d1 = discrete_worst_case(f, g, 1, "operator", tol).worst_value
         if abs(d1 - 1.0) > max(tol.residual_eps, 1e-9):
             raise ValueError(
                 f"basis does not attain unit worst single-erasure error (got {d1!r})"
@@ -406,35 +405,6 @@ def transport_by_unitary(pair: DualPair, u: np.ndarray) -> DualPair:
     return _transport(pair, u)
 
 
-def transport_by_invertible(pair: DualPair, u: np.ndarray) -> DualPair:
-    """Transport by an invertible map leaving u^T u invariant on every member.
-
-    Duality is preserved (no optimality claim). The invariance precondition
-    u^T u W_i inside W_i and u^T u V_i inside V_i is checked per index and
-    all failures are reported together.
-    """
-    tol = pair.tol
-    u = np.asarray(u, dtype=float)
-    n = pair.primal.ambient_dim
-    if u.shape != (n, n):
-        raise ValueError(f"operator must be {n} x {n}, got {u.shape}")
-    svals = np.linalg.svd(u, compute_uv=False)
-    if svals[-1] <= tol.rank_eps:
-        raise ValueError("operator is not invertible within tolerance")
-    gram = u.T @ u
-    failures = [
-        f"{side} member {i}"
-        for side, f in (("primal", pair.primal), ("dual", pair.dual_candidate))
-        for i, s in enumerate(f.subspaces, start=1)
-        if not subspace_contains(s, image_subspace(gram, s, tol), tol)
-    ]
-    if failures:
-        raise ValueError(
-            "u^T u does not leave these members invariant: " + ", ".join(failures)
-        )
-    return _transport(pair, u)
-
-
 def probe_duals(
     w: FusionFrame, count: int, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
 ) -> list[FusionFrame]:
@@ -463,7 +433,7 @@ def probe_duals(
                         w.ambient_dim,
                         (direction / np.linalg.norm(direction)).reshape(-1, 1),
                     )
-                    members.append(subspace_sum([can, extra]))
+                    members.append(subspace_sum([can, extra], tol))
                 else:
                     members.append(can)
             probes.append(FusionFrame(w.ambient_dim, tuple(members), base.dual_candidate.weights))

@@ -160,6 +160,14 @@ class TestPerturbations:
         assert nullsp.shape == (7, 4)
         assert np.abs(f.vectors.T @ nullsp).max() < 1e-9
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-10])
+    def test_nullspace_rank_is_relative_to_the_frame(self, scale):
+        f = discrete_frame(scale * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        assert synthesis_nullspace(f).shape == (3, 1)
+
+    def test_zero_frame_nullspace_is_the_whole_space(self):
+        assert synthesis_nullspace(discrete_frame(np.zeros((3, 2)))).shape == (3, 3)
+
     def test_random_nullspace_draw_is_valid_dual(self, rng):
         for _ in range(10):
             f = discrete_frame(rng.standard_normal((8, 4)))

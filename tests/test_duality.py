@@ -23,7 +23,6 @@ from fusionframes import (
     orthonormal_basis,
     projector,
     reconstruction_matrix,
-    riesz_dual_family_check,
     spd_inverse,
     subspace_contains,
     subspaces_equal,
@@ -143,23 +142,42 @@ class TestVerifyDual:
             make_dual_pair(w, fusion_frame([full_subspace(4)]))
 
 
-class TestRieszDualFamilyCheck:
-    def test_canonical_dual_contained(self):
+class TestRieszDualContainment:
+    """For a Riesz fusion basis, V is a dual exactly when S_W^{-1} W_i lies in V_i for every i."""
+
+    @staticmethod
+    def contained(pair):
+        return all(
+            subspace_contains(vs, image_subspace(pair.s_inv, ws))
+            for ws, vs in zip(pair.primal.subspaces, pair.dual_candidate.subspaces)
+        )
+
+    @pytest.mark.parametrize(
+        "dual", [canonical_dual(orthobasis_frame_r3()), orthobasis_alt_dual()], ids=["canonical", "enlarged"]
+    )
+    def test_containing_members_give_a_verified_dual(self, dual):
+        pair = make_dual_pair(orthobasis_frame_r3(), dual)
+        assert self.contained(pair)
+        assert verify_dual(pair)[0]
+
+    def test_a_member_short_of_its_image_fails_both(self):
         w = orthobasis_frame_r3()
-        assert riesz_dual_family_check(w, canonical_dual(w))
+        pair = make_dual_pair(w, fusion_frame([zero_subspace(3), w.subspaces[1]]))
+        assert not self.contained(pair)
+        assert not verify_dual(pair)[0]
 
-    def test_enlarged_members_accepted(self):
-        assert riesz_dual_family_check(orthobasis_frame_r3(), orthobasis_alt_dual())
-
-    def test_proper_subspace_rejected(self):
-        w = orthobasis_frame_r3()
-        v = fusion_frame([zero_subspace(3), w.subspaces[1]])
-        assert not riesz_dual_family_check(w, v)
-
-    def test_non_riesz_primal_rejected(self):
-        w = overlap_frame_r4()
-        with pytest.raises(ValueError, match="Riesz"):
-            riesz_dual_family_check(w, canonical_dual(w))
+    @pytest.mark.parametrize("shear, kept", [(0.0, True), (1.0, False)], ids=["invariant", "sheared"])
+    def test_transport_keeps_duality_when_u_t_u_leaves_the_members_invariant(self, shear, kept):
+        # diag(1, 1, 1, 2)^T diag(1, 1, 1, 2) leaves every coordinate member of the overlap frame
+        # invariant; a shear of axis 4 into axis 1 does not
+        u = np.diag([1.0, 1.0, 1.0, 2.0])
+        u[0, 3] = shear
+        pair = canonical_pair(overlap_frame_r4())
+        moved = [
+            fusion_frame([image_subspace(u, s) for s in f.subspaces], f.weights)
+            for f in (pair.primal, pair.dual_candidate)
+        ]
+        assert verify_dual(make_dual_pair(*moved))[0] is kept
 
 
 class TestComponentPreserving:

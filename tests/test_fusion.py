@@ -17,7 +17,6 @@ from fusionframes import (
     make_dual_pair,
     orthogonal_complement,
     orthonormal_basis,
-    riesz_constants,
     spd_inverse,
     subspaces_equal,
 )
@@ -250,17 +249,6 @@ def scaling_sample(rng, k: int):
     lines = [orthonormal_basis([u[:, j]]) for u in (random_unitary(rng, n), random_unitary(rng, n)) for j in range(n)]
     # two orthonormal bases of lines: a tight frame with bounds (2, 2); one basis short of a line spans no R^n
     return fusion_frame(lines if kind == 2 else lines[: n - 1])
-
-
-def test_riesz_constants_orthonormal_basis():
-    lo, hi = riesz_constants(orthobasis_frame_r3())
-    assert lo == pytest.approx(1.0)
-    assert hi == pytest.approx(1.0)
-
-
-def test_riesz_constants_overcomplete_lower_zero():
-    lo, _ = riesz_constants(overlap_frame_r4())
-    assert lo == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weights_whose_squares_overflow_are_refused():

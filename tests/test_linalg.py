@@ -431,6 +431,12 @@ class TestSumAndComplement:
         total = subspace_sum([coordinate_subspace(4, [1, 2]), coordinate_subspace(4, [2, 3])])
         assert subspaces_equal(total, coordinate_subspace(4, [1, 2, 3]))
 
+    def test_rank_is_decided_at_the_given_tolerance(self):
+        # lines 1e-11 apart: one line at the default rank_eps, a plane at 1e-13
+        lines = [coordinate_subspace(3, [1]), orthonormal_basis([[1, 1e-11, 0]])]
+        assert subspace_sum(lines).dim == 1
+        assert subspace_sum(lines, Tolerance(1e-13, 1e-13)).dim == 2
+
     def test_empty_list(self):
         assert subspace_sum([], ambient_dim=5).is_zero
         with pytest.raises(ValueError):

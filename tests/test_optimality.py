@@ -1,7 +1,10 @@
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import fusionframes.fusion
 from fusionframes import cli
@@ -10,11 +13,13 @@ from fusionframes import (
     DEFAULT_TOL,
     FusionFrame,
     Subspace,
+    Tolerance,
     bridge_fusion_to_discrete,
     canonical_pair,
     certify_canonical_optimal,
     certify_dual_optimal,
     certify_tight_uniform,
+    classify,
     coordinate_subspace,
     discrete_worst_case,
     expand_optimal_family,
@@ -32,7 +37,6 @@ from fusionframes import (
     spd_inv_sqrt,
     subspace_sum,
     subspaces_equal,
-    transport_by_invertible,
     transport_by_unitary,
     verify_discrete_dual,
     worst_case_error,
@@ -47,6 +51,7 @@ from helpers import (
     orthobasis_alt_dual,
     orthobasis_frame_r3,
     overlap_frame_r4,
+    random_fusion_frame,
     random_perturbation,
     random_riesz_basis,
     random_unitary,
@@ -95,6 +100,18 @@ class TestCanonicalCertificate:
     def test_non_frame_rejected(self):
         with pytest.raises(ValueError, match="span"):
             certify_canonical_optimal(fusion_frame([coordinate_subspace(2, [1])]))
+
+    def test_member_spans_are_taken_at_the_given_tolerance(self):
+        # members 1 and 2 differ by 1e-11 in e2: one line at the default rank_eps, a plane at 1e-13
+        w = fusion_frame(
+            [coordinate_subspace(3, [1]), orthonormal_basis([[1, 1e-11, 0]]), coordinate_subspace(3, [2, 3])]
+        )
+        cert = certify_canonical_optimal(w, Tolerance(1e-13, 1e-13))
+        assert cert.lambda2 == (1, 2)
+        assert (cert.h2_dim, cert.intersection_dim) == (2, 1)
+        assert cert.notes.startswith("extremal and complementary spans overlap (1-dimensional);")
+        default = certify_canonical_optimal(w)
+        assert (default.h2_dim, default.intersection_dim) == (1, 0)
 
 
 class TestDualCertificate:
@@ -484,36 +501,29 @@ class TestTransportByUnitary:
             transport_by_unitary(pair, np.diag([1.0, 1.0, 1.0, 2.0]))
 
 
-class TestTransportByInvertible:
-    def test_unitary_preconditions_automatic(self, rng):
-        pair = canonical_pair(overlap_frame_r4())
-        moved = transport_by_invertible(pair, random_unitary(rng, 4))
-        assert moved.duality_residual < 1e-9
-
-    def test_axis_scaling_on_coordinate_members(self):
-        pair = canonical_pair(overlap_frame_r4())
-        moved = transport_by_invertible(pair, np.diag([1.0, 1.0, 1.0, 2.0]))
-        assert moved.duality_residual < 1e-9
-
-    def test_rotation_mixing_axes_is_fine(self):
-        theta = 0.3
-        rot = np.eye(4)
-        rot[0, 0] = rot[2, 2] = np.cos(theta)
-        rot[0, 2], rot[2, 0] = -np.sin(theta), np.sin(theta)
-        pair = canonical_pair(overlap_frame_r4())
-        moved = transport_by_invertible(pair, rot)
-        assert moved.duality_residual < 1e-9
-
-    def test_invariance_failure_reported_per_member(self):
-        w = fusion_frame([orthonormal_basis([[1, 1]]), coordinate_subspace(2, [1])])
-        pair = canonical_pair(w)
-        with pytest.raises(ValueError, match="primal member 1"):
-            transport_by_invertible(pair, np.diag([1.0, 2.0]))
-
-    def test_singular_rejected(self):
-        pair = canonical_pair(overlap_frame_r4())
-        with pytest.raises(ValueError, match="invertible"):
-            transport_by_invertible(pair, np.zeros((4, 4)))
+@seed(18)
+@settings(max_examples=40, deadline=None)
+@given(seed_=st.integers(0, 2**32 - 1), n=st.integers(4, 6), certified=st.booleans())
+def test_unitary_transport_keeps_verdicts_values_and_argmax_sets(seed_, n, certified):
+    rng = np.random.default_rng(seed_)
+    if certified:
+        w = certified_random_frame(rng, n)
+    else:
+        w = random_fusion_frame(rng, n, int(rng.integers(3, 6)), weighted=True)
+    pair = make_dual_pair(w, inflated_dual(rng, w))
+    moved = transport_by_unitary(pair, random_unitary(rng, n))
+    eps = DEFAULT_TOL.residual_eps
+    before, after = (dataclasses.asdict(classify(f)) for f in (w, moved.primal))
+    for bound in ("lower_bound", "upper_bound"):
+        assert after.pop(bound) == pytest.approx(before.pop(bound), rel=eps)
+    assert after == before
+    spans = operator.attrgetter("verdict", "lambda1", "lambda2", "h1_dim", "h2_dim", "intersection_dim")
+    assert spans(certify_canonical_optimal(moved.primal)) == spans(certify_canonical_optimal(w))
+    for r in (1, 2):
+        for kind in ("frobenius", "operator"):
+            a, b = worst_case_error(pair, r, kind), worst_case_error(moved, r, kind)
+            assert b.worst_value == pytest.approx(a.worst_value, rel=eps)
+            assert b.argmax_subsets == a.argmax_subsets
 
 
 class TestProbeSoundness:
