@@ -73,9 +73,17 @@ class ParsedDocument:
     dual: FusionFrame | None
     basis: np.ndarray | None
     tol: Tolerance
+    sha256: str
 
 
 _PLAIN_NUMBERS = {int, float}
+
+
+def _known_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Refuse any key outside ``allowed``, since a misspelt key would otherwise fall back to its default."""
+    for key in obj:
+        if key not in allowed:
+            raise DocumentError(f"{where}: unknown key {key!r}")
 
 
 def _scalar(x, where: str) -> float:
@@ -125,6 +133,7 @@ def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, defa
         spot = f"{where}[{k}]"
         if not isinstance(entry, dict):
             raise DocumentError(f"{spot}: expected an object with spanning_vectors")
+        _known_keys(entry, ("spanning_vectors", "weight"), spot)
         vecs = entry.get("spanning_vectors")
         if not isinstance(vecs, list) or not vecs:
             raise DocumentError(f"{spot}.spanning_vectors: expected a non-empty list")
@@ -142,12 +151,8 @@ def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, defa
 
 
 def parse_document(path: str | Path, tol_override: float | None = None) -> ParsedDocument:
-    """Parse a frame specification document from a JSON file."""
-    return _parse(path, tol_override)[0]
-
-
-def _parse(path: str | Path, tol_override: float | None) -> tuple[ParsedDocument, bytes]:
-    """The document at ``path`` and its bytes, read once and decoded as ``read_text(encoding="utf-8")`` decodes."""
+    """Parse a frame specification document from a JSON file, read once and decoded as
+    ``read_text(encoding="utf-8")`` decodes; ``sha256`` is the digest of the bytes read."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -158,6 +163,7 @@ def _parse(path: str | Path, tol_override: float | None) -> tuple[ParsedDocument
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise DocumentError(f"{path}: top level must be an object")
+    _known_keys(raw, ("ambient_dim", "field", "subspaces", "dual", "basis", "tolerance"), "top level")
 
     field = raw.get("field", "real")
     if field != "real":
@@ -170,6 +176,7 @@ def _parse(path: str | Path, tol_override: float | None) -> tuple[ParsedDocument
     tol_raw = raw.get("tolerance", {})
     if not isinstance(tol_raw, dict):
         raise DocumentError("tolerance: expected an object")
+    _known_keys(tol_raw, ("rank_eps", "residual_eps"), "tolerance")
     if tol_raw:
         tol = Tolerance(
             rank_eps=_scalar(tol_raw.get("rank_eps", DEFAULT_TOL.rank_eps), "tolerance.rank_eps"),
@@ -184,8 +191,10 @@ def _parse(path: str | Path, tol_override: float | None) -> tuple[ParsedDocument
 
     dual = None
     if "dual" in raw:
-        dual_raw = raw["dual"]
-        entries = dual_raw.get("subspaces") if isinstance(dual_raw, dict) else dual_raw
+        entries = raw["dual"]
+        if isinstance(entries, dict):
+            _known_keys(entries, ("subspaces",), "dual")
+            entries = entries.get("subspaces")
         # dual weights default to the corresponding primal weights
         dual = _subspace_family(entries, ambient_dim, tol, "dual.subspaces", default_weights=frame.weights)
         if dual.member_count != frame.member_count:
@@ -201,7 +210,7 @@ def _parse(path: str | Path, tol_override: float | None) -> tuple[ParsedDocument
             raise DocumentError(f"basis: expected {ambient_dim} vectors")
         basis = _vectors(rows, ambient_dim, "basis")
 
-    return ParsedDocument(frame=frame, dual=dual, basis=basis, tol=tol), data
+    return ParsedDocument(frame, dual, basis, tol, hashlib.sha256(data).hexdigest())
 
 
 # --- report helpers ---------------------------------------------------------
@@ -222,24 +231,17 @@ def _json_default(x):
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _json_key(key) -> str:
-    """A dict key as ``json`` writes it; numbers, booleans and None become their JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _json_text(report) -> str:
     """``json.dumps(report, sort_keys=True, indent=2, default=_json_default)``, byte for byte.
 
-    With ``indent`` set, ``json`` encodes in pure Python. This walks dicts and
-    lists itself, writes plain strings, ints and finite floats as ``json``
-    would, and hands whole lists of plain numbers, and lists of records
-    column by column, to the C encoder's compact form, whose ``", "``
-    separators become line breaks (no number's text contains ``", "``).
-    Pieces are joined once, at the end.
+    With ``indent`` set, ``json`` encodes in pure Python. This walks
+    non-empty ``str``-keyed dicts and non-empty lists (ndarrays as lists)
+    itself, writes plain strings, ints and finite floats as ``json`` would,
+    and hands whole lists of plain numbers, and lists of records column by
+    column, to the C encoder's compact form, whose ``", "`` separators become
+    line breaks (no number's text contains ``", "``). Any other value is
+    ``json.dumps``'s own text, indented to its depth. Pieces are joined once,
+    at the end.
     """
     chunks: list[str] = []
     _json_chunks(report, 0, chunks)
@@ -247,23 +249,20 @@ def _json_text(report) -> str:
 
 
 def _json_chunks(x, level: int, out: list[str]) -> None:
-    if isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, dict) and x and all(type(k) is str for k in x):
         inner = "\n" + "  " * (level + 1)
         sep = "{" + inner
         for k, v in sorted(x.items()):
-            out += (sep, _json_str(k) if type(k) is str else json.dumps(_json_key(k)), ": ")
+            out += (sep, _json_str(k), ": ")
             _json_chunks(v, level + 1, out)
             sep = "," + inner
         out.append("\n" + "  " * level + "}")
-    elif isinstance(x, (list, tuple)):
+    elif isinstance(x, (list, tuple)) and x:
         inner = "\n" + "  " * (level + 1)
         close = "\n" + "  " * level
-        if not x:
-            out.append("[]")
-        elif set(map(type, x)) <= _PLAIN_NUMBERS:
+        if set(map(type, x)) <= _PLAIN_NUMBERS:
             out += ("[", inner, json.dumps(x)[1:-1].replace(", ", "," + inner), close, "]")
         elif not _json_records(x, level, out):
             sep = "[" + inner
@@ -278,10 +277,10 @@ def _json_chunks(x, level: int, out: list[str]) -> None:
         out.append(int.__repr__(x))
     elif type(x) is float and math.isfinite(x):
         out.append(float.__repr__(x))
-    elif x is None or isinstance(x, (str, int, float)):
-        out.append(json.dumps(x))
     else:
-        _json_chunks(_json_default(x), level, out)
+        # json.dumps breaks lines only between tokens, so indenting its lines nests it exactly
+        text = json.dumps(x, sort_keys=True, indent=2, default=_json_default)
+        out.append(text.replace("\n", "\n" + "  " * level))
 
 
 def _json_records(rows, level: int, out: list[str]) -> bool:
@@ -602,14 +601,14 @@ def run(args) -> str:
 
     The input is read once; only the JSON report echoes the frame document and the sha256 of those bytes.
     """
-    doc, data = _parse(args.file, args.tol)
+    doc = parse_document(args.file, args.tol)
     result = _COMMANDS[args.command](doc, args)
     if not args.json:
         return "\n".join(_text(args.command, result))
     result["frame_document"] = _frame_document(doc.frame)
     report = {
         "command": args.command,
-        "input": {"path": str(args.file), "sha256": hashlib.sha256(data).hexdigest()},
+        "input": {"path": str(args.file), "sha256": doc.sha256},
         "tolerance": {"rank_eps": doc.tol.rank_eps, "residual_eps": doc.tol.residual_eps},
         "result": result,
     }

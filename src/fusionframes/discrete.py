@@ -207,9 +207,11 @@ def compact_nonzero(
     """Drop zero vectors; returns the compacted frame and the kept 1-based indices.
 
     Zero rows contribute nothing to any synthesis, so the compacted frame has
-    the same frame operator and the same duality/erasure values.
+    the same frame operator and the same duality/erasure values. A row counts
+    as zero when its norm is at most ``rank_eps`` times the largest entry's
+    magnitude, a test that scaling the frame leaves unchanged.
     """
-    scale = max(1.0, float(np.abs(f.vectors).max(initial=0.0)))
+    scale = float(np.abs(f.vectors).max(initial=0.0))
     kept = [k for k in range(f.count) if np.linalg.norm(f.vectors[k]) > tol.rank_eps * scale]
     labels = tuple(f.labels[k] for k in kept) if f.labels is not None else None
     return (

@@ -389,20 +389,14 @@ def riesz_bridge_partial_optimal(
     return out
 
 
-def _transport(pair: DualPair, u: np.ndarray) -> DualPair:
-    tol = pair.tol
-    return make_dual_pair(_image_frame(u, pair.primal, tol), _image_frame(u, pair.dual_candidate, tol), tol)
-
-
 def transport_by_unitary(pair: DualPair, u: np.ndarray) -> DualPair:
-    """Transport a dual pair by a unitary map; every erasure value is preserved."""
-    u = np.asarray(u, dtype=float)
-    n = pair.primal.ambient_dim
-    if u.shape != (n, n):
-        raise ValueError(f"operator must be {n} x {n}, got {u.shape}")
-    if np.linalg.norm(u.T @ u - np.eye(n), "fro") > max(pair.tol.residual_eps, 1e-9):
-        raise ValueError("operator is not unitary within tolerance")
-    return _transport(pair, u)
+    """Transport a dual pair by a unitary map; every erasure value is preserved.
+
+    ``u`` is refused unless it passes the bridge's orthonormal-basis test (U U^T = I).
+    """
+    tol = pair.tol
+    u = _check_orthonormal_basis(u, pair.primal.ambient_dim, tol)
+    return make_dual_pair(_image_frame(u, pair.primal, tol), _image_frame(u, pair.dual_candidate, tol), tol)
 
 
 def probe_duals(

@@ -371,6 +371,30 @@ class TestParsing:
         assert main([*flags, "classify", str(p)]) == 1
         assert capsys.readouterr().err == "error: tolerances must be positive and finite\n"
 
+    @pytest.mark.parametrize(
+        "fixture, edit, error",
+        [
+            ("overcomplete_r3", lambda d: d.update(bases=d.pop("basis")), "top level: unknown key 'bases'"),
+            ("overlap_r4", lambda d: d.update(tolerance={"rank": 0.5}), "tolerance: unknown key 'rank'"),
+            ("overlap_r4_extended_dual", lambda d: d["dual"].update(weights=[1, 1, 1]), "dual: unknown key 'weights'"),
+            ("overlap_r4", lambda d: d["subspaces"][2].update(wieght=2), "subspaces[2]: unknown key 'wieght'"),
+            (
+                "overlap_r4_extended_dual",
+                lambda d: d["dual"]["subspaces"][0].update(Weight=2),
+                "dual.subspaces[0]: unknown key 'Weight'",
+            ),
+        ],
+        ids=["top-level", "tolerance", "dual", "member", "dual-member"],
+    )
+    def test_unknown_key_refused_where_it_is(self, tmp_path, capsys, fixture, edit, error):
+        # a misspelt key used to fall back to its default: other bounds, tolerance or erasure mode
+        doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+        edit(doc)
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        assert main(["erasure", str(p), "--fixed", "1,2"]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
 
 class TestClassify:
     def test_orthobasis_summary(self, capsys):
@@ -461,6 +485,22 @@ class TestErasure:
         assert result["mode"] == "fixed-discrete"
         assert result["halving_feasible"] is True
         assert result["ratio"] == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e-5, 1e5, 1e10])
+    @pytest.mark.parametrize("fixture", ["overcomplete_r3", "orthobasis_r3"])
+    def test_bridged_commands_do_not_depend_on_weight_scale(self, tmp_path, capsys, fixture, scale):
+        # bridged vectors scale as 1/weight; an absolute zero-row floor dropped every one past 1e9
+        def outcome(p):
+            kept = run_json(capsys, ["construct", str(p), "--what", "bridge"])["result"]["kept_raw_indices"]
+            assert main(["erasure", str(p), "--fixed", "1,2"]) == 0
+            return kept, capsys.readouterr().out
+
+        doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+        for member in doc["subspaces"]:
+            member["weight"] = scale
+        p = tmp_path / "scaled.json"
+        p.write_text(json.dumps(doc))
+        assert outcome(p) == outcome(FIXTURES / f"{fixture}.json")
 
     def test_overcomplete_fixed_with_final_vector_infeasible(self, capsys):
         report = run_json(
@@ -863,6 +903,10 @@ class TestReportContracts:
             [{}, {}],
             [{"a": 1}, [1], 2.0],
             {"table": [{"subset": [1, 2], "value": 0.25}, {"subset": [1, 3], "value": 1e-17}], "x": [[1], [2]]},
+            # values two or more levels deep that json.dumps writes, indented to their depth
+            {"a": {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")}},
+            [[np.bool_(True), np.bool_(False)]],
+            {"a": [{2: [1.5, {"x": None}], 1: "int keys"}]},
         ],
     )
     def test_json_writer_matches_json_dumps(self, value):
@@ -923,6 +967,32 @@ class TestReportContracts:
         if flags:
             with open(OVERLAP, "rb") as fh:
                 assert json.loads(out)["input"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", OVERLAP],
+            ["verify-dual", OVERLAP_DUAL],
+            ["erasure", OVERLAP, "--r", "1"],
+            ["erasure", OVERCOMPLETE, "--fixed", "1,2"],
+            ["erasure", OVERLAP, "--fixed", "1,2"],
+            ["certify", OVERLAP, "--which", "canonical"],
+            ["certify", OVERLAP_DUAL, "--which", "dual"],
+            ["certify", OVERLAP, "--which", "tight"],
+            ["construct", OVERCOMPLETE, "--what", "bridge"],
+            ["construct", OVERLAP, "--what", "expand", "--index", "1"],
+            ["construct", ORTHOBASIS, "--what", "parseval-family"],
+        ],
+        ids=lambda argv: " ".join([Path(argv[1]).stem, argv[0], *argv[2:]]),
+    )
+    def test_every_command_parses_through_parse_document_once(self, capsys, monkeypatch, argv):
+        docs = []
+        parse = cli.parse_document
+        monkeypatch.setattr(cli, "parse_document", lambda *a, **k: docs.append(parse(*a, **k)) or docs[-1])
+        report = run_json(capsys, argv)
+        assert len(docs) == 1
+        digest = hashlib.sha256(Path(argv[1]).read_bytes()).hexdigest()
+        assert report["input"]["sha256"] == docs[0].sha256 == digest
 
     @pytest.mark.parametrize(
         "data",

@@ -1,5 +1,6 @@
 import dataclasses
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -497,8 +498,28 @@ class TestTransportByUnitary:
 
     def test_non_unitary_rejected(self):
         pair = canonical_pair(overlap_frame_r4())
-        with pytest.raises(ValueError, match="unitary"):
+        with pytest.raises(ValueError, match="not orthonormal"):
             transport_by_unitary(pair, np.diag([1.0, 1.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "u, error",
+        [
+            (np.eye(4)[:3], "basis must consist of 4 vectors of length 4"),
+            (np.diag([1.0, 1.0, 1.0, np.inf]), r"basis\[3\]: non-finite entry"),
+            (np.diag([1.0, -np.inf, 1.0, 1.0]), r"basis\[1\]: non-finite entry"),
+            (np.diag([np.nan, 1.0, 1.0, 1.0]), r"basis\[0\]: non-finite entry"),
+            (np.diag([1.0, 1.0, 1e200, 1.0]), "basis is not orthonormal"),
+            (np.diag([1.0, 1.0, 1.0, 2.0]), "basis is not orthonormal"),
+        ],
+        ids=["non-square", "inf", "-inf", "nan", "1e200", "diag-2"],
+    )
+    def test_refusals_raise_one_value_error_and_no_warning(self, u, error):
+        # squaring u before looking at its entries warned on inf and 1e200 and let NaN through
+        pair = canonical_pair(overlap_frame_r4())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=error):
+                transport_by_unitary(pair, u)
 
 
 @seed(18)
