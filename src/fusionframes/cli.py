@@ -150,15 +150,33 @@ def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, defa
         raise DocumentError(f"{where}: {exc}") from exc
 
 
+# the last document parsed, keyed by its bytes' digest and the tolerance override
+_last_parse: tuple[tuple, ParsedDocument] | None = None
+
+
 def parse_document(path: str | Path, tol_override: float | None = None) -> ParsedDocument:
     """Parse a frame specification document from a JSON file, read once and decoded as
-    ``read_text(encoding="utf-8")`` decodes; ``sha256`` is the digest of the bytes read."""
+    ``read_text(encoding="utf-8")`` decodes; ``sha256`` is the digest of the bytes read.
+
+    The file is read and hashed on every call. When its bytes and ``tol_override``
+    are those of the last document parsed in this process, that same object is
+    returned, with the spectra its frames have cached; a refused document is never
+    kept. Every array reachable from the result is read-only.
+    """
+    global _last_parse
     path = Path(path)
     try:
         data = path.read_bytes()
-        raw = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    sha256 = hashlib.sha256(data).hexdigest()
+    # the type too: an int override echoes as "1", a float one as "1.0"
+    key = (sha256, type(tol_override), tol_override)
+    last = _last_parse  # one read: another thread may replace the slot, never change a kept pair
+    if last is not None and last[0] == key:
+        return last[1]
+    try:
+        raw = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -209,8 +227,11 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
         if not isinstance(rows, list) or len(rows) != ambient_dim:
             raise DocumentError(f"basis: expected {ambient_dim} vectors")
         basis = _vectors(rows, ambient_dim, "basis")
+        basis.setflags(write=False)
 
-    return ParsedDocument(frame, dual, basis, tol, hashlib.sha256(data).hexdigest())
+    doc = ParsedDocument(frame, dual, basis, tol, sha256)
+    _last_parse = key, doc
+    return doc
 
 
 # --- report helpers ---------------------------------------------------------

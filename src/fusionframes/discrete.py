@@ -139,20 +139,21 @@ def synthesis_nullspace(f: DiscreteFrame, tol: Tolerance = DEFAULT_TOL) -> np.nd
     return vh[rank:].T
 
 
-def _check_orthonormal_basis(basis: Sequence, ambient_dim: int, tol: Tolerance) -> np.ndarray:
+def _check_orthonormal_basis(basis: Sequence, ambient_dim: int, tol: Tolerance, name: str = "basis") -> np.ndarray:
+    """``basis`` as an orthonormal ``(ambient_dim, ambient_dim)`` array; refusals call it ``name``."""
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2 or b.shape != (ambient_dim, ambient_dim):
         raise ValueError(
-            f"basis must consist of {ambient_dim} vectors of length {ambient_dim}"
+            f"{name} must consist of {ambient_dim} vectors of length {ambient_dim}"
         )
     finite = np.isfinite(b).all(axis=1)
     if not finite.all():
-        raise ValueError(f"basis[{finite.argmin()}]: non-finite entry")
+        raise ValueError(f"{name}[{finite.argmin()}]: non-finite entry")
     # a huge entry overflows the product to inf or nan, which fails the test
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.linalg.norm(b @ b.T - np.eye(ambient_dim), "fro")
     if not residual <= max(tol.residual_eps, 1e-9):
-        raise ValueError("basis is not orthonormal")
+        raise ValueError(f"{name} is not orthonormal")
     return b
 
 

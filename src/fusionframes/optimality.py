@@ -395,7 +395,7 @@ def transport_by_unitary(pair: DualPair, u: np.ndarray) -> DualPair:
     ``u`` is refused unless it passes the bridge's orthonormal-basis test (U U^T = I).
     """
     tol = pair.tol
-    u = _check_orthonormal_basis(u, pair.primal.ambient_dim, tol)
+    u = _check_orthonormal_basis(u, pair.primal.ambient_dim, tol, "u")
     return make_dual_pair(_image_frame(u, pair.primal, tol), _image_frame(u, pair.dual_candidate, tol), tol)
 
 

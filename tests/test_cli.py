@@ -1060,3 +1060,93 @@ class TestParserReuse:
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
         assert done.stdout == "0\n"
+
+
+class TestParseReuse:
+    """``parse_document`` keeps the last document it parsed, keyed by the digest of its bytes and the override."""
+
+    PLANE = {"ambient_dim": 2, "subspaces": [{"spanning_vectors": [[1, 0]]}, {"spanning_vectors": [[1, 1]]}]}
+
+    def _write(self, tmp_path, doc) -> Path:
+        p = tmp_path / "doc.json"
+        p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return p
+
+    def test_same_bytes_and_tolerance_give_the_same_object(self, tmp_path, monkeypatch):
+        p = self._write(tmp_path, self.PLANE)
+        calls = {"read_bytes": 0, "sha256": 0, "loads": 0}
+        for owner, name in ((Path, "read_bytes"), (cli.hashlib, "sha256"), (cli.json, "loads")):
+            original = getattr(owner, name)
+
+            def counted(*a, _name=name, _original=original, **k):
+                calls[_name] += 1
+                return _original(*a, **k)
+
+            monkeypatch.setattr(owner, name, counted)
+        first = parse_document(p, 1e-6)
+        assert parse_document(str(p), 1e-6) is first
+        # the file is read and hashed on each call, once; its JSON is decoded once
+        assert calls == {"read_bytes": 2, "sha256": 2, "loads": 1}
+
+    def test_rewritten_bytes_parse_afresh(self, tmp_path):
+        p = self._write(tmp_path, self.PLANE)
+        stamp = p.stat()
+        first = parse_document(p)
+        wider = {**self.PLANE, "subspaces": [*self.PLANE["subspaces"], {"spanning_vectors": [[0, 1]]}]}
+        p.write_text(json.dumps(wider))
+        os.utime(p, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        second = parse_document(p)
+        assert second is not first
+        assert second.sha256 == hashlib.sha256(p.read_bytes()).hexdigest() != first.sha256
+        assert (first.frame.member_count, second.frame.member_count) == (2, 3)
+
+    def test_another_tolerance_parses_afresh(self, tmp_path):
+        p = self._write(tmp_path, self.PLANE)
+        default, tight = parse_document(p), parse_document(p, 1e-6)
+        assert tight is not default and tight.sha256 == default.sha256
+        assert (default.tol, tight.tol.rank_eps) == (DEFAULT_TOL, 1e-6)
+        assert parse_document(p, 1e-6) is tight
+        assert parse_document(p, 1) is not tight
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("{not json", "invalid JSON at line 1: Expecting property name enclosed in double quotes"),
+            ({"ambient_dim": 2, "subspaces": []}, "subspaces: expected a non-empty list of subspaces"),
+            ({**PLANE, "basis": [[1, 0], [0, "x"]]}, "basis[1][1]: cannot parse scalar 'x'"),
+        ],
+        ids=["json", "schema", "basis"],
+    )
+    def test_refused_document_is_not_kept(self, tmp_path, capsys, bad, error):
+        p = self._write(tmp_path, bad)
+        assert main(["classify", str(p)]) == 1
+        cold = capsys.readouterr()
+        assert cold.out == "" and cold.err.startswith("error: ") and cold.err.endswith(error + "\n")
+        outcomes, kept = [], []
+        for doc in (self.PLANE, bad, self.PLANE):
+            self._write(tmp_path, doc)
+            outcomes.append((main(["classify", str(p)]), *capsys.readouterr()))
+            kept.append(cli._last_parse)
+        assert [code for code, _, _ in outcomes] == [0, 1, 0]
+        assert outcomes[1][1:] == tuple(cold)
+        assert outcomes[2] == outcomes[0]
+        # the refusal neither replaced nor dropped the valid document, which the third call reused
+        assert kept[0] is kept[1] is kept[2] is not None
+
+    def test_arrays_are_read_only(self):
+        doc = parse_document(ORTHOBASIS)
+        arrays = [doc.basis, *(s.basis for frame in (doc.frame, doc.dual) for s in frame.subspaces)]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            doc.basis[0, 0] = 2.0
+        assert parse_document(ORTHOBASIS) is doc and doc.basis[0, 0] == 1.0
+
+    def test_every_fixture_command_forward_then_reversed(self, monkeypatch):
+        # one process, every op after the first on a document reusing its parse: the golden reports, byte for byte
+        from test_fixture_golden import ROOT, _golden, fixture_ops, run_op
+
+        monkeypatch.chdir(ROOT)
+        golden = _golden()
+        ops = fixture_ops()
+        for argv in ops + ops[::-1]:
+            assert run_op(argv) == golden[" ".join(argv)]

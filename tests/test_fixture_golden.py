@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fusionframes.cli
 import fusionframes.discrete
 import fusionframes.fusion
 from fusionframes import DiscreteFrame, FusionFrame, canonical_dual, canonical_pair, make_dual_pair
@@ -134,6 +135,8 @@ def test_each_frame_operator_is_decomposed_once(name, monkeypatch):
     ops = [argv for argv in fixture_ops() if f"fixtures/{name}.json" in argv]
     assert len(ops) == 2 * len(COMMANDS)
     for argv in ops:
+        # cold: the document is parsed afresh, as in a new process
+        fusionframes.cli._last_parse = None
         built.clear()
         decomposed.clear()
         assert run_op(argv) == _golden()[" ".join(argv)]
@@ -142,6 +145,12 @@ def test_each_frame_operator_is_decomposed_once(name, monkeypatch):
         assert len(decomposed) == len(built), argv
         key = " ".join(a for a in argv if a != "--json")
         assert counts == _PINNED.get(key, counts), argv
+        # warm: the same op again reuses the parsed frame, whose S_W is already decomposed
+        built.clear()
+        decomposed.clear()
+        assert run_op(argv) == _golden()[" ".join(argv)]
+        assert not any(isinstance(f, FusionFrame) for f in built), argv
+        assert len(decomposed) == len(built) == counts[1], argv
 
     w = parse_document(f"fixtures/{name}.json").frame
     pair, reference = canonical_pair(w), make_dual_pair(w, canonical_dual(w))
@@ -171,6 +180,11 @@ def test_each_inverse_is_formed_once_per_frame(argv, frames, text, monkeypatch):
     argv = argv if text else ["--json", *argv]
     assert run_op(argv) == _golden()[" ".join(argv)]
     assert [(type(frame), root) for frame, root in formed] == [(kind, False) for kind in frames]
+    # the same op again reuses the parsed frame and its S_W^{-1}; only a per-op bridged frame forms S_F^{-1}
+    formed.clear()
+    assert run_op(argv) == _golden()[" ".join(argv)]
+    per_op = [(kind, False) for kind in frames if kind is DiscreteFrame]
+    assert [(type(frame), root) for frame, root in formed] == per_op
 
 
 if __name__ == "__main__":

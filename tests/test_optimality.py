@@ -504,12 +504,12 @@ class TestTransportByUnitary:
     @pytest.mark.parametrize(
         "u, error",
         [
-            (np.eye(4)[:3], "basis must consist of 4 vectors of length 4"),
-            (np.diag([1.0, 1.0, 1.0, np.inf]), r"basis\[3\]: non-finite entry"),
-            (np.diag([1.0, -np.inf, 1.0, 1.0]), r"basis\[1\]: non-finite entry"),
-            (np.diag([np.nan, 1.0, 1.0, 1.0]), r"basis\[0\]: non-finite entry"),
-            (np.diag([1.0, 1.0, 1e200, 1.0]), "basis is not orthonormal"),
-            (np.diag([1.0, 1.0, 1.0, 2.0]), "basis is not orthonormal"),
+            (np.eye(4)[:3], "^u must consist of 4 vectors of length 4$"),
+            (np.diag([1.0, 1.0, 1.0, np.inf]), r"^u\[3\]: non-finite entry$"),
+            (np.diag([1.0, -np.inf, 1.0, 1.0]), r"^u\[1\]: non-finite entry$"),
+            (np.diag([np.nan, 1.0, 1.0, 1.0]), r"^u\[0\]: non-finite entry$"),
+            (np.diag([1.0, 1.0, 1e200, 1.0]), "^u is not orthonormal$"),
+            (np.diag([1.0, 1.0, 1.0, 2.0]), "^u is not orthonormal$"),
         ],
         ids=["non-square", "inf", "-inf", "nan", "1e200", "diag-2"],
     )
