@@ -7,8 +7,11 @@ is bitwise reproducible for identical inputs.
 
 Exit status 0 means the analysis completed (even with a negative verdict),
 1 an input error (an ``error:`` line on stderr), 2 a usage error (from
-argparse), and 3 a failed internal cross-check, such as an emitted dual that
-does not verify (an ``error: internal check failed:`` line on stderr).
+argparse), 3 a failed internal cross-check, such as an emitted dual that
+does not verify (an ``error: internal check failed:`` line on stderr), and 141
+(128 + SIGPIPE, what a shell reports for a filter killed by a closed pipe)
+when stdout was closed before the whole report was written, as by
+``fusionframes ... | head -1``; nothing more is written then.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -74,6 +78,15 @@ class ParsedDocument:
     basis: np.ndarray | None
     tol: Tolerance
     sha256: str
+
+    @functools.cached_property
+    def _frame_echo(self) -> _Encoded:
+        """The --json reports' ``result.frame_document``, encoded on first use at the depth ``_report`` puts it.
+
+        It lives as long as this document: ``parse_document`` hands the same object
+        to every call on the same bytes and tolerance, so the echo is encoded once.
+        """
+        return _Encoded(_json_text(_frame_document(self.frame), 2))
 
 
 _PLAIN_NUMBERS = {int, float}
@@ -160,8 +173,11 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
 
     The file is read and hashed on every call. When its bytes and ``tol_override``
     are those of the last document parsed in this process, that same object is
-    returned, with the spectra its frames have cached; a refused document is never
-    kept. Every array reachable from the result is read-only.
+    returned, with the spectra its frames have cached and, once a ``--json``
+    report has been written from it, the encoded frame-document echo, so that
+    echo is encoded once per kept document; a refused document is never kept.
+    Parsing itself never encodes the echo. Every array reachable from the
+    result is read-only.
     """
     global _last_parse
     path = Path(path)
@@ -252,8 +268,13 @@ def _json_default(x):
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _json_text(report) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2, default=_json_default)``, byte for byte.
+class _Encoded(str):
+    """JSON text already encoded at the depth it is written at; ``_json_chunks`` writes it verbatim."""
+
+
+def _json_text(report, level: int = 0) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2, default=_json_default)``, byte for byte,
+    with every line after the first indented ``level`` steps more.
 
     With ``indent`` set, ``json`` encodes in pure Python. This walks
     non-empty ``str``-keyed dicts and non-empty lists (ndarrays as lists)
@@ -265,7 +286,7 @@ def _json_text(report) -> str:
     at the end.
     """
     chunks: list[str] = []
-    _json_chunks(report, 0, chunks)
+    _json_chunks(report, level, chunks)
     return "".join(chunks)
 
 
@@ -294,6 +315,8 @@ def _json_chunks(x, level: int, out: list[str]) -> None:
             out.append(close + "]")
     elif type(x) is str:
         out.append(_json_str(x))
+    elif type(x) is _Encoded:
+        out.append(x)
     elif type(x) is int:
         out.append(int.__repr__(x))
     elif type(x) is float and math.isfinite(x):
@@ -341,11 +364,12 @@ def _json_records(rows, level: int, out: list[str]) -> bool:
 
 
 def _frame_document(frame: FusionFrame) -> dict:
+    # arrays, not lists: the writer converts one member at a time
     return {
         "ambient_dim": frame.ambient_dim,
         "field": "real",
         "subspaces": [
-            {"weight": w, "spanning_vectors": s.basis.T.tolist()}
+            {"weight": w, "spanning_vectors": s.basis.T}
             for s, w in zip(frame.subspaces, frame.weights)
         ],
     }
@@ -617,23 +641,32 @@ def _text(command: str, result: dict) -> Iterable[str]:
     return lines
 
 
-def run(args) -> str:
-    """Run one parsed command line; returns the text report, or the JSON one under ``--json``.
-
-    The input is read once; only the JSON report echoes the frame document and the sha256 of those bytes.
-    """
+def _report(args) -> list[str]:
+    """The report ``run`` returns, as the pieces that join to it."""
     doc = parse_document(args.file, args.tol)
     result = _COMMANDS[args.command](doc, args)
     if not args.json:
-        return "\n".join(_text(args.command, result))
-    result["frame_document"] = _frame_document(doc.frame)
+        return ["\n".join(_text(args.command, result))]
+    result["frame_document"] = doc._frame_echo
     report = {
         "command": args.command,
         "input": {"path": str(args.file), "sha256": doc.sha256},
         "tolerance": {"rank_eps": doc.tol.rank_eps, "residual_eps": doc.tol.residual_eps},
         "result": result,
     }
-    return _json_text(report)
+    chunks: list[str] = []
+    _json_chunks(report, 0, chunks)
+    return chunks
+
+
+def run(args) -> str:
+    """Run one parsed command line; returns the text report, or the JSON one under ``--json``.
+
+    The input is read once; only the JSON report echoes the frame document and the
+    sha256 of those bytes. The echo is encoded once per document ``parse_document``
+    keeps, so a later ``--json`` report on the same bytes and ``--tol`` reuses its text.
+    """
+    return "".join(_report(args))
 
 
 @functools.cache
@@ -677,17 +710,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command line; safe to call repeatedly in one process."""
+    """Run one command line; safe to call repeatedly in one process.
+
+    The report is written to stdout piece by piece, as ``run`` would return it, then a newline.
+    """
     args = _build_parser().parse_args(argv)
     try:
-        output = run(args)
+        chunks = _report(args)
     except (DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
-    print(output)
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

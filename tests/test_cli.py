@@ -72,6 +72,40 @@ def _random_document(n, m, k, seed):
     return {"ambient_dim": n, "field": "real", "subspaces": members}
 
 
+def _assert_report_matches_json_dumps(args) -> str:
+    """``run(args)``, checked against ``json.dumps`` of the same report, on its first call and on a second,
+    memo-served one; the oracle's frame document is a plain dict of lists."""
+    written = cli.run(args)
+    doc = parse_document(args.file, args.tol)
+    assert "_frame_echo" in vars(doc)
+    # lines, not one string: pytest reports the first differing line instead of diffing megabytes
+    lines = written.split("\n")
+    assert cli.run(args).split("\n") == lines
+    result = cli._COMMANDS[args.command](doc, args)
+    result["frame_document"] = {
+        "ambient_dim": doc.frame.ambient_dim,
+        "field": "real",
+        "subspaces": [
+            {"weight": w, "spanning_vectors": s.basis.T.tolist()} for s, w in zip(doc.frame.subspaces, doc.frame.weights)
+        ],
+    }
+    report = {
+        "command": args.command,
+        "input": {"path": str(args.file), "sha256": doc.sha256},
+        "tolerance": {"rank_eps": doc.tol.rank_eps, "residual_eps": doc.tol.residual_eps},
+        "result": result,
+    }
+    assert json.dumps(report, sort_keys=True, indent=2, default=cli._json_default).split("\n") == lines
+    return written
+
+
+def _fresh_process(argv) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of ``argv`` in a new ``fusionframes`` process."""
+    done = subprocess.run([sys.executable, "-m", "fusionframes.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    return done.returncode, done.stdout, done.stderr
+
+
 def run_json(capsys, argv):
     code = main(["--json", *argv])
     out = capsys.readouterr().out
@@ -926,28 +960,20 @@ class TestReportContracts:
         with pytest.raises(TypeError):
             cli._json_text({(1, 2): 3})
 
-    def test_generated_report_matches_json_dumps(self, tmp_path, monkeypatch):
+    def test_generated_report_matches_json_dumps(self, tmp_path):
         # a (64, 200, 8) frame document: the echo carries 102,400 computed floats
         p = tmp_path / "large.json"
         p.write_text(json.dumps(_random_document(64, 200, 8, seed=101)))
         args = cli._build_parser().parse_args(["--json", "erasure", str(p), "--r", "1"])
-        written = cli.run(args)
-        monkeypatch.setattr(
-            cli, "_json_text", lambda x: json.dumps(x, sort_keys=True, indent=2, default=cli._json_default)
-        )
-        assert written == cli.run(args)
+        written = _assert_report_matches_json_dumps(args)
         assert len(json.loads(written)["result"]["table"]) == 200
 
-    def test_large_erasure_table_matches_json_dumps(self, tmp_path, monkeypatch):
+    def test_large_erasure_table_matches_json_dumps(self, tmp_path):
         # C(30, 3) = 4,060 table rows, written column by column
         p = tmp_path / "table.json"
         p.write_text(json.dumps(_random_document(8, 30, 3, seed=613)))
         args = cli._build_parser().parse_args(["--json", "erasure", str(p), "--r", "3", "--norm", "operator"])
-        written = cli.run(args)
-        monkeypatch.setattr(
-            cli, "_json_text", lambda x: json.dumps(x, sort_keys=True, indent=2, default=cli._json_default)
-        )
-        assert written == cli.run(args)
+        written = _assert_report_matches_json_dumps(args)
         assert len(json.loads(written)["result"]["table"]) == 4060
 
     def test_digest_present(self, capsys):
@@ -1022,6 +1048,24 @@ class TestReportContracts:
     def test_tol_override(self, capsys):
         report = run_json(capsys, ["--tol", "1e-6", "classify", OVERLAP])
         assert report["tolerance"]["residual_eps"] == 1e-6
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, flags):
+        # as `fusionframes ... | head -0` (text) and `fusionframes --json ... | head -1` (a report past any pipe buffer)
+        p = tmp_path / "large.json"
+        p.write_text(json.dumps(_random_document(16, 400, 8, seed=7)))
+        read_end, write_end = os.pipe()
+        if not flags:
+            os.close(read_end)
+        proc = subprocess.Popen([sys.executable, "-m", "fusionframes.cli", *flags, "classify", str(p)],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        os.close(write_end)
+        if flags:
+            with open(read_end, "rb") as reader:
+                assert reader.readline() == b"{\n"
+        err = proc.communicate(timeout=120)[1]
+        assert (proc.returncode, err) == (141, b"")
 
 
 def _outcome(capsys, argv):
@@ -1140,6 +1184,32 @@ class TestParseReuse:
         with pytest.raises(ValueError, match="read-only"):
             doc.basis[0, 0] = 2.0
         assert parse_document(ORTHOBASIS) is doc and doc.basis[0, 0] == 1.0
+
+    def test_json_echo_is_encoded_once_per_document(self, tmp_path, capsys, monkeypatch):
+        p = self._write(tmp_path, self.PLANE)
+        calls = []
+        frame_document = cli._frame_document
+        monkeypatch.setattr(cli, "_frame_document", lambda frame: calls.append(frame) or frame_document(frame))
+        wider = {**self.PLANE, "subspaces": [*self.PLANE["subspaces"], {"spanning_vectors": [[0, 1]]}]}
+        steps = [
+            # (document written before the op, argv, echo encodings so far)
+            (None, ["classify", str(p)], 0),
+            (None, ["--json", "classify", str(p)], 1),
+            (None, ["--json", "erasure", str(p), "--r", "1"], 1),
+            (None, ["erasure", str(p), "--fixed", "1"], 1),
+            (None, ["--json", "certify", str(p), "--which", "canonical"], 1),
+            (None, ["--tol", "1e-6", "--json", "classify", str(p)], 2),
+            # a refusal (this document has no dual section) encodes nothing
+            (None, ["--tol", "1e-6", "--json", "verify-dual", str(p)], 2),
+            (wider, ["--json", "classify", str(p)], 3),
+            (wider, ["--json", "erasure", str(p), "--r", "2"], 3),
+        ]
+        for doc, argv, encoded in steps:
+            if doc is not None:
+                self._write(tmp_path, doc)
+            outcome = _outcome(capsys, argv)
+            assert len(calls) == encoded, argv
+            assert outcome == _fresh_process(argv), argv
 
     def test_every_fixture_command_forward_then_reversed(self, monkeypatch):
         # one process, every op after the first on a document reusing its parse: the golden reports, byte for byte
