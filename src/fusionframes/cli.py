@@ -73,6 +73,11 @@ class DocumentError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ParsedDocument:
+    """A parsed frame document. What its commands derive from it alone (the dual
+    pair, the --json echo) is built on first use and lives as long as the document:
+    ``parse_document`` hands the same object to every call on the same bytes and
+    tolerance, so each is built once. A refused build is not kept."""
+
     frame: FusionFrame
     dual: FusionFrame | None
     basis: np.ndarray | None
@@ -81,12 +86,15 @@ class ParsedDocument:
 
     @functools.cached_property
     def _frame_echo(self) -> _Encoded:
-        """The --json reports' ``result.frame_document``, encoded on first use at the depth ``_report`` puts it.
-
-        It lives as long as this document: ``parse_document`` hands the same object
-        to every call on the same bytes and tolerance, so the echo is encoded once.
-        """
+        """The --json reports' ``result.frame_document``, encoded at the depth ``_report`` puts it."""
         return _Encoded(_json_text(_frame_document(self.frame), 2))
+
+    @functools.cached_property
+    def _pair(self) -> tuple[DualPair, str]:
+        """The document's dual pair, or the canonical one, and which of the two it is."""
+        if self.dual is not None:
+            return make_dual_pair(self.frame, self.dual, self.tol), "file"
+        return canonical_pair(self.frame, self.tol), "canonical"
 
 
 _PLAIN_NUMBERS = {int, float}
@@ -173,11 +181,10 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
 
     The file is read and hashed on every call. When its bytes and ``tol_override``
     are those of the last document parsed in this process, that same object is
-    returned, with the spectra its frames have cached and, once a ``--json``
-    report has been written from it, the encoded frame-document echo, so that
-    echo is encoded once per kept document; a refused document is never kept.
-    Parsing itself never encodes the echo. Every array reachable from the
-    result is read-only.
+    returned, with the spectra its frames have cached and, once a command has
+    used them, its dual pair and encoded frame-document echo, so each is built
+    once per kept document; a refused document is never kept. Parsing itself
+    builds neither. Every array reachable from the result is read-only.
     """
     global _last_parse
     path = Path(path)
@@ -376,10 +383,8 @@ def _frame_document(frame: FusionFrame) -> dict:
 
 
 def _document_pair(doc: ParsedDocument) -> tuple[DualPair, str]:
-    """The document's dual pair, or the canonical one."""
-    if doc.dual is not None:
-        return make_dual_pair(doc.frame, doc.dual, doc.tol), "file"
-    return canonical_pair(doc.frame, doc.tol), "canonical"
+    """The document's dual pair, or the canonical one, built once per kept document."""
+    return doc._pair
 
 
 def _bridged(doc: ParsedDocument, basis: np.ndarray):
@@ -417,7 +422,7 @@ def _cmd_classify(doc: ParsedDocument, args) -> dict:
 def _cmd_verify_dual(doc: ParsedDocument, args) -> dict:
     if doc.dual is None:
         raise DocumentError("verify-dual requires a dual section in the document")
-    pair = make_dual_pair(doc.frame, doc.dual, doc.tol)
+    pair = _document_pair(doc)[0]
     ok, residual, recon = verify_dual(pair)
     return {"is_dual": ok, "residual": residual, "reconstruction": recon, "member_count": pair.member_count}
 
@@ -475,7 +480,7 @@ def _cmd_certify(doc: ParsedDocument, args) -> dict:
     elif args.which == "dual":
         if doc.dual is None:
             raise DocumentError("certify --which dual requires a dual section in the document")
-        cert = certify_dual_optimal(make_dual_pair(doc.frame, doc.dual, doc.tol))
+        cert = certify_dual_optimal(_document_pair(doc)[0])
     else:
         cert = certify_tight_uniform(_document_pair(doc)[0])
     return asdict(cert)
@@ -663,8 +668,9 @@ def run(args) -> str:
     """Run one parsed command line; returns the text report, or the JSON one under ``--json``.
 
     The input is read once; only the JSON report echoes the frame document and the
-    sha256 of those bytes. The echo is encoded once per document ``parse_document``
-    keeps, so a later ``--json`` report on the same bytes and ``--tol`` reuses its text.
+    sha256 of those bytes. The document's dual pair is built, and the echo encoded,
+    once per document ``parse_document`` keeps, so a later report on the same bytes
+    and ``--tol`` reuses them.
     """
     return "".join(_report(args))
 

@@ -13,12 +13,15 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import json
 import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+import fusionframes.cli
+import fusionframes.duality
 from fusionframes import (
     DEFAULT_TOL,
     DiscreteFrame,
@@ -180,6 +183,28 @@ def record_canonical_dual_formations(monkeypatch) -> list:
     prop.__set_name__(DiscreteFrame, "_canonical_dual")
     monkeypatch.setattr(DiscreteFrame, "_canonical_dual", prop)
     return formed
+
+
+def record_dual_pairs(monkeypatch) -> list:
+    """Route ``make_dual_pair``, as ``duality`` (so ``canonical_pair``) and ``cli`` call it, through a
+    wrapper; returns the ``(primal, dual_candidate)`` of each pair built."""
+    built = []
+    for module in (fusionframes.duality, fusionframes.cli):
+        def make(primal, dual_candidate, *args, _original=module.make_dual_pair, **kwargs):
+            built.append((primal, dual_candidate))
+            return _original(primal, dual_candidate, *args, **kwargs)
+
+        monkeypatch.setattr(module, "make_dual_pair", make)
+    return built
+
+
+def expand_variant_count(stdout: str) -> int:
+    """The variants a ``construct --what expand`` report (text or --json) lists, each paired with
+    the frame by ``cli``; 0 for any other report."""
+    if stdout.startswith("{"):
+        return json.loads(stdout)["result"].get("variant_count", 0)
+    head = stdout.partition("\n")[0]
+    return int(head.rpartition(": ")[2]) if head.startswith("expansion variants at member") else 0
 
 
 # --- randomized generators ---------------------------------------------------

@@ -24,8 +24,10 @@ from helpers import (
     OVERCOMPLETE_BRIDGED,
     PRESERVING_RECON,
     SQRT54,
+    expand_variant_count,
     jsonable_reference,
     record_canonical_dual_formations,
+    record_dual_pairs,
 )
 
 OVERLAP = str(FIXTURES / "overlap_r4.json")
@@ -1210,6 +1212,69 @@ class TestParseReuse:
             outcome = _outcome(capsys, argv)
             assert len(calls) == encoded, argv
             assert outcome == _fresh_process(argv), argv
+
+    @pytest.mark.parametrize(
+        "path, argv",
+        [
+            (OVERLAP, ["erasure", "--r", "1"]),
+            (OVERLAP, ["erasure", "--fixed", "1,2"]),
+            (OVERLAP, ["certify", "--which", "tight"]),
+            (OVERLAP, ["construct", "--what", "expand", "--index", "1"]),
+            (OVERLAP_DUAL, ["verify-dual"]),
+            (OVERLAP_DUAL, ["certify", "--which", "dual"]),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else Path(x).stem,
+    )
+    def test_document_pair_is_built_once(self, capsys, monkeypatch, path, argv):
+        monkeypatch.setattr(cli, "_last_parse", None)
+        built = record_dual_pairs(monkeypatch)
+        runs = []
+        for json_flag in ([], ["--json"], []):
+            built.clear()
+            code, out, err = _outcome(capsys, [*json_flag, argv[0], path, *argv[1:]])
+            assert code == 0, err
+            # construct --what expand also pairs the frame with each of its variants
+            runs.append((len(built) - expand_variant_count(out), out))
+        assert [document_pairs for document_pairs, _ in runs] == [1, 0, 0]
+        assert runs[2][1] == runs[0][1]
+        doc = parse_document(path)
+        assert vars(doc)["_pair"][1] == ("canonical" if doc.dual is None else "file")
+
+    def test_new_tolerance_or_bytes_build_a_new_pair(self, tmp_path, capsys, monkeypatch):
+        p = self._write(tmp_path, self.PLANE)
+        stamp = p.stat()
+        built = record_dual_pairs(monkeypatch)
+        wider = {**self.PLANE, "subspaces": [*self.PLANE["subspaces"], {"spanning_vectors": [[0, 1]]}]}
+        steps = [
+            # (document written before the op, with the first one's mtime; argv; pairs built so far)
+            (None, ["erasure", str(p)], 1),
+            (None, ["--json", "certify", str(p), "--which", "tight"], 1),
+            (None, ["--tol", "1e-6", "erasure", str(p)], 2),
+            (None, ["--tol", "1e-6", "erasure", str(p), "--fixed", "2"], 2),
+            (wider, ["--tol", "1e-6", "erasure", str(p)], 3),
+            (self.PLANE, ["erasure", str(p), "--fixed", "1"], 4),
+        ]
+        pairs = []
+        for doc, argv, count in steps:
+            if doc is not None:
+                self._write(tmp_path, doc)
+                os.utime(p, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+            outcome = _outcome(capsys, argv)
+            assert outcome[0] == 0 and len(built) == count, argv
+            assert outcome == _fresh_process(argv), argv
+            pairs.append(vars(cli._last_parse[1])["_pair"][0])
+        assert pairs[1] is pairs[0] and pairs[3] is pairs[2] and len({id(pair) for pair in pairs}) == 4
+
+    @pytest.mark.parametrize("with_dual", [False, True], ids=["canonical", "file"])
+    def test_refused_pair_is_not_kept(self, tmp_path, capsys, with_dual):
+        p = _plane_document(tmp_path, with_dual)
+        outcomes, docs = [], []
+        for _ in range(2):
+            outcomes.append(_outcome(capsys, ["erasure", str(p)]))
+            docs.append(cli._last_parse[1])
+        assert outcomes == [(1, "", NOT_SPANNING_R3)] * 2
+        # the document is kept and reused; its pair, refused, is built afresh and refused again
+        assert docs[0] is docs[1] and "_pair" not in vars(docs[0])
 
     def test_every_fixture_command_forward_then_reversed(self, monkeypatch):
         # one process, every op after the first on a document reusing its parse: the golden reports, byte for byte

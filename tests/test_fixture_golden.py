@@ -27,6 +27,7 @@ import fusionframes.discrete
 import fusionframes.fusion
 from fusionframes import DiscreteFrame, FusionFrame, canonical_dual, canonical_pair, make_dual_pair
 from fusionframes.cli import _text, main, parse_document
+from helpers import expand_variant_count, record_dual_pairs
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "fixture_reports.json"
@@ -132,6 +133,7 @@ def test_each_frame_operator_is_decomposed_once(name, monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, attr, decompose)
+    pairs = record_dual_pairs(monkeypatch)
     ops = [argv for argv in fixture_ops() if f"fixtures/{name}.json" in argv]
     assert len(ops) == 2 * len(COMMANDS)
     for argv in ops:
@@ -145,12 +147,16 @@ def test_each_frame_operator_is_decomposed_once(name, monkeypatch):
         assert len(decomposed) == len(built), argv
         key = " ".join(a for a in argv if a != "--json")
         assert counts == _PINNED.get(key, counts), argv
-        # warm: the same op again reuses the parsed frame, whose S_W is already decomposed
+        # warm: the same op again reuses the parsed frame, whose S_W is already decomposed, and
+        # its dual pair; only construct --what expand pairs the frame with each of its variants
         built.clear()
         decomposed.clear()
-        assert run_op(argv) == _golden()[" ".join(argv)]
+        pairs.clear()
+        warm = run_op(argv)
+        assert warm == _golden()[" ".join(argv)]
         assert not any(isinstance(f, FusionFrame) for f in built), argv
         assert len(decomposed) == len(built) == counts[1], argv
+        assert len(pairs) == expand_variant_count(warm["stdout"]), argv
 
     w = parse_document(f"fixtures/{name}.json").frame
     pair, reference = canonical_pair(w), make_dual_pair(w, canonical_dual(w))
