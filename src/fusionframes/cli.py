@@ -382,11 +382,6 @@ def _frame_document(frame: FusionFrame) -> dict:
     }
 
 
-def _document_pair(doc: ParsedDocument) -> tuple[DualPair, str]:
-    """The document's dual pair, or the canonical one, built once per kept document."""
-    return doc._pair
-
-
 def _bridged(doc: ParsedDocument, basis: np.ndarray):
     """Canonical-weighted bridge over ``basis``, its nonzero rows, their raw indices and canonical dual."""
     bridged = bridge_fusion_to_discrete(doc.frame, basis, "canonical_weighted", doc.tol)
@@ -422,7 +417,7 @@ def _cmd_classify(doc: ParsedDocument, args) -> dict:
 def _cmd_verify_dual(doc: ParsedDocument, args) -> dict:
     if doc.dual is None:
         raise DocumentError("verify-dual requires a dual section in the document")
-    pair = _document_pair(doc)[0]
+    pair = doc._pair[0]
     ok, residual, recon = verify_dual(pair)
     return {"is_dual": ok, "residual": residual, "reconstruction": recon, "member_count": pair.member_count}
 
@@ -430,7 +425,7 @@ def _cmd_verify_dual(doc: ParsedDocument, args) -> dict:
 def _cmd_erasure(doc: ParsedDocument, args) -> dict:
     norm, subset = args.norm, args.fixed
     if subset is None:
-        pair, dual_source = _document_pair(doc)
+        pair, dual_source = doc._pair
         report = worst_case_error(pair, args.r, norm)
         return {
             "mode": "worst",
@@ -469,7 +464,7 @@ def _cmd_erasure(doc: ParsedDocument, args) -> dict:
             result.update(halving_feasible=False, halving_note=str(exc))
         return result
 
-    pair, dual_source = _document_pair(doc)
+    pair, dual_source = doc._pair
     value = fusion_partial_error(pair, ErasureMask(pair.member_count, subset), norm)
     return {"mode": "fixed", "norm_kind": norm, "dual_source": dual_source, "subset": sorted(subset), "value": value}
 
@@ -480,9 +475,9 @@ def _cmd_certify(doc: ParsedDocument, args) -> dict:
     elif args.which == "dual":
         if doc.dual is None:
             raise DocumentError("certify --which dual requires a dual section in the document")
-        cert = certify_dual_optimal(_document_pair(doc)[0])
+        cert = certify_dual_optimal(doc._pair[0])
     else:
-        cert = certify_tight_uniform(_document_pair(doc)[0])
+        cert = certify_tight_uniform(doc._pair[0])
     return asdict(cert)
 
 
@@ -502,7 +497,7 @@ def _cmd_construct(doc: ParsedDocument, args) -> dict:
     if args.what == "expand":
         if args.index is None:
             raise DocumentError("construct --what expand requires --index")
-        pair, dual_source = _document_pair(doc)
+        pair, dual_source = doc._pair
         variants = expand_optimal_family(pair, args.index)
         d1 = worst_case_error(pair, 1, "frobenius").worst_value if pair.member_count > 1 else None
         entries = []
@@ -675,6 +670,14 @@ def run(args) -> str:
     return "".join(_report(args))
 
 
+def _index_list(text: str) -> list[int]:
+    """``--fixed``'s comma-separated integers; empty tokens are skipped, anything else non-integer is refused."""
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused by every later ``main`` call."""
@@ -695,7 +698,7 @@ def _build_parser() -> argparse.ArgumentParser:
     erasure.add_argument("--norm", choices=["frobenius", "operator"], default="frobenius")
     erasure.add_argument(
         "--fixed",
-        type=lambda s: [int(x) for x in s.split(",") if x],
+        type=_index_list,
         default=None,
         metavar="I,J,...",
         help="fixed lost index set (1-based); with a basis in the file this "

@@ -11,7 +11,6 @@ the two inverse forms is formed from it at most once per frame.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -198,8 +197,9 @@ def classify(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FrameClassificatio
 
     The Riesz test uses the finite-dimensional criterion: the family spans
     and the member dimensions add up to the ambient dimension (the sum is
-    then direct). Orthonormal additionally requires pairwise orthogonal
-    members and unit weights.
+    then direct). Orthonormal is a Parseval Riesz fusion basis: with the
+    sum direct and S_W = I, every weight is 1 and the members are pairwise
+    orthogonal.
     """
     lower, upper = frame_bounds(w, tol)
     is_frame = lower > 0.0
@@ -207,14 +207,7 @@ def classify(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> FrameClassificatio
     is_parseval = is_tight and abs(lower - 1.0) <= tol.residual_eps and abs(upper - 1.0) <= tol.residual_eps
     dims_add_up = sum(s.dim for s in w.subspaces) == w.ambient_dim
     is_riesz = is_frame and dims_add_up
-    is_orthonormal = (
-        is_riesz
-        and all(abs(weight - 1.0) <= tol.residual_eps for weight in w.weights)
-        and all(
-            np.linalg.norm(p @ q, "fro") <= tol.residual_eps
-            for p, q in itertools.combinations([projector(s) for s in w.subspaces], 2)
-        )
-    )
+    is_orthonormal = is_riesz and is_parseval
     return FrameClassification(
         is_frame=is_frame,
         lower_bound=lower,

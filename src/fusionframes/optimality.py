@@ -103,8 +103,10 @@ def _argmax_split(values: Sequence[float]) -> tuple[float, tuple[int, ...], tupl
     return float(c), lambda1, lambda2
 
 
-def _span_of_members(w: FusionFrame, indices: Sequence[int], tol: Tolerance) -> Subspace:
-    return subspace_sum([w.subspaces[i - 1] for i in indices], tol, ambient_dim=w.ambient_dim)
+def _span_dim(w: FusionFrame, indices: Sequence[int], tol: Tolerance) -> int:
+    """Dimension of the members' span: singular values of their stacked basis rows above ``rank_eps``."""
+    rows = np.vstack([np.zeros((0, w.ambient_dim)), *(w.subspaces[i - 1].basis.T for i in indices)])
+    return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol.rank_eps))
 
 
 def _nontriviality_note(w: FusionFrame) -> str:
@@ -122,12 +124,13 @@ def _split_certificate(
     lambda2) sum directly in their span.
     """
     c, lambda1, lambda2 = _argmax_split(values)
-    h1 = _span_of_members(w, lambda1, tol)
-    h2 = _span_of_members(w, lambda2, tol)
-    inter = subspace_intersection(h1, h2, tol)
-    side, span, name = (lambda1, h1, "extremal") if riesz_on_extremal else (lambda2, h2, "complementary")
-    dims_add = sum(w.subspaces[i - 1].dim for i in side) == span.dim
-    overlap = [f"extremal and complementary spans overlap ({inter.dim}-dimensional)"] if inter.dim > 0 else []
+    h1 = _span_dim(w, lambda1, tol)
+    h2 = _span_dim(w, lambda2, tol)
+    # both callers passed the frame test, so the members together span R^n and h1 + h2 >= n
+    inter = h1 + h2 - w.ambient_dim
+    side, span_dim, name = (lambda1, h1, "extremal") if riesz_on_extremal else (lambda2, h2, "complementary")
+    dims_add = sum(w.subspaces[i - 1].dim for i in side) == span_dim
+    overlap = [f"extremal and complementary spans overlap ({inter}-dimensional)"] if inter > 0 else []
     direct = [] if dims_add else [f"{name} members do not sum directly in their span"]
     reasons = direct + overlap if riesz_on_extremal else overlap + direct
     notes = "; ".join(reasons) if reasons else success
@@ -136,9 +139,9 @@ def _split_certificate(
         c_value=c,
         lambda1=lambda1,
         lambda2=lambda2,
-        h1_dim=h1.dim,
-        h2_dim=h2.dim,
-        intersection_dim=inter.dim,
+        h1_dim=h1,
+        h2_dim=h2,
+        intersection_dim=inter,
         lambda_side_riesz=riesz_on_extremal,
         verdict="not_applicable" if reasons else "certified_optimal",
         notes=f"{notes}; {_nontriviality_note(w)}",
@@ -155,7 +158,7 @@ def certify_canonical_optimal(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> C
     """
     s_inv = _inverse(w, tol)
     values = [
-        weight**2 * frobenius_norm(s_inv @ projector(sub))
+        weight**2 * frobenius_norm(s_inv @ sub.basis)  # ||S_W^{-1} P_{W_i}||_F, as P_{W_i} = B_i B_i^T
         for sub, weight in zip(w.subspaces, w.weights)
     ]
     success = "canonical dual certified 1-loss optimal (not unique)"

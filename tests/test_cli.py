@@ -626,6 +626,12 @@ class TestErasure:
         assert captured.out == ""
         assert captured.err == "error: --fixed needs at least one index\n"
 
+    @pytest.mark.parametrize("fixed", ["1,a", "2.5", "1;2"])
+    def test_non_integer_fixed_token_named(self, capsys, fixed):
+        code, out, err = _outcome(capsys, ["erasure", OVERLAP, "--fixed", fixed])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --fixed: expected comma-separated integers, got '{fixed}'\n")
+
     def test_json_table_formats_no_text_rows(self, capsys, monkeypatch, tmp_path):
         p = tmp_path / "enum.json"
         p.write_text(json.dumps(_random_document(4, 20, 2, seed=7)))

@@ -110,7 +110,22 @@ class TestClassify:
             if cls.is_parseval:
                 assert cls.is_tight
             if cls.is_orthonormal_fusion_basis:
-                assert cls.is_riesz_fusion_basis
+                assert cls.is_riesz_fusion_basis and cls.is_parseval
+
+    def test_near_unit_weights_are_neither_parseval_nor_orthonormal(self):
+        # w_i^2 = 1 + 1.2e-9 sits outside residual_eps of 1 although |w_i - 1| = 6e-10 is inside it
+        w = fusion_frame([coordinate_subspace(2, [1]), coordinate_subspace(2, [2])], [1 + 6e-10] * 2)
+        cls = classify(w)
+        assert cls.is_riesz_fusion_basis and cls.is_tight
+        assert not cls.is_parseval
+        assert not cls.is_orthonormal_fusion_basis
+
+    def test_oblique_lines_are_riesz_not_orthonormal(self):
+        lines = [orthonormal_basis([[1, 0]]), orthonormal_basis([[np.cos(np.pi / 3), np.sin(np.pi / 3)]])]
+        cls = classify(fusion_frame(lines))
+        assert cls.is_riesz_fusion_basis
+        assert not cls.is_parseval and not cls.is_tight
+        assert not cls.is_orthonormal_fusion_basis
 
 
 class TestCanonicalDual:

@@ -36,6 +36,7 @@ from fusionframes import (
     projector,
     riesz_bridge_partial_optimal,
     spd_inv_sqrt,
+    subspace_intersection,
     subspace_sum,
     subspaces_equal,
     transport_by_unitary,
@@ -291,7 +292,7 @@ class TestExpandFamily:
         # no worst-case report is built, and the variants are those that the
         # worst-case comparison for r <= 2 accepted
         pairs = {
-            name: cli._document_pair(cli.parse_document(FIXTURES / f"{name}.json"))[0]
+            name: cli.parse_document(FIXTURES / f"{name}.json")._pair[0]
             for name in ("overlap_r4", "overlap_r4_extended_dual", "orthobasis_r3", "overcomplete_r3")
         }
         with monkeypatch.context() as mp:
@@ -545,6 +546,29 @@ def test_unitary_transport_keeps_verdicts_values_and_argmax_sets(seed_, n, certi
             a, b = worst_case_error(pair, r, kind), worst_case_error(moved, r, kind)
             assert b.worst_value == pytest.approx(a.worst_value, rel=eps)
             assert b.argmax_subsets == a.argmax_subsets
+
+
+@seed(23)
+@settings(max_examples=40, deadline=None)
+@given(seed_=st.integers(0, 2**32 - 1), n=st.integers(3, 6), m=st.integers(2, 5))
+def test_certificate_span_counts_match_the_built_spans(seed_, n, m):
+    # members repeated and widened by one direction, so spans share whole members
+    rng = np.random.default_rng(seed_)
+    base = random_fusion_frame(rng, n, m, weighted=True)
+    subs, weights = list(base.subspaces), list(base.weights)
+    for _ in range(2):
+        k = int(rng.integers(0, m))
+        extra = orthonormal_basis(rng.standard_normal((1, n)))
+        subs.append(subs[k] if rng.random() < 0.5 else subspace_sum([subs[k], extra]))
+        weights.append(weights[k] if rng.random() < 0.5 else 0.5 + 1.5 * rng.random())
+    w = fusion_frame(subs, weights)
+    for tol in (DEFAULT_TOL, Tolerance(1e-13, 1e-13)):
+        # an ill-conditioned draw's canonical pair can miss residual_eps 1e-13; spans read only rank_eps
+        pair = canonical_pair(w, dataclasses.replace(tol, residual_eps=DEFAULT_TOL.residual_eps))
+        for cert in (certify_canonical_optimal(w, tol), certify_dual_optimal(pair)):
+            h1, h2 = (subspace_sum([subs[i - 1] for i in side], tol, ambient_dim=n) for side in (cert.lambda1, cert.lambda2))
+            expected = (h1.dim, h2.dim, subspace_intersection(h1, h2, tol).dim)
+            assert (cert.h1_dim, cert.h2_dim, cert.intersection_dim) == expected
 
 
 class TestProbeSoundness:
