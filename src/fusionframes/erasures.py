@@ -9,20 +9,27 @@ Every error operator is a sum of per-index components: for a fusion pair the
 rows ``w_i v_i P_{V_i} S_W^{-1} P_{W_i}`` of the component stack that
 :func:`~fusionframes.duality.make_dual_pair` built once, for a discrete pair
 ``g_k f_k^T``, formed per gathered chunk, so never all at once. A worst-case
-report of at most 4096 subsets lists every value, from one pass over the
-subsets in lexicographic order. Larger ones come from one exact
-branch-and-bound search over the lexicographic tree of subset prefixes. By the
-triangle inequality, which holds for both norms, no subset below a prefix P
-can exceed ``||S_P||`` plus the largest component norms still available. A
-prefix whose bound, widened by a written rounding slack, falls below the tie
-window of an exact value already found is skipped with its whole subtree;
-every other subset is summed and measured exactly. The result is the maximum
-over all C(m, r) subsets, proved rather than sampled, with complete argmax
-sets. Values are bitwise those of summing each subset onto a zero matrix in
-index order and measuring it, so they do not depend on the search order or the
-pruning. Memory holds one batch of prefix sums per level of the tree, the
-levels sharing a fixed byte budget, so it does not grow with C(m, r). The
-operations refuse rather than sample once the subset count exceeds the cap.
+report over single members (r = 1) measures each member once. For a fusion
+pair that value is taken in the member's own coordinates: E_i = E_i P_{W_i},
+so ``||E_i|| = ||E_i B_i||`` in both norms for the n x k_i orthonormal basis
+B_i of W_i, and an n x k_i matrix is measured instead of an n x n one. A
+discrete pair's single values are the dense norms of its rank-one
+components. A report of r >= 2 over at most 4096 subsets lists every value,
+from one pass over the subsets in lexicographic order. Larger ones come from
+one exact branch-and-bound search over the lexicographic tree of subset
+prefixes. By the triangle inequality, which holds for both norms, no subset
+below a prefix P can exceed ``||S_P||`` plus the largest component norms still
+available. A prefix whose bound, widened by a written rounding slack, falls
+below the tie window of an exact value already found is skipped with its
+whole subtree; every other subset is summed and measured exactly. The result
+is the maximum over all C(m, r) subsets, proved rather than sampled, with
+complete argmax sets. For r >= 2, values are bitwise those of summing each
+subset onto a zero matrix in index order and measuring it, so they do not
+depend on the search order or the pruning; fusion values at r = 1 are those
+of the member-coordinate products. Memory holds one batch of prefix sums per
+level of the tree, the levels sharing a fixed byte budget, so it does not
+grow with C(m, r). The operations refuse rather than sample once the subset
+count exceeds the cap.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Literal
 
 import numpy as np
@@ -127,18 +135,50 @@ class _Components:
 
     ``take`` maps an array of 0-based indices to the stack of those
     components. Rank-one components are formed per gathered chunk, so a
-    discrete pair never holds all of them at once.
+    discrete pair never holds all of them at once. ``singles``, when set,
+    gives the one-member values ``||E_i||`` in a cheaper form than the
+    dense norms.
     """
 
     count: int
     dim: int
     take: Callable[[np.ndarray], np.ndarray]
+    singles: Callable[[NormKind], np.ndarray] | None = None
+
+    def _single_values(self, norm_kind: NormKind) -> np.ndarray:
+        """``||E_i||`` for every index i, from ``singles`` or else from the dense norms."""
+        if self.singles is not None:
+            return self.singles(norm_kind)
+        return _norms(self, np.arange(self.count)[:, None], norm_kind)
 
 
 def _fusion_components(pair: DualPair) -> _Components:
     """The pair's component stack, w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} per member."""
     stack = pair.components
-    return _Components(len(stack), pair.primal.ambient_dim, stack.__getitem__)
+    return _Components(len(stack), pair.primal.ambient_dim, stack.__getitem__, partial(_member_norms, pair))
+
+
+def _member_norms(pair: DualPair, norm_kind: NormKind) -> np.ndarray:
+    """``||E_i B_i||`` per member, B_i the basis of W_i zero-padded to the largest member dimension.
+
+    E_i ends in proj_{W_i} = B_i B_i^T, so these equal ``||E_i||`` in both
+    norms, up to the rounding of the stored E_i outside W_i, which grows with
+    cond(S_W). The n x k_max products are formed and measured by
+    :func:`_sum_norms` one chunk of members at a time.
+    """
+    stack, subspaces = pair.components, pair.primal.subspaces
+    n, k = pair.primal.ambient_dim, max(sub.dim for sub in subspaces)
+    bases = np.zeros((len(stack), n, k))
+    for b, sub in zip(bases, subspaces):
+        b[:, : sub.dim] = sub.basis
+    rows = max(1, _CHUNK_BYTES // (8 * n * k))
+    values = []
+    for lo in range(0, len(stack), rows):
+        # an overflowing component gives a non-finite product, which _sum_norms refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = stack[lo : lo + rows] @ bases[lo : lo + rows]
+        values.append(_sum_norms(products, norm_kind))
+    return np.concatenate(values)
 
 
 def _rank_one_components(f: DiscreteFrame, g: DiscreteFrame) -> _Components:
@@ -178,9 +218,11 @@ def fusion_partial_error(pair: DualPair, mask: ErasureMask, norm_kind: NormKind)
 def _sum_norms(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
     """:func:`matrix_norm` of each matrix in the stack ``sums``, rounding identically.
 
-    The operator norm runs the same LAPACK SVD as ``matrix_norm``, batched;
-    the Frobenius norm takes the same flat dot product as ``np.linalg.norm``.
-    A non-finite norm is refused, so no search ever compares one.
+    The stack holds subset sums or member-coordinate products
+    (:func:`_member_norms`). The operator norm runs the same LAPACK SVD as
+    ``matrix_norm``, batched; the Frobenius norm takes the same flat dot
+    product as ``np.linalg.norm``. A non-finite norm is refused, so no
+    search ever compares one.
     """
     if norm_kind == "operator":
         values = np.linalg.svd(sums, compute_uv=False)[:, 0]
@@ -230,7 +272,7 @@ def _greedy_leaf(components: _Components, norms: np.ndarray, r: int, norm_kind: 
     """
     chosen = np.sort(np.argsort(norms, kind="stable")[-r:])
     best = float(_norms(components, chosen[None, :], norm_kind)[0])
-    while r > 1:  # a single largest component is already the best single member
+    while True:
         current = chosen
         rest = np.setdiff1d(np.arange(components.count), current)
         group = max(1, _CHUNK_BYTES // (8 * r * len(rest)))
@@ -284,9 +326,12 @@ def _level_rows(need: list[int], total: int) -> list[int]:
 def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> ErasureReport:
     """Exact worst-case report over all r-subsets of the m components.
 
-    A report of at most ``_TABLE_MAX`` subsets lists every value, measured
-    in one pass over the r-subsets in lexicographic order; larger ones come
-    from a branch-and-bound search.
+    At r = 1 each member is measured once, by ``components._single_values``
+    (in member coordinates for a fusion pair), and never searched; the
+    values are listed when m <= ``_TABLE_MAX``. For r >= 2, a report of at
+    most ``_TABLE_MAX`` subsets lists every value, measured in one pass over
+    the r-subsets in lexicographic order; larger ones come from a
+    branch-and-bound search.
 
     The search walks the lexicographic tree of prefixes P = (p_1 < ... < p_d)
     with one generator per depth. ``level(d, parents)`` gathers the
@@ -298,8 +343,14 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     and deep trees still move in full batches. A child's sum is its parent's
     sum plus its own member, so every subset sum is built as
     ``_chunk_sums`` builds it, (0 + E_{p_1}) + E_{p_2} + ..., and every leaf
-    value is :func:`_sum_norms` of it: each reported value equals
+    value is :func:`_sum_norms` of it: for r >= 2 each reported value equals
     :func:`matrix_norm` of that subset's sum bit for bit, in either path.
+    The bound below uses the dense norms ``||E_j||`` of the stored
+    components, not the member-coordinate values: it must dominate the norm
+    of each stored matrix the search adds, and ``||E_j B_j||`` can fall below
+    the stored ``||E_j||`` by the rounding of E_j outside W_j, which grows
+    with cond(S_W). A member-coordinate bound widened by that rounding is
+    left as a follow-up.
 
     Bound: a leaf below P adds t more members after p_d to S_P, so by the
     triangle inequality, in either norm, its value is at most
@@ -348,15 +399,21 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
         )
     if norm_kind not in ("frobenius", "operator"):
         raise ValueError(f"unknown norm kind {norm_kind!r}")
-    if count <= _TABLE_MAX:
-        # the index rows stream into one array, freed before the subset
-        # tuples are made, so the table is the only copy of its subsets
-        flat = itertools.chain.from_iterable(itertools.combinations(range(m), r))
-        values = _norms(components, np.fromiter(flat, np.intp, count * r).reshape(count, r), norm_kind)
-        subsets = list(itertools.combinations(range(1, m + 1), r))
+    if r == 1 or count <= _TABLE_MAX:
+        if r == 1:
+            values = components._single_values(norm_kind)
+        else:
+            # the index rows stream into one array, freed before the subset
+            # tuples are made, so the table is the only copy of its subsets
+            flat = itertools.chain.from_iterable(itertools.combinations(range(m), r))
+            values = _norms(components, np.fromiter(flat, np.intp, count * r).reshape(count, r), norm_kind)
         worst = float(values.max())
-        argmax = itertools.compress(subsets, values >= worst * (1.0 - _TIE_REL))
-        return ErasureReport(r, norm_kind, worst, tuple(argmax), tuple(zip(subsets, values.tolist())))
+        hit = values >= worst * (1.0 - _TIE_REL)
+        if count > _TABLE_MAX:
+            return ErasureReport(r, norm_kind, worst, tuple((int(i) + 1,) for i in hit.nonzero()[0]))
+        subsets = list(itertools.combinations(range(1, m + 1), r))
+        argmax = tuple(itertools.compress(subsets, hit))
+        return ErasureReport(r, norm_kind, worst, argmax, tuple(zip(subsets, values.tolist())))
     s = m - r  # a prefix of length d has a completion iff p_d <= s + d - 1 (0-based)
     tabs = _binomials(s, r)
     # level d of the tree has C(s + d, d) prefixes; a row takes its sum and

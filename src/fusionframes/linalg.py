@@ -69,14 +69,16 @@ def _as_matrix(a) -> np.ndarray:
 def _check_orthonormal_rows(rows: np.ndarray, ranks) -> None:
     """Refuse unless the first ``ranks`` rows of each ``(k, n)`` block of ``rows`` are orthonormal.
 
-    np.allclose(gram, eye, atol=1e-8) written out, ``|gram - eye| <= 1e-8 + 1e-5 eye``,
-    on each block's rank x rank Gram part; rows past a block's rank must vanish.
+    Entrywise ``|gram - eye| <= 16 n eps`` on each block's rank x rank Gram
+    part; rows past a block's rank must vanish. An n-term dot product rounds
+    by about n eps, and twice-reorthogonalized Gram-Schmidt, Householder QR
+    and the SVD lose at most a small multiple of n eps of orthogonality.
     """
     if not np.all(np.isfinite(rows)):
         raise ValueError("basis has non-finite entries")
-    k = rows.shape[-2]
+    k, n = rows.shape[-2:]
     eye = np.eye(k) * (np.arange(k) < np.asarray(ranks)[..., None])[..., None, :]
-    if not (np.abs(rows @ np.swapaxes(rows, -1, -2) - eye) <= 1e-8 + 1e-5 * eye).all():
+    if not (np.abs(rows @ np.swapaxes(rows, -1, -2) - eye) <= 16 * n * np.finfo(float).eps).all():
         raise ValueError("basis columns are not orthonormal")
 
 

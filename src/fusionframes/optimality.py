@@ -34,6 +34,7 @@ from .duality import (
 )
 from .erasures import (
     _TIE_REL,
+    _member_norms,
     block_mask,
     discrete_worst_case,
     partial_erasure_error,
@@ -172,10 +173,12 @@ def certify_dual_optimal(pair: DualPair) -> Certificate:
     extremal side: the members attaining the worst single-erasure value must
     form a Riesz fusion basis of their span, and that span must intersect
     the complementary span trivially. Member i's single-erasure value is the
-    Frobenius norm of the pair's component w_i v_i proj_{V_i} S_W^{-1} proj_{W_i}.
+    Frobenius norm of the pair's component w_i v_i proj_{V_i} S_W^{-1} proj_{W_i},
+    measured in member coordinates as ``worst_case_error(pair, 1, "frobenius")``
+    measures it, so ``c_value`` is that report's worst value.
     """
     _require_verified(pair)
-    values = [frobenius_norm(e) for e in pair.components]
+    values = _member_norms(pair, "frobenius").tolist()
     success = "dual family certified 1-loss optimal"
     return _split_certificate(pair.primal, values, pair.tol, "dual_family", True, success)
 

@@ -25,6 +25,7 @@ import fusionframes.duality
 from fusionframes import (
     DEFAULT_TOL,
     DiscreteFrame,
+    DualPair,
     FusionFrame,
     Subspace,
     Tolerance,
@@ -312,19 +313,45 @@ def discrete_components_reference(f, g) -> list[np.ndarray]:
     return [np.outer(g.vectors[k], f.vectors[k]) for k in range(f.count)]
 
 
+def member_values_reference(pair, norm_kind: str) -> list[float]:
+    """``||E_i B_i||`` member by member: each reference component times its primal member's basis.
+
+    B_i is zero-padded to the largest member dimension, as the engine pads
+    it, so the values are the engine's single-member values bit for bit.
+    They equal ``||E_i||`` up to the rounding of E_i outside W_i.
+    """
+    bases = [sub.basis for sub in pair.primal.subspaces]
+    k = max(b.shape[1] for b in bases)
+    values = []
+    for e, b in zip(fusion_components_reference(pair), bases):
+        padded = np.zeros((len(b), k))
+        padded[:, : b.shape[1]] = b
+        values.append(matrix_norm(e @ padded, norm_kind))
+    return values
+
+
 def brute_force_worst(components, r: int, norm_kind: str):
     """(worst value, argmax subsets, table or None) from one exact norm per subset.
 
-    Every subset's error is summed onto a zero matrix and measured with
-    ``matrix_norm``; the argmax keeps every subset within the 1e-12 relative
-    tie window, and the table is kept for at most 4096 subsets.
+    ``components`` is a list of n x n components, or a fusion dual pair,
+    whose components are :func:`fusion_components_reference`. Every subset's
+    error is summed onto a zero matrix and measured with ``matrix_norm``,
+    except a fusion pair's single members at r = 1, which are measured in
+    member coordinates (:func:`member_values_reference`). The argmax keeps
+    every subset within the 1e-12 relative tie window, and the table is kept
+    for at most 4096 subsets.
     """
-    table = []
-    for subset in itertools.combinations(range(1, len(components) + 1), r):
-        err = np.zeros(components[0].shape)
-        for i in subset:
-            err += components[i - 1]
-        table.append((subset, matrix_norm(err, norm_kind)))
+    if isinstance(components, DualPair) and r == 1:
+        table = [((i,), v) for i, v in enumerate(member_values_reference(components, norm_kind), start=1)]
+    else:
+        if isinstance(components, DualPair):
+            components = fusion_components_reference(components)
+        table = []
+        for subset in itertools.combinations(range(1, len(components) + 1), r):
+            err = np.zeros(components[0].shape)
+            for i in subset:
+                err += components[i - 1]
+            table.append((subset, matrix_norm(err, norm_kind)))
     worst = max(value for _, value in table)
     argmax = tuple(s for s, value in table if value >= worst * (1.0 - 1e-12))
     return worst, argmax, tuple(table) if len(table) <= 4096 else None

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import math
@@ -13,6 +14,7 @@ from fusionframes import erasures
 from fusionframes import (
     ENUMERATION_CAP,
     ErasureMask,
+    FusionFrame,
     block_mask,
     bridge_dual_to_discrete,
     bridge_fusion_to_discrete,
@@ -32,6 +34,7 @@ from fusionframes import (
     partial_erasure_error,
     transport_by_unitary,
     worst_case_error,
+    zero_subspace,
 )
 from helpers import (
     ORTHOBASIS_ALT_DUAL_BRIDGED,
@@ -40,8 +43,8 @@ from helpers import (
     SQRT54,
     brute_force_worst,
     discrete_components_reference,
-    fusion_components_reference,
     inflated_dual,
+    member_values_reference,
     overlap_extended_dual,
     overlap_frame_r4,
     random_fusion_frame,
@@ -278,7 +281,7 @@ class TestEngineMatchesBruteForce:
         w = random_fusion_frame(rng, n, m, weighted=True)
         pair = make_dual_pair(w, inflated_dual(rng, w))
         report = worst_case_error(pair, r, norm)
-        assert_matches_brute_force(report, fusion_components_reference(pair), r, norm)
+        assert_matches_brute_force(report, pair, r, norm)
 
     @pytest.mark.parametrize("norm", NORMS)
     @pytest.mark.parametrize("count, r", [(14, 4), (16, 6)])
@@ -301,7 +304,7 @@ class TestEngineMatchesBruteForce:
             w = random_fusion_frame(rng, n, m, weighted=True)
             pair = make_dual_pair(w, inflated_dual(rng, w))
             report = worst_case_error(pair, r, norm)
-            worst, argmax, _ = brute_force_worst(fusion_components_reference(pair), r, norm)
+            worst, argmax, _ = brute_force_worst(pair, r, norm)
             assert report.worst_value == worst
             assert report.argmax_subsets == argmax
             assert report.per_subset_values is None
@@ -314,7 +317,7 @@ class TestEngineMatchesBruteForce:
         report = worst_case_error(pair, 5, norm)
         assert len(report.argmax_subsets) == math.comb(16, 5) == 4368
         assert report.argmax_subsets == tuple(itertools.combinations(range(1, 17), 5))
-        assert_matches_brute_force(report, fusion_components_reference(pair), 5, norm)
+        assert_matches_brute_force(report, pair, 5, norm)
 
 
 def counting_svd(monkeypatch):
@@ -426,25 +429,25 @@ def counting_norms(monkeypatch):
     copies=st.integers(0, 3),
 )
 def test_pruned_search_matches_brute_force(seed_, fusion, n, m, r_frac, norm, copies):
-    # with no table every search prunes; copied members make exact ties
+    # with no table every search of r >= 2 prunes; copied members make exact ties
     rng = np.random.default_rng(seed_)
     r = 1 + int(r_frac * (m - 2))
     if fusion:
         w = random_fusion_frame(rng, n, m, weighted=True)
         pair = make_dual_pair(w, inflated_dual(rng, w) if rng.random() < 0.5 else canonical_pair(w).dual_candidate)
-        components = fusion_components_reference(pair)
+        source = pair
         search = lambda: worst_case_error(pair, r, norm)
     else:
         vectors = rng.standard_normal((m, n))
         vectors[1 : 1 + min(copies, m - n)] = vectors[0]
         f = discrete_frame(vectors)
         g = f if rng.random() < 0.5 else dual_from_perturbation(f, random_perturbation(rng, f))
-        components = discrete_components_reference(f, g)
+        source = discrete_components_reference(f, g)
         search = lambda: discrete_worst_case(f, g, r, norm)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(erasures, "_TABLE_MAX", 0)
         report = search()
-    worst, argmax, _ = brute_force_worst(components, r, norm)
+    worst, argmax, _ = brute_force_worst(source, r, norm)
     assert report.worst_value == worst
     assert report.argmax_subsets == argmax
     assert report.per_subset_values is None
@@ -584,13 +587,13 @@ class TestBranchAndBound:
         monkeypatch.setattr(erasures, "_fusion_components", counted)
         rows = counting_norms(monkeypatch)
         report = worst_case_error(pair, r, norm)
-        assert_matches_brute_force(report, fusion_components_reference(pair), r, norm)
+        assert_matches_brute_force(report, pair, r, norm)
         assert sum(rows) == m and len(rows) <= 2
         assert len(steps) < 3 * r
         monkeypatch.setattr(erasures, "_TABLE_MAX", 0)
         rows.clear()
         report = worst_case_error(pair, r, norm)
-        worst, argmax, _ = brute_force_worst(fusion_components_reference(pair), r, norm)
+        worst, argmax, _ = brute_force_worst(pair, r, norm)
         assert report.worst_value == worst
         assert report.argmax_subsets == argmax
         assert len(rows) < 2 * r
@@ -612,7 +615,7 @@ class TestBranchAndBound:
         finally:
             sys.setrecursionlimit(limit)
         assert restored == tight
-        worst, argmax, _ = brute_force_worst(fusion_components_reference(pair), r, "frobenius")
+        worst, argmax, _ = brute_force_worst(pair, r, "frobenius")
         assert (report.worst_value, report.argmax_subsets) == (worst, argmax)
 
     @pytest.mark.parametrize("norm", NORMS)
@@ -624,6 +627,90 @@ class TestBranchAndBound:
         rows = counting_norms(monkeypatch)
         worst_case_error(pair, 5, norm)
         assert sum(rows) < math.comb(m, 5) / 10
+
+
+class TestSingleMemberValues:
+    """r = 1 on a fusion pair: ||E_i B_i|| in member coordinates, each member measured once."""
+
+    @staticmethod
+    def unequal_pair(rng, n=6, m=9):
+        # a weighted frame with members of several dimensions, and a dual
+        # candidate whose member 2 is the zero subspace
+        w = random_fusion_frame(rng, n, m, weighted=True)
+        assert len({sub.dim for sub in w.subspaces}) > 1
+        v = inflated_dual(rng, w)
+        members = list(v.subspaces)
+        members[1] = zero_subspace(n)
+        return make_dual_pair(w, FusionFrame(n, tuple(members), v.weights))
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_values_agree_with_the_dense_norms(self, rng, norm):
+        # both are ||E_i|| up to rounding: the stored E_i = w_i v_i P_{V_i} S_W^{-1} P_{W_i}
+        # errs by a few n eps w_i v_i ||S_W^{-1}||_2 (its factors P have norm 1), and so
+        # does each computed norm; the bound is 8 n eps w_i v_i ||S_W^{-1}||_2
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            pair = self.unequal_pair(rng)
+            report = worst_case_error(pair, 1, norm)
+            values = np.array([v for _, v in report.per_subset_values])
+            dense = np.array([matrix_norm(e, norm) for e in pair.components])
+            scale = np.multiply(pair.primal.weights, pair.dual_candidate.weights) * np.linalg.norm(pair.s_inv, 2)
+            assert values[1] == dense[1] == 0.0
+            assert (np.abs(values - dense) <= 8 * pair.primal.ambient_dim * eps * scale).all()
+            assert values.tolist() == member_values_reference(pair, norm)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("m", [9, 5000], ids=["table", "past-table"])
+    def test_no_search_and_no_dense_sums(self, rng, monkeypatch, m, norm):
+        # past the table size too, every member is measured once, as an n x k_max
+        # product: no bound, no greedy leaf, no n x n sum, and no SVD input wider than k_max
+        w = random_fusion_frame(rng, 4, m, weighted=True)
+        pair = canonical_pair(w)
+        k_max = max(sub.dim for sub in w.subspaces)
+        for name in ("_gain_band", "_greedy_leaf", "_chunk_sums"):
+            monkeypatch.setattr(erasures, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
+        rows = counting_norms(monkeypatch)
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(erasures.np.linalg, "svd", lambda a, *args, **kw: (shapes.append(a.shape), svd(a, *args, **kw))[1])
+        report = worst_case_error(pair, 1, norm)
+        assert sum(rows) == m
+        assert all(shape[-1] <= k_max for shape in shapes)
+        assert bool(shapes) == (norm == "operator")
+        worst, argmax, table = brute_force_worst(pair, 1, norm)
+        assert (report.worst_value, report.argmax_subsets, report.per_subset_values) == (worst, argmax, table)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_discrete_pairs_keep_the_dense_norms(self, rng, monkeypatch, norm):
+        # rank-one components have no member basis: their single values are the dense norms, unsearched
+        for name in ("_gain_band", "_greedy_leaf"):
+            monkeypatch.setattr(erasures, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
+        f = discrete_frame(rng.standard_normal((5000, 3)))
+        g = discrete_frame(rng.standard_normal((5000, 3)))
+        report = discrete_worst_case(f, g, 1, norm)
+        worst, argmax, _ = brute_force_worst(discrete_components_reference(f, g), 1, norm)
+        assert (report.worst_value, report.argmax_subsets, report.per_subset_values) == (worst, argmax, None)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_values_span_chunks(self, rng, monkeypatch, norm):
+        # 3-member chunks leave a partial last one; the values are the reference's bit for bit
+        pair = self.unequal_pair(rng, n=4, m=11)
+        k_max = max(sub.dim for sub in pair.primal.subspaces)
+        monkeypatch.setattr(erasures, "_CHUNK_BYTES", 3 * 8 * 4 * k_max)
+        rows = counting_norms(monkeypatch)
+        assert erasures._member_norms(pair, norm).tolist() == member_values_reference(pair, norm)
+        assert rows == [3, 3, 3, 2]
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_values_are_refused(self, rng, norm, bad):
+        # a worst case over an overflowing component has no value; none may be reported
+        pair = canonical_pair(random_fusion_frame(rng, 3, 5))
+        components = pair.components.copy()
+        components[2] = bad
+        broken = dataclasses.replace(pair, components=components)
+        with pytest.raises(ValueError, match="not finite|did not converge"):
+            worst_case_error(broken, 1, norm)
 
 
 def traced_peak(run):

@@ -3,7 +3,11 @@
 ``fixture_reports.json`` holds the exit status, stdout and stderr of each
 op, run from the repository root with the fixture path relative to it, so
 the echoed ``input.path`` does not depend on the checkout. A change that is
-meant to alter a report regenerates the file with
+meant to alter a report lists the ops whose reports differ, writing nothing, with
+
+    PYTHONPATH=src python tests/test_fixture_golden.py --diff
+
+then regenerates the file with
 
     PYTHONPATH=src python tests/test_fixture_golden.py
 
@@ -77,6 +81,12 @@ def _golden() -> dict[str, dict]:
     return {" ".join(entry["argv"]): entry for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))}
 
 
+def changed_ops(entries: list[dict]) -> list[list[str]]:
+    """argv of each entry whose report differs from, or is missing in, ``fixture_reports.json``."""
+    golden = _golden()
+    return [entry["argv"] for entry in entries if golden.get(" ".join(entry["argv"])) != entry]
+
+
 def _text_ops() -> list[list[str]]:
     """argv of each text op whose golden report exits 0."""
     golden = _golden()
@@ -88,6 +98,13 @@ def test_golden_covers_every_op():
     assert sorted(golden) == sorted(" ".join(argv) for argv in fixture_ops())
     assert sum(entry["exit"] == 1 for entry in golden.values()) == 20
     assert len(_text_ops()) == 45
+
+
+def test_diff_lists_the_changed_ops_only():
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert changed_ops(entries) == []
+    entries[3] = {**entries[3], "stdout": entries[3]["stdout"] + " "}
+    assert changed_ops(entries) == [entries[3]["argv"]]
 
 
 @pytest.mark.parametrize("argv", fixture_ops(), ids=" ".join)
@@ -194,7 +211,13 @@ def test_each_inverse_is_formed_once_per_frame(argv, frames, text, monkeypatch):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--diff"]):
+        sys.exit(f"usage: {sys.argv[0]} [--diff]")
     os.chdir(ROOT)
     entries = [run_op(argv) for argv in fixture_ops()]
-    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(entries)} ops to {GOLDEN}", file=sys.stderr)
+    if sys.argv[1:]:
+        for argv in changed_ops(entries):
+            print(" ".join(argv))
+    else:
+        GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(entries)} ops to {GOLDEN}", file=sys.stderr)

@@ -566,3 +566,15 @@ def test_tolerance_validation():
 def test_subspace_rejects_non_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 64])
+def test_orthonormality_is_judged_at_rounding_level(n):
+    # |gram - eye| <= 16 n eps: a column norm off by 1e-9 (which np.allclose's
+    # 1e-8 + 1e-5 accepted) is refused, one off by an ulp is kept
+    basis = np.eye(n)[:, :2]
+    basis[0, 0] = 1.0 + 1e-9
+    with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+        Subspace(n, basis)
+    basis[0, 0] = 1.0 + np.finfo(float).eps
+    assert Subspace(n, basis).dim == 2

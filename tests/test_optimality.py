@@ -41,6 +41,7 @@ from fusionframes import (
     subspaces_equal,
     transport_by_unitary,
     verify_discrete_dual,
+    verify_dual,
     worst_case_error,
 )
 from helpers import (
@@ -146,6 +147,25 @@ class TestDualCertificate:
         cert = certify_dual_optimal(canonical_pair(w))
         assert cert.lambda1 == (1, 2)
         assert cert.verdict == "not_applicable"
+
+    @pytest.mark.parametrize(
+        "name", ["overlap_r4", "overlap_r4_extended_dual", "orthobasis_r3", "overcomplete_r3", "preserving_nondual_r3"]
+    )
+    def test_c_value_is_the_worst_single_erasure_value_on_fixtures(self, name):
+        # the certificate measures each member as worst_case_error does at r = 1, in member coordinates
+        doc = cli.parse_document(FIXTURES / f"{name}.json")
+        pairs = [canonical_pair(doc.frame, doc.tol), doc._pair[0]]
+        for pair in [p for p in pairs if verify_dual(p)[0]]:
+            assert certify_dual_optimal(pair).c_value == worst_case_error(pair, 1, "frobenius").worst_value
+
+    def test_c_value_is_the_worst_single_erasure_value_with_unequal_member_dims(self, rng):
+        w = random_fusion_frame(rng, 6, 9, weighted=True)
+        assert len({sub.dim for sub in w.subspaces}) > 1
+        pair = make_dual_pair(w, inflated_dual(rng, w))
+        cert = certify_dual_optimal(pair)
+        report = worst_case_error(pair, 1, "frobenius")
+        assert cert.c_value == report.worst_value
+        assert tuple((i,) for i in cert.lambda1) == report.argmax_subsets
 
     def test_non_dual_rejected(self):
         from helpers import preserving_pair_r3
