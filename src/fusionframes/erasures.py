@@ -145,12 +145,6 @@ class _Components:
     take: Callable[[np.ndarray], np.ndarray]
     singles: Callable[[NormKind], np.ndarray] | None = None
 
-    def _single_values(self, norm_kind: NormKind) -> np.ndarray:
-        """``||E_i||`` for every index i, from ``singles`` or else from the dense norms."""
-        if self.singles is not None:
-            return self.singles(norm_kind)
-        return _norms(self, np.arange(self.count)[:, None], norm_kind)
-
 
 def _fusion_components(pair: DualPair) -> _Components:
     """The pair's component stack, w_i v_i proj_{V_i} S_W^{-1} proj_{W_i} per member."""
@@ -168,15 +162,16 @@ def _member_norms(pair: DualPair, norm_kind: NormKind) -> np.ndarray:
     """
     stack, subspaces = pair.components, pair.primal.subspaces
     n, k = pair.primal.ambient_dim, max(sub.dim for sub in subspaces)
-    bases = np.zeros((len(stack), n, k))
-    for b, sub in zip(bases, subspaces):
-        b[:, : sub.dim] = sub.basis
     rows = max(1, _CHUNK_BYTES // (8 * n * k))
     values = []
     for lo in range(0, len(stack), rows):
+        chunk = stack[lo : lo + rows]
+        bases = np.zeros((len(chunk), n, k))
+        for b, sub in zip(bases, subspaces[lo : lo + rows]):
+            b[:, : sub.dim] = sub.basis
         # an overflowing component gives a non-finite product, which _sum_norms refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            products = stack[lo : lo + rows] @ bases[lo : lo + rows]
+            products = chunk @ bases
         values.append(_sum_norms(products, norm_kind))
     return np.concatenate(values)
 
@@ -247,13 +242,14 @@ def _gain_band(norms: np.ndarray, r: int) -> np.ndarray:
 
     top_t(> j) sums the t largest of ``norms[j + 1:]``, added largest first
     onto 0.0. Row t holds only the m - r + 1 members j that the search can
-    extend at depth r - t, so the band never takes r x m entries.
+    extend at depth r - t, so the band never takes r x m entries. Only the
+    search calls it, so 2 <= r < m.
     """
     m = len(norms)
     band = np.empty((r, m - r + 1))
     band[0] = norms[r - 1 :] + 0.0
     top = np.empty(0)  # the r - 1 largest of norms[j + 1:], descending
-    for j in range(m - 2, -1, -1) if r > 1 else ():
+    for j in range(m - 2, -1, -1):
         x = norms[j + 1]
         top = np.insert(top, len(top) - top[::-1].searchsorted(x, "right"), x)[: r - 1]
         t = np.arange(max(1, r - 1 - j), min(r - 1, m - 1 - j) + 1)
@@ -326,8 +322,8 @@ def _level_rows(need: list[int], total: int) -> list[int]:
 def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> ErasureReport:
     """Exact worst-case report over all r-subsets of the m components.
 
-    At r = 1 each member is measured once, by ``components._single_values``
-    (in member coordinates for a fusion pair), and never searched; the
+    At r = 1 each member is measured once, by ``components.singles`` when
+    set (in member coordinates for a fusion pair), and never searched; the
     values are listed when m <= ``_TABLE_MAX``. For r >= 2, a report of at
     most ``_TABLE_MAX`` subsets lists every value, measured in one pass over
     the r-subsets in lexicographic order; larger ones come from a
@@ -400,8 +396,10 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     if norm_kind not in ("frobenius", "operator"):
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     if r == 1 or count <= _TABLE_MAX:
-        if r == 1:
-            values = components._single_values(norm_kind)
+        if r == 1 and components.singles is not None:
+            values = components.singles(norm_kind)
+        elif r == 1:
+            values = _norms(components, np.arange(m)[:, None], norm_kind)
         else:
             # the index rows stream into one array, freed before the subset
             # tuples are made, so the table is the only copy of its subsets

@@ -284,8 +284,8 @@ def _pick_and_complete_basis(
     """One normalized representative per member, completed to an orthonormal basis.
 
     The representative of each member is the projection of the first standard
-    basis direction that meets it; the rows after them are the basis of the
-    :func:`orthogonal_complement` of their span. Deterministic so constructed
+    basis direction that meets it; the rows after them are an orthonormal
+    basis of the complement of their span. Deterministic so constructed
     fixtures are reproducible.
     """
     eye = np.eye(ambient_dim)
@@ -300,8 +300,10 @@ def _pick_and_complete_basis(
                 break
         else:
             raise ValueError("a member has no nonzero projection of any coordinate direction")
-    rest = orthogonal_complement(Subspace(ambient_dim, np.array(chosen).T))
-    return np.vstack([*chosen, *rest.basis.T])
+    # the representatives are orthogonal only to about eps cond(S_W), so their
+    # complement comes straight from the SVD; the caller checks the whole basis
+    u, _, _ = np.linalg.svd(np.array(chosen).T, full_matrices=True)
+    return np.vstack([*chosen, *u[:, len(chosen) :].T])
 
 
 def parseval_optimal_family(

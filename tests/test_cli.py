@@ -775,6 +775,16 @@ class TestConstruct:
             assert dual["residual"] <= DEFAULT_TOL.residual_eps
             assert dual["d1_operator"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("turn", [0.5, 1.1])
+    def test_parseval_family_of_nearly_parallel_lines(self, capsys, tmp_path, turn):
+        lines = [[[np.cos(t), np.sin(t)]] for t in (turn, turn + np.radians(5))]
+        p = tmp_path / "lines.json"
+        p.write_text(json.dumps({"ambient_dim": 2, "subspaces": [{"weight": 1, "spanning_vectors": v} for v in lines]}))
+        result = run_json(capsys, ["construct", str(p), "--what", "parseval-family"])["result"]
+        for dual in result["duals"]:
+            assert dual["is_dual"] is True
+            assert dual["d1_operator"] == pytest.approx(1.0, abs=1e-9)
+
     def test_expand_variants_preserve_value(self, capsys):
         report = run_json(capsys, ["construct", OVERLAP, "--what", "expand", "--index", "3"])
         result = report["result"]

@@ -429,6 +429,18 @@ class TestParsevalFamily:
             assert np.array_equal(basis[m:], rest.basis.T)
             assert np.array_equal(optimality._pick_and_complete_basis(whitened, n, DEFAULT_TOL), basis)
 
+    @pytest.mark.parametrize("turn", [0.5, 1.1])
+    def test_constructed_basis_for_nearly_parallel_lines(self, turn):
+        # cond(S_W) is about 500, so the two representatives are orthogonal
+        # only to about 1e-14, more than a subspace basis may be off
+        a, b = turn, turn + np.radians(5)
+        w = fusion_frame([orthonormal_basis([[np.cos(t), np.sin(t)]]) for t in (a, b)], [1.0, 1.0])
+        f, duals, parseval_residual, checks = parseval_optimal_family(w)
+        assert parseval_residual <= DEFAULT_TOL.residual_eps
+        for ok, _, d1 in checks:
+            assert ok
+            assert d1 == pytest.approx(1.0, abs=1e-9)
+
     def test_non_riesz_rejected(self):
         w = overlap_frame_r4()
         with pytest.raises(ValueError, match="Riesz"):
