@@ -171,7 +171,7 @@ def _subspace_family(entries, ambient_dim: int, tol: Tolerance, where: str, defa
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-# the last document parsed, keyed by its bytes' digest and the tolerance override
+# the last document parsed, keyed by its bytes and the tolerance override
 _last_parse: tuple[tuple, ParsedDocument] | None = None
 
 
@@ -179,12 +179,14 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
     """Parse a frame specification document from a JSON file, read once and decoded as
     ``read_text(encoding="utf-8")`` decodes; ``sha256`` is the digest of the bytes read.
 
-    The file is read and hashed on every call. When its bytes and ``tol_override``
-    are those of the last document parsed in this process, that same object is
-    returned, with the spectra its frames have cached and, once a command has
-    used them, its dual pair and encoded frame-document echo, so each is built
-    once per kept document; a refused document is never kept. Parsing itself
-    builds neither. Every array reachable from the result is read-only.
+    The file is read on every call and its bytes compared with those of the last
+    document parsed in this process, which are kept with it. When they and
+    ``tol_override`` match, that same object is returned, with the spectra its
+    frames have cached and, once a command has used them, its dual pair and
+    encoded frame-document echo, so each is built once per kept document. The
+    bytes are hashed only when they are parsed, once per kept document; a
+    refused document is never hashed or kept. Parsing itself builds neither the
+    pair nor the echo. Every array reachable from the result is read-only.
     """
     global _last_parse
     path = Path(path)
@@ -192,9 +194,8 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
         data = path.read_bytes()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    sha256 = hashlib.sha256(data).hexdigest()
     # the type too: an int override echoes as "1", a float one as "1.0"
-    key = (sha256, type(tol_override), tol_override)
+    key = (data, type(tol_override), tol_override)
     last = _last_parse  # one read: another thread may replace the slot, never change a kept pair
     if last is not None and last[0] == key:
         return last[1]
@@ -252,7 +253,7 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
         basis = _vectors(rows, ambient_dim, "basis")
         basis.setflags(write=False)
 
-    doc = ParsedDocument(frame, dual, basis, tol, sha256)
+    doc = ParsedDocument(frame, dual, basis, tol, hashlib.sha256(data).hexdigest())
     _last_parse = key, doc
     return doc
 
@@ -426,7 +427,7 @@ def _cmd_erasure(doc: ParsedDocument, args) -> dict:
     norm, subset = args.norm, args.fixed
     if subset is None:
         pair, dual_source = doc._pair
-        report = worst_case_error(pair, args.r, norm)
+        report = worst_case_error(pair, 1 if args.r is None else args.r, norm)
         return {
             "mode": "worst",
             "r": report.r,
@@ -482,6 +483,8 @@ def _cmd_certify(doc: ParsedDocument, args) -> dict:
 
 
 def _cmd_construct(doc: ParsedDocument, args) -> dict:
+    if args.index is not None and args.what != "expand":
+        raise DocumentError("construct --index applies to --what expand only")
     if args.what == "bridge":
         basis = doc.basis if doc.basis is not None else np.eye(doc.frame.ambient_dim)
         bridged, compacted, kept, canonical = _bridged(doc, basis)
@@ -663,9 +666,9 @@ def run(args) -> str:
     """Run one parsed command line; returns the text report, or the JSON one under ``--json``.
 
     The input is read once; only the JSON report echoes the frame document and the
-    sha256 of those bytes. The document's dual pair is built, and the echo encoded,
-    once per document ``parse_document`` keeps, so a later report on the same bytes
-    and ``--tol`` reuses them.
+    sha256 of those bytes. The bytes are hashed, the document's dual pair built and
+    the echo encoded once per document ``parse_document`` keeps, so a later report
+    on the same bytes and ``--tol`` only compares the bytes and reuses the rest.
     """
     return "".join(_report(args))
 
@@ -694,9 +697,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     erasure = sub.add_parser("erasure", help="worst-case or fixed erasure errors")
     erasure.add_argument("file")
-    erasure.add_argument("--r", type=int, default=1, help="erasure count for worst-case mode")
     erasure.add_argument("--norm", choices=["frobenius", "operator"], default="frobenius")
-    erasure.add_argument(
+    # default None, not 1: argparse lets a default-valued option pass its group, and int("1") is 1
+    mode = erasure.add_mutually_exclusive_group()
+    mode.add_argument("--r", type=int, default=None, help="erasure count for worst-case mode (default 1)")
+    mode.add_argument(
         "--fixed",
         type=_index_list,
         default=None,

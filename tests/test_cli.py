@@ -632,6 +632,19 @@ class TestErasure:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument --fixed: expected comma-separated integers, got '{fixed}'\n")
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--fixed", "1", "--r", "2"], "--r: not allowed with argument --fixed"),
+            (["--fixed", "1", "--r", "1"], "--r: not allowed with argument --fixed"),
+            (["--r", "2", "--fixed", "1,2"], "--fixed: not allowed with argument --r"),
+        ],
+    )
+    def test_r_with_fixed_refused(self, capsys, flags, named):
+        code, out, err = _outcome(capsys, ["erasure", OVERLAP, *flags])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {named}\n")
+
     def test_json_table_formats_no_text_rows(self, capsys, monkeypatch, tmp_path):
         p = tmp_path / "enum.json"
         p.write_text(json.dumps(_random_document(4, 20, 2, seed=7)))
@@ -813,6 +826,12 @@ class TestConstruct:
     def test_expand_requires_index(self, capsys):
         assert main(["construct", OVERLAP, "--what", "expand"]) == 1
         assert "--index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["bridge", "parseval-family"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_index_refused_outside_expand(self, capsys, what, flags):
+        outcome = _outcome(capsys, [*flags, "construct", OVERCOMPLETE, "--what", what, "--index", "2"])
+        assert outcome == (1, "", "error: construct --index applies to --what expand only\n")
 
     def test_bridge_emits_seven_vectors(self, capsys):
         report = run_json(capsys, ["construct", OVERCOMPLETE, "--what", "bridge"])
@@ -1125,42 +1144,60 @@ class TestParserReuse:
 
 
 class TestParseReuse:
-    """``parse_document`` keeps the last document it parsed, keyed by the digest of its bytes and the override."""
+    """``parse_document`` keeps the last document it parsed, keyed by its bytes and the override."""
 
     PLANE = {"ambient_dim": 2, "subspaces": [{"spanning_vectors": [[1, 0]]}, {"spanning_vectors": [[1, 1]]}]}
+    REFUSED = [
+        ("{not json", "invalid JSON at line 1: Expecting property name enclosed in double quotes"),
+        ({"ambient_dim": 2, "subspaces": []}, "subspaces: expected a non-empty list of subspaces"),
+        ({**PLANE, "basis": [[1, 0], [0, "x"]]}, "basis[1][1]: cannot parse scalar 'x'"),
+    ]
 
     def _write(self, tmp_path, doc) -> Path:
         p = tmp_path / "doc.json"
         p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         return p
 
-    def test_same_bytes_and_tolerance_give_the_same_object(self, tmp_path, monkeypatch):
-        p = self._write(tmp_path, self.PLANE)
-        calls = {"read_bytes": 0, "sha256": 0, "loads": 0}
-        for owner, name in ((Path, "read_bytes"), (cli.hashlib, "sha256"), (cli.json, "loads")):
-            original = getattr(owner, name)
+    @staticmethod
+    def _count(monkeypatch, *names) -> dict:
+        """Count the calls of ``Path.read_bytes``, ``hashlib.sha256`` and ``json.loads`` named in ``names``."""
+        calls = dict.fromkeys(names, 0)
+        owners = {"read_bytes": Path, "sha256": cli.hashlib, "loads": cli.json}
+        for name in names:
+            original = getattr(owners[name], name)
 
             def counted(*a, _name=name, _original=original, **k):
                 calls[_name] += 1
                 return _original(*a, **k)
 
-            monkeypatch.setattr(owner, name, counted)
+            monkeypatch.setattr(owners[name], name, counted)
+        return calls
+
+    def test_same_bytes_and_tolerance_give_the_same_object(self, tmp_path, monkeypatch):
+        p = self._write(tmp_path, self.PLANE)
+        calls = self._count(monkeypatch, "read_bytes", "sha256", "loads")
         first = parse_document(p, 1e-6)
         assert parse_document(str(p), 1e-6) is first
-        # the file is read and hashed on each call, once; its JSON is decoded once
-        assert calls == {"read_bytes": 2, "sha256": 2, "loads": 1}
+        # the file is read on every call, and hashed and decoded once per kept document
+        assert calls == {"read_bytes": 2, "sha256": 1, "loads": 1}
+        assert first.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
 
     def test_rewritten_bytes_parse_afresh(self, tmp_path):
+        # neither the size nor the mtime stands in for the bytes: every rewrite restores the first mtime,
+        # and the first rewrite, of one byte, also keeps the size
         p = self._write(tmp_path, self.PLANE)
         stamp = p.stat()
-        first = parse_document(p)
+        docs = [parse_document(p)]
+        one_byte = p.read_bytes().replace(b"[1, 1]", b"[1, 2]")
         wider = {**self.PLANE, "subspaces": [*self.PLANE["subspaces"], {"spanning_vectors": [[0, 1]]}]}
-        p.write_text(json.dumps(wider))
-        os.utime(p, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
-        second = parse_document(p)
-        assert second is not first
-        assert second.sha256 == hashlib.sha256(p.read_bytes()).hexdigest() != first.sha256
-        assert (first.frame.member_count, second.frame.member_count) == (2, 3)
+        for data in (one_byte, json.dumps(wider).encode()):
+            p.write_bytes(data)
+            os.utime(p, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+            docs.append(parse_document(p))
+            assert docs[-1] is not docs[-2] and docs[-1].sha256 == hashlib.sha256(data).hexdigest()
+        assert len(one_byte) == stamp.st_size and len({doc.sha256 for doc in docs}) == 3
+        assert [doc.frame.member_count for doc in docs] == [2, 2, 3]
+        np.testing.assert_allclose(docs[1].frame.subspaces[1].basis[:, 0], np.array([1, 2]) / np.sqrt(5))
 
     def test_another_tolerance_parses_afresh(self, tmp_path):
         p = self._write(tmp_path, self.PLANE)
@@ -1170,15 +1207,7 @@ class TestParseReuse:
         assert parse_document(p, 1e-6) is tight
         assert parse_document(p, 1) is not tight
 
-    @pytest.mark.parametrize(
-        "bad, error",
-        [
-            ("{not json", "invalid JSON at line 1: Expecting property name enclosed in double quotes"),
-            ({"ambient_dim": 2, "subspaces": []}, "subspaces: expected a non-empty list of subspaces"),
-            ({**PLANE, "basis": [[1, 0], [0, "x"]]}, "basis[1][1]: cannot parse scalar 'x'"),
-        ],
-        ids=["json", "schema", "basis"],
-    )
+    @pytest.mark.parametrize("bad, error", REFUSED, ids=["json", "schema", "basis"])
     def test_refused_document_is_not_kept(self, tmp_path, capsys, bad, error):
         p = self._write(tmp_path, bad)
         assert main(["classify", str(p)]) == 1
@@ -1194,6 +1223,27 @@ class TestParseReuse:
         assert outcomes[2] == outcomes[0]
         # the refusal neither replaced nor dropped the valid document, which the third call reused
         assert kept[0] is kept[1] is kept[2] is not None
+
+    @pytest.mark.parametrize("bad, error", REFUSED, ids=["json", "schema", "basis"])
+    def test_refused_document_is_never_hashed(self, tmp_path, capsys, monkeypatch, bad, error):
+        p = self._write(tmp_path, self.PLANE)
+        calls = self._count(monkeypatch, "sha256")
+        assert _outcome(capsys, ["classify", str(p)])[0] == 0 and calls == {"sha256": 1}
+        self._write(tmp_path, bad)
+        for _ in range(2):
+            code, out, err = _outcome(capsys, ["--json", "classify", str(p)])
+            assert (code, out) == (1, "") and err.startswith("error: ") and err.endswith(error + "\n")
+        assert calls == {"sha256": 1}
+
+    def test_reused_parse_reports_the_file_digest(self, tmp_path, capsys):
+        p = self._write(tmp_path, self.PLANE)
+        assert main(["classify", str(p)]) == 0
+        kept = cli._last_parse[1]
+        capsys.readouterr()
+        for argv in (["classify", str(p)], ["erasure", str(p), "--r", "1"]):
+            report = run_json(capsys, argv)
+            assert cli._last_parse[1] is kept
+            assert report["input"]["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest() == kept.sha256
 
     def test_arrays_are_read_only(self):
         doc = parse_document(ORTHOBASIS)

