@@ -5,13 +5,14 @@ strings like ``"5/7"``. Reports come in an aligned plain-text form (decimals
 to 12 significant digits) and, with ``--json``, a machine-readable form that
 is bitwise reproducible for identical inputs.
 
-Exit status 0 means the analysis completed (even with a negative verdict),
-1 an input error (an ``error:`` line on stderr), 2 a usage error (from
-argparse), 3 a failed internal cross-check, such as an emitted dual that
-does not verify (an ``error: internal check failed:`` line on stderr), and 141
-(128 + SIGPIPE, what a shell reports for a filter killed by a closed pipe)
-when stdout was closed before the whole report was written, as by
-``fusionframes ... | head -1``; nothing more is written then.
+Exit status 0 means the analysis completed (even with a negative verdict), 1
+an input error or too little memory for the input (an ``error:`` line on
+stderr), 2 a usage error (from argparse), 3 a failed internal cross-check,
+such as an emitted dual that does not verify (an ``error: internal check
+failed:`` line on stderr), and 141 (128 + SIGPIPE, what a shell reports for a
+filter killed by a closed pipe) when stdout was closed before the whole report
+was written, as by ``fusionframes ... | head -1``; nothing more is written
+then.
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ class ParsedDocument:
     @functools.cached_property
     def _frame_echo(self) -> _Encoded:
         """The --json reports' ``result.frame_document``, encoded at the depth ``_report`` puts it."""
-        return _Encoded(_json_text(_frame_document(self.frame), 2))
+        chunks: list[str] = []
+        _json_chunks(_frame_document(self.frame), 2, chunks)
+        return _Encoded("".join(chunks))
 
     @functools.cached_property
     def _pair(self) -> tuple[DualPair, str]:
@@ -203,6 +206,10 @@ def parse_document(path: str | Path, tol_override: float | None = None) -> Parse
         raw = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path}: nested too deep to parse") from exc
     if not isinstance(raw, dict):
         raise DocumentError(f"{path}: top level must be an object")
     _known_keys(raw, ("ambient_dim", "field", "subspaces", "dual", "basis", "tolerance"), "top level")
@@ -265,43 +272,18 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _json_default(x):
-    """``json.dumps`` hook for numpy values (``np.float64`` is a float) and frozensets."""
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, np.generic):
-        return x.item()
-    if isinstance(x, frozenset):
-        return sorted(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
 class _Encoded(str):
     """JSON text already encoded at the depth it is written at; ``_json_chunks`` writes it verbatim."""
 
 
-def _json_text(report, level: int = 0) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2, default=_json_default)``, byte for byte,
-    with every line after the first indented ``level`` steps more.
-
-    With ``indent`` set, ``json`` encodes in pure Python. This walks
-    non-empty ``str``-keyed dicts and non-empty lists (ndarrays as lists)
-    itself, writes plain strings, ints and finite floats as ``json`` would,
-    and hands whole lists of plain numbers, and lists of records column by
-    column, to the C encoder's compact form, whose ``", "`` separators become
-    line breaks (no number's text contains ``", "``). Any other value is
-    ``json.dumps``'s own text, indented to its depth. Pieces are joined once,
-    at the end.
-    """
-    chunks: list[str] = []
-    _json_chunks(report, level, chunks)
-    return "".join(chunks)
-
-
 def _json_chunks(x, level: int, out: list[str]) -> None:
+    """Append ``json.dumps(x, sort_keys=True, indent=2)`` (ndarrays as lists) to ``out`` in pieces,
+    each line after the first indented ``level`` steps more. Lists of plain numbers and of records go
+    to the C encoder's compact form, whose ``", "`` separators become line breaks. Any other value,
+    such as a boolean, None, a non-finite float or an empty container, is ``json.dumps(x)``."""
     if isinstance(x, np.ndarray):
         x = x.tolist()
-    if isinstance(x, dict) and x and all(type(k) is str for k in x):
+    if isinstance(x, dict) and x:
         inner = "\n" + "  " * (level + 1)
         sep = "{" + inner
         for k, v in sorted(x.items()):
@@ -330,9 +312,7 @@ def _json_chunks(x, level: int, out: list[str]) -> None:
     elif type(x) is float and math.isfinite(x):
         out.append(float.__repr__(x))
     else:
-        # json.dumps breaks lines only between tokens, so indenting its lines nests it exactly
-        text = json.dumps(x, sort_keys=True, indent=2, default=_json_default)
-        out.append(text.replace("\n", "\n" + "  " * level))
+        out.append(json.dumps(x))
 
 
 def _json_records(rows, level: int, out: list[str]) -> bool:
@@ -737,6 +717,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; Python's own MemoryError names nothing
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return 1
     try:
         sys.stdout.writelines(chunks)
         sys.stdout.write("\n")

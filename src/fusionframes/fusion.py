@@ -92,13 +92,15 @@ class FusionFrame(_Spectral):
                 raise ValueError(f"member {i} lives in R^{s.ambient_dim}, expected R^{self.ambient_dim}")
             if not 0 < w < math.inf:
                 raise ValueError(f"weight of member {i} must be positive and finite, got {w}")
-        # S_W adds up w_i^2 P_{W_i}: bounding the sum keeps S_W, its inverse and the error components finite
-        if math.hypot(*self.weights) >= 2.0**500:
+        # S_W adds up w_i^2 P_{W_i}: bounding the sum keeps S_W, its inverse and the error components finite,
+        # and bounding the largest weight below keeps its w_i^2 a normal float, so S_W cannot underflow to 0
+        if math.hypot(*self.weights) >= 2.0**500 or max(self.weights) < 2.0**-500:
             i = max(range(len(self.weights)), key=self.weights.__getitem__)
-            raise ValueError(
-                f"weights too large: the squared weights must sum below 2**1000 "
-                f"(member {i + 1} has weight {self.weights[i]})"
+            bound = (
+                "too small: the largest weight must be at least 2**-500" if self.weights[i] < 2.0**-500
+                else "too large: the squared weights must sum below 2**1000"
             )
+            raise ValueError(f"weights {bound} (member {i + 1} has weight {self.weights[i]})")
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
@@ -156,7 +158,12 @@ def frame_operator(w: FusionFrame) -> np.ndarray:
 def _inverse_form(frame: _Spectral, root: bool) -> np.ndarray:
     """``(V / λ) @ V.T``, or ``(V / sqrt(λ)) @ V.T`` with ``root``, from ``frame.spectrum``; read-only."""
     eigvals, eigvecs = frame.spectrum
-    form = (eigvecs / (np.sqrt(eigvals) if root else eigvals)) @ eigvecs.T
+    with np.errstate(all="ignore"):
+        form = (eigvecs / (np.sqrt(eigvals) if root else eigvals)) @ eigvecs.T
+    if not np.isfinite(form).all():
+        raise ValueError(
+            f"the inverse frame operator overflows: smallest eigenvalue {eigvals[0]:.3e} is too small to invert"
+        )
     form.setflags(write=False)
     return form
 

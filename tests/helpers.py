@@ -461,22 +461,3 @@ def orthonormal_basis_one_block(
     if not rank:
         return zero_subspace(ambient_dim)
     return Subspace(ambient_dim, accepted[:rank].T)
-
-
-def jsonable_reference(x):
-    """Recursive conversion of a report to plain JSON types, as the CLI did before ``default=``."""
-    if isinstance(x, dict):
-        return {k: jsonable_reference(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable_reference(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return jsonable_reference(x.tolist())
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, frozenset):
-        return sorted(x)
-    return x

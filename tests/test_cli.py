@@ -25,10 +25,10 @@ from helpers import (
     PRESERVING_RECON,
     SQRT54,
     expand_variant_count,
-    jsonable_reference,
     record_canonical_dual_formations,
     record_dual_pairs,
 )
+from test_fixture_golden import COMMANDS as GOLDEN_COMMANDS
 
 OVERLAP = str(FIXTURES / "overlap_r4.json")
 OVERLAP_DUAL = str(FIXTURES / "overlap_r4_extended_dual.json")
@@ -40,8 +40,12 @@ PRESERVING = str(FIXTURES / "preserving_nondual_r3.json")
 HUGE = 10**400
 
 
-_NUMBERS = st.integers(-(2**80), 2**80) | st.floats() | st.floats().map(np.float64) | st.integers(-9, 9).map(np.int64)
-_LEAVES = _NUMBERS | st.none() | st.booleans() | st.text(max_size=5)
+# the values command results hold: plain numbers, flags, None, strings and float arrays
+_NUMBERS = st.integers(-(2**80), 2**80) | st.floats()
+_ARRAYS = st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3).map(
+    lambda rows: np.array(rows, dtype=float).reshape(len(rows), 2)
+)
+_LEAVES = _NUMBERS | st.none() | st.booleans() | st.text(max_size=5) | _ARRAYS
 
 
 @st.composite
@@ -74,6 +78,44 @@ def _random_document(n, m, k, seed):
     return {"ambient_dim": n, "field": "real", "subspaces": members}
 
 
+def _lists(x):
+    """``x`` with its ndarrays as lists, which is how ``--json`` writes them."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, dict):
+        return {k: _lists(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_lists(v) for v in x]
+    return x
+
+
+def _written(value) -> str:
+    """The ``--json`` writer's text for ``value`` at depth 0."""
+    out: list[str] = []
+    cli._json_chunks(value, 0, out)
+    return "".join(out)
+
+
+def _assert_writes_as_json_dumps(value) -> None:
+    assert _written(value) == json.dumps(_lists(value), sort_keys=True, indent=2)
+
+
+def _assert_report_types(x, where="result") -> None:
+    """Every value in a command result is one the ``--json`` writer handles: a dict with ``str`` keys,
+    a list or tuple, a float ndarray, or a ``str``, ``int``, ``float``, ``bool`` or ``None``."""
+    if type(x) is dict:
+        for k, v in x.items():
+            assert type(k) is str, (where, k)
+            _assert_report_types(v, f"{where}.{k}")
+    elif type(x) in (list, tuple):
+        for i, v in enumerate(x):
+            _assert_report_types(v, f"{where}[{i}]")
+    elif type(x) is np.ndarray:
+        assert x.dtype == np.float64, (where, x.dtype)
+    else:
+        assert type(x) in (str, int, float, bool, type(None)), (where, type(x))
+
+
 def _assert_report_matches_json_dumps(args) -> str:
     """``run(args)``, checked against ``json.dumps`` of the same report, on its first call and on a second,
     memo-served one; the oracle's frame document is a plain dict of lists."""
@@ -97,7 +139,7 @@ def _assert_report_matches_json_dumps(args) -> str:
         "tolerance": {"rank_eps": doc.tol.rank_eps, "residual_eps": doc.tol.residual_eps},
         "result": result,
     }
-    assert json.dumps(report, sort_keys=True, indent=2, default=cli._json_default).split("\n") == lines
+    assert json.dumps(_lists(report), sort_keys=True, indent=2).split("\n") == lines
     return written
 
 
@@ -228,6 +270,64 @@ class TestParsing:
                     f"error: {section}: weights too large: the squared weights must sum below 2**1000 "
                     f"(member 1 has weight {named})\n",
                 )
+
+    @pytest.mark.parametrize("weight", [1e-170, 1e-160])
+    def test_underflowing_weights_exit_one(self, tmp_path, capsys, weight):
+        # w^2 underflows: at 1e-170 classify said "does not span" with exit 0, at 1e-160 S_W^{-1} overflowed
+        members = [{"weight": weight, "spanning_vectors": [v]} for v in ([1, 0], [0, 1], [1, 1])]
+        p = tmp_path / "light.json"
+        p.write_text(json.dumps({"ambient_dim": 2, "subspaces": members}))
+        for argv in (["classify", str(p)], ["--json", "erasure", str(p), "--r", "1"]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == (
+                "",
+                "error: subspaces: weights too small: the largest weight must be at least 2**-500 "
+                f"(member 1 has weight {weight})\n",
+            )
+
+    def test_overflowing_inverse_frame_operator_exits_one(self, tmp_path, capsys):
+        # just above the weight floor, S_W's smallest eigenvalue 3.7e-309 passes the frame test and has no finite inverse
+        members = [{"weight": w, "spanning_vectors": [v]} for v, w in (([1, 0], 2.0**-499), ([0, 1], 2.0**-499 * 1e-4))]
+        p = tmp_path / "ill.json"
+        p.write_text(json.dumps({"ambient_dim": 2, "subspaces": members}))
+        assert main(["erasure", str(p), "--r", "1"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: the inverse frame operator overflows: smallest eigenvalue 3.733e-309 is too small to invert\n",
+        )
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"ambient_dim": 2, "subspaces": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "nested too deep to parse"),
+            (b'{"ambient_dim": 2, "x": "\xff"}', "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 25: invalid start byte"),
+        ],
+        ids=["deep", "not-utf8"],
+    )
+    def test_unreadable_document_exits_one_in_a_fresh_process(self, tmp_path, data, message):
+        # a RecursionError from json.loads used to end in a traceback, a decoding error to name no file
+        p = tmp_path / "doc.json"
+        p.write_bytes(data)
+        assert _fresh_process(["--json", "classify", str(p)]) == (1, "", f"error: {p}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type float64"),
+             "error: out of memory: Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type float64"),
+            (MemoryError(), "error: out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch, exc, line):
+        # a real one needs n >= 5e6, whose n x n doubles pass the address space; frame_operator raises it instead
+        def exhausted(frame):
+            raise exc
+
+        monkeypatch.setattr(fusionframes.fusion, "frame_operator", exhausted)
+        for flags in ([], ["--json"]):
+            assert main([*flags, "classify", OVERLAP]) == 1
+            assert capsys.readouterr() == ("", line + "\n")
 
     def test_boolean_ambient_dim_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -905,21 +1005,6 @@ class TestReportContracts:
         for a, b in zip(doc.frame.subspaces, original.frame.subspaces):
             assert subspaces_equal(a, b)
 
-    def test_json_hook_matches_recursive_conversion(self):
-        result = {
-            "array": np.arange(6.0).reshape(2, 3) / 7,
-            "float": np.float64(0.1),
-            "special": [np.float64("inf"), np.float64("nan"), np.float64(-0.0)],
-            "int": np.int64(-7),
-            "flag": np.bool_(True),
-            "set": frozenset({3, 1, 2}),
-            "nested": ((1, (2.5, np.float64(1 / 3))), [np.int64(4), (np.bool_(False), np.eye(2))]),
-            "plain": {"x": [1, 2.0, None, "s", True]},
-        }
-        report = {"command": "classify", "result": result}
-        hooked = json.dumps(report, sort_keys=True, indent=2, default=cli._json_default)
-        assert hooked == json.dumps(jsonable_reference(report), sort_keys=True, indent=2)
-
     @pytest.mark.parametrize(
         "value",
         [
@@ -942,13 +1027,6 @@ class TestReportContracts:
             {"t": ((), (1,), [1, (2, 3)])},
             np.array([[1.0, -0.0], [np.nan, np.inf]]),
             np.zeros((2, 0)),
-            {"f": np.float64(0.1), "i": np.int64(-7), "b": np.bool_(True), "a": np.arange(3)},
-            [np.float64(1.5), 2.0, np.int64(3)],
-            frozenset({3, 1, 2}),
-            {"s": frozenset(), "nested": [frozenset({-0.5, 2.5})]},
-            {2: [1], 1: "int keys", 0.5: "float key"},
-            {True: "bool key"},
-            {None: 1.0},
             1e-320,
             "",
             # lists of records, the erasure table's shape
@@ -961,14 +1039,11 @@ class TestReportContracts:
             [{"subset": [None], "value": None}, {"subset": [1], "value": 1.0}],
             [{"v": float("nan"), "s": [float("inf")]}, {"v": -float("inf"), "s": [-0.0, 1]}],
             [{"v": 2**70, "s": [-(2**70), 1]}, {"v": -0.0, "s": [1e-320, 1e308]}],
-            [{"v": np.float64(0.1), "s": [1]}, {"v": np.int64(3), "s": [2]}],
-            [{"v": 1.5, "s": [np.float64(1.5)]}, {"v": 2, "s": [np.int64(-4)]}],
             ({"subset": (1, 2), "value": 0.5}, {"subset": [3, 4], "value": 1.5}),
             ({"subset": (), "value": 0.5},),
             [{"a": {"b": 1}, "c": 2}, {"a": {"b": 3}, "c": 4}],
             [{"a": [[1, 2]], "c": 2}, {"a": [[3]], "c": 4}],
             [{"a": ["x"], "c": 2}, {"a": [1], "c": 4}],
-            [{1: 2.0, 2: [3.0]}, {1: 4.0, 2: [5.0]}],
             [{"%s": 1, 'q"%d\n': [2, 3]}, {"%s": 4, 'q"%d\n': [5]}],
             [{"\u00e9": 1.0, "]": [1, 2]}, {"\u00e9": 2.0, "]": [3]}],
             [{}, {}],
@@ -976,26 +1051,60 @@ class TestReportContracts:
             {"table": [{"subset": [1, 2], "value": 0.25}, {"subset": [1, 3], "value": 1e-17}], "x": [[1], [2]]},
             # values two or more levels deep that json.dumps writes, indented to their depth
             {"a": {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")}},
-            [[np.bool_(True), np.bool_(False)]],
-            {"a": [{2: [1.5, {"x": None}], 1: "int keys"}]},
+            {"a": [{"2": [1.5, {"x": None}], "1": [True, False]}]},
         ],
     )
     def test_json_writer_matches_json_dumps(self, value):
-        expected = json.dumps(value, sort_keys=True, indent=2, default=cli._json_default)
-        assert cli._json_text(value) == expected
+        _assert_writes_as_json_dumps(value)
 
     @seed(29)
     @settings(max_examples=300, deadline=None)
     @given(value=_json_trees())
     def test_json_writer_matches_json_dumps_on_generated_trees(self, value):
-        expected = json.dumps(value, sort_keys=True, indent=2, default=cli._json_default)
-        assert cli._json_text(value) == expected
+        _assert_writes_as_json_dumps(value)
 
-    def test_json_writer_refuses_keys_json_refuses(self):
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.int64(-7),
+            np.bool_(True),
+            np.float32(0.5),
+            frozenset({3, 1, 2}),
+            {"s": frozenset()},
+            [np.int64(4), 2.0],
+            {2: [1], 1: "int keys", 0.5: "float key"},
+            {True: "bool key"},
+            {None: 1.0},
+            {(1, 2): 3},
+            [{1: 2.0, 2: [3.0]}, {1: 4.0, 2: [5.0]}],
+        ],
+    )
+    def test_json_writer_refuses_values_no_report_holds(self, value):
+        # numpy scalars, frozensets and non-str keys; np.float64 is a float, which json writes as one
         with pytest.raises(TypeError):
-            json.dumps({(1, 2): 3}, sort_keys=True, indent=2, default=cli._json_default)
-        with pytest.raises(TypeError):
-            cli._json_text({(1, 2): 3})
+            _written(value)
+
+    def test_command_results_hold_only_report_types(self, tmp_path):
+        # what the writer's fast paths and its json.dumps fallback handle; anything else raises TypeError
+        p = tmp_path / "random.json"
+        document = _random_document(3, 5, 2, seed=26)
+        p.write_text(json.dumps(document))
+        dual = fusionframes.canonical_dual(parse_document(p).frame)
+        document["dual"] = [
+            {"weight": w, "spanning_vectors": s.basis.T.tolist()} for s, w in zip(dual.subspaces, dual.weights)
+        ]
+        document["basis"] = np.random.default_rng(26).standard_normal((3, 3)).tolist()
+        p.write_text(json.dumps(document))
+        results = []
+        for path in [*map(str, sorted(FIXTURES.glob("*.json"))), str(p)]:
+            for command, *flags in GOLDEN_COMMANDS:
+                args = cli._build_parser().parse_args([command, path, *flags])
+                try:
+                    results.append(cli._COMMANDS[command](parse_document(path), args))
+                except ValueError:
+                    continue  # a refusal: no result to write
+                _assert_report_types(results[-1], " ".join([command, Path(path).name, *flags]))
+        assert len(results) == 53
 
     def test_generated_report_matches_json_dumps(self, tmp_path):
         # a (64, 200, 8) frame document: the echo carries 102,400 computed floats
@@ -1078,7 +1187,7 @@ class TestReportContracts:
         except json.JSONDecodeError as exc:
             expected = f"error: {p}: invalid JSON at line {exc.lineno}: {exc.msg}\n"
         except UnicodeDecodeError as exc:
-            expected = f"error: {exc}\n"
+            expected = f"error: {p}: not UTF-8: {exc}\n"
         assert main(["classify", str(p)]) == 1
         assert capsys.readouterr() == ("", expected)
 

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fusionframes import (
     DEFAULT_TOL,
     Tolerance,
     canonical_dual,
+    canonical_pair,
+    certify_canonical_optimal,
     classify,
     coordinate_subspace,
     discrete_frame,
@@ -19,6 +25,7 @@ from fusionframes import (
     orthonormal_basis,
     spd_inverse,
     subspaces_equal,
+    worst_case_error,
 )
 from fusionframes.fusion import _inverse
 from helpers import (
@@ -253,6 +260,31 @@ class TestInvariants:
             assert after.upper_bound == pytest.approx(c**2 * before.upper_bound, rel=1e-9, abs=0.0)
 
 
+@seed(26)
+@settings(max_examples=60, deadline=None)
+@given(sample=st.integers(0, 59), k=st.sampled_from([-200, -100, -37, 1, 64, 100, 200, -499, 497]))
+def test_power_of_two_weight_scaling_is_exact(sample, k):
+    # scaling every weight by 2**k scales S_W by 4**k with no rounding, and every
+    # erasure component w_i v_i P_{V_i} S_W^{-1} P_{W_i} of the canonical pair not at all;
+    # at k = -499 and 497, the ends the weight refusals leave, only the flags are pinned
+    w = scaling_sample(np.random.default_rng([60, sample]), sample)
+    scaled = fusion_frame(list(w.subspaces), [2.0**k * weight for weight in w.weights])
+    before, after = classify(w), classify(scaled)
+    flags = [dataclasses.replace(cls, lower_bound=0.0, upper_bound=0.0) for cls in (before, after)]
+    assert flags[0] == flags[1]
+    if abs(k) > 200:
+        return
+    assert (after.lower_bound, after.upper_bound) == (4.0**k * before.lower_bound, 4.0**k * before.upper_bound)
+    if not before.is_frame:
+        return
+    pairs = canonical_pair(w), canonical_pair(scaled)
+    for r in range(1, min(2, w.member_count - 1) + 1):
+        for norm_kind in ("frobenius", "operator"):
+            reports = [dataclasses.asdict(worst_case_error(pair, r, norm_kind)) for pair in pairs]
+            assert reports[0] == reports[1], (r, norm_kind)
+    assert dataclasses.asdict(certify_canonical_optimal(w)) == dataclasses.asdict(certify_canonical_optimal(scaled))
+
+
 def scaling_sample(rng, k: int):
     """Sample ``k`` of a seeded mix: weighted frames, Riesz bases, tight frames and non-spanning families."""
     n = 3 + k % 3
@@ -273,6 +305,27 @@ def test_weights_whose_squares_overflow_are_refused():
             fusion_frame(axes, weights)
     for weights in ([1e150, 1e150], [2.0**499, 2.0**499]):
         assert np.isfinite(spd_inverse(frame_operator(fusion_frame(axes, weights)))).all()
+
+
+def test_weights_whose_squares_underflow_are_refused():
+    axes = [coordinate_subspace(2, [1]), coordinate_subspace(2, [2])]
+    for weights, member in (([1e-170, 1e-170], 1), ([1e-200, 1e-160], 2), ([2.0**-501, 2.0**-600], 1)):
+        with pytest.raises(ValueError, match=rf"weights too small: .* \(member {member} has weight"):
+            fusion_frame(axes, weights)
+    for weights in ([1e-150, 1e-150], [2.0**-500, 2.0**-500]):
+        assert np.isfinite(_inverse(fusion_frame(axes, weights), DEFAULT_TOL)).all()
+
+
+def test_an_inverse_frame_operator_that_overflows_is_refused():
+    # the largest weight is just above the floor and the smallest eigenvalue 1e-8 of the largest: a frame
+    # whose S_W^{-1} exceeds the float range, though S_W^{-1/2} does not
+    w = fusion_frame([coordinate_subspace(2, [1]), coordinate_subspace(2, [2])], [2.0**-499, 2.0**-499 * 1e-4])
+    assert classify(w).is_frame
+    assert np.isfinite(_inverse(w, DEFAULT_TOL, root=True)).all()
+    with pytest.raises(ValueError, match="inverse frame operator overflows"):
+        _inverse(w, DEFAULT_TOL)
+    with pytest.raises(ValueError, match="inverse frame operator overflows"):
+        canonical_dual(w)
 
 
 def test_member_validation():
