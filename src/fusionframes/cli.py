@@ -484,8 +484,8 @@ def _cmd_construct(doc: ParsedDocument, args) -> dict:
         variants = expand_optimal_family(pair, args.index)
         d1 = worst_case_error(pair, 1, "frobenius").worst_value if pair.member_count > 1 else None
         entries = []
-        for variant in variants:
-            vpair = make_dual_pair(doc.frame, variant, doc.tol)
+        for vpair in variants:
+            variant = vpair.dual_candidate
             entry = {
                 "member_dims": [s.dim for s in variant.subspaces],
                 "member_vectors": [s.basis.T.tolist() for s in variant.subspaces],

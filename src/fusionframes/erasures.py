@@ -385,6 +385,8 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     frontier.
     """
     m, n = components.count, components.dim
+    if m < 2:
+        raise ValueError(f"nothing to erase: a worst-case report needs at least 2 members, got {m}")
     if not 1 <= r < m:
         raise ValueError(f"r must satisfy 1 <= r < {m}, got {r}")
     count = math.comb(m, r)

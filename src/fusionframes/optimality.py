@@ -1,10 +1,10 @@
 """Optimality certificates and constructive optimal-dual families.
 
-Optimality is certified through sufficient conditions or refuted by
-exhibiting a better dual from a probe family; nothing here ever claims
-global optimality from search alone, since the set of duals is infinite.
-A certificate verdict of ``not_applicable`` means the hypotheses failed,
-not that the dual is suboptimal.
+Optimality is established only by certificates, sufficient conditions
+checked on the frame; nothing here claims optimality from search or
+sampling, since the set of duals is infinite. A certificate verdict of
+``not_applicable`` means the hypotheses failed, not that the dual is
+suboptimal.
 """
 
 from __future__ import annotations
@@ -19,25 +19,19 @@ from .discrete import (
     _bridge_rows,
     _check_orthonormal_basis,
     _whitened_members,
-    bridge_fusion_to_discrete,
     discrete_canonical_dual,
-    dual_from_perturbation,
     verify_discrete_dual,
 )
 from .duality import (
     DualPair,
     _require_verified,
-    canonical_pair,
-    lift_to_component_preserving,
     make_dual_pair,
     verify_dual,
 )
 from .erasures import (
     _TIE_REL,
     _member_norms,
-    block_mask,
     discrete_worst_case,
-    partial_erasure_error,
     worst_case_error,
 )
 from .fusion import (
@@ -69,9 +63,7 @@ __all__ = [
     "certify_tight_uniform",
     "expand_optimal_family",
     "parseval_optimal_family",
-    "riesz_bridge_partial_optimal",
     "transport_by_unitary",
-    "probe_duals",
 ]
 
 
@@ -233,7 +225,7 @@ def certify_tight_uniform(pair: DualPair) -> Certificate:
     )
 
 
-def expand_optimal_family(pair: DualPair, i: int) -> list[FusionFrame]:
+def expand_optimal_family(pair: DualPair, i: int) -> list[DualPair]:
     """All single-member rewrites of an optimal dual that keep every erasure value.
 
     At member ``i`` (1-based) this emits, when applicable: the zero-member
@@ -243,7 +235,8 @@ def expand_optimal_family(pair: DualPair, i: int) -> list[FusionFrame]:
     the canonical member. Every emitted family is re-verified as a dual, and its
     component stack must lie within ``residual_eps`` of the input's (Frobenius),
     since equal components give equal erasure values for every r and both
-    norms; an empty list means no variant applies.
+    norms. Returns the verified pair of the frame with each variant (its
+    ``dual_candidate``); an empty list means no variant applies.
     """
     _require_verified(pair)
     tol = pair.tol
@@ -267,15 +260,15 @@ def expand_optimal_family(pair: DualPair, i: int) -> list[FusionFrame]:
         enlarged = subspace_sum([vs, direction], tol)
         variants.append(v.replace_member(i, enlarged))
 
-    for variant in variants:
-        new_pair = make_dual_pair(w, variant, tol)
+    pairs = [make_dual_pair(w, variant, tol) for variant in variants]
+    for new_pair in pairs:
         ok, residual, _ = verify_dual(new_pair)
         if not ok:
             raise ArithmeticError(f"emitted variant failed dual verification ({residual:.3e})")
         drift = float(np.linalg.norm(new_pair.components - pair.components))
         if drift > tol.residual_eps:
             raise ArithmeticError(f"emitted variant changed the error components (distance {drift:.3e})")
-    return variants
+    return pairs
 
 
 def _pick_and_complete_basis(
@@ -328,6 +321,8 @@ def parseval_optimal_family(
     ``(passed, residual, d1)`` from :func:`verify_discrete_dual` and the
     worst single-erasure operator-norm error.
     """
+    if w.ambient_dim < 2:
+        raise ValueError(f"nothing to erase: the Parseval family needs ambient_dim >= 2, got {w.ambient_dim}")
     cls = classify(w, tol)
     if not cls.is_riesz_fusion_basis:
         raise ValueError("the family is not a Riesz fusion basis")
@@ -368,35 +363,6 @@ def parseval_optimal_family(
     return f, duals, parseval_residual, checks
 
 
-def riesz_bridge_partial_optimal(
-    w: FusionFrame,
-    basis: Sequence,
-    u: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[tuple[float, float]]:
-    """Block erasure errors of the dual perturbed by ``u`` versus the canonical dual.
-
-    For a Riesz fusion basis, every dual of the bridged frame has the same
-    error on each member block; the returned per-member pairs (perturbed,
-    canonical) therefore agree to numerical precision.
-    """
-    if not classify(w, tol).is_riesz_fusion_basis:
-        raise ValueError("the family is not a Riesz fusion basis")
-    f = bridge_fusion_to_discrete(w, basis, "canonical_weighted", tol)
-    g = dual_from_perturbation(f, u, tol)
-    canonical = discrete_canonical_dual(f, tol)
-    out: list[tuple[float, float]] = []
-    for i in range(1, w.member_count + 1):
-        mask = block_mask(f, i)
-        out.append(
-            (
-                partial_erasure_error(f, g, mask, "frobenius"),
-                partial_erasure_error(f, canonical, mask, "frobenius"),
-            )
-        )
-    return out
-
-
 def transport_by_unitary(pair: DualPair, u: np.ndarray) -> DualPair:
     """Transport a dual pair by a unitary map; every erasure value is preserved.
 
@@ -405,45 +371,3 @@ def transport_by_unitary(pair: DualPair, u: np.ndarray) -> DualPair:
     tol = pair.tol
     u = _check_orthonormal_basis(u, pair.primal.ambient_dim, tol, "u")
     return make_dual_pair(_image_frame(u, pair.primal, tol), _image_frame(u, pair.dual_candidate, tol), tol)
-
-
-def probe_duals(
-    w: FusionFrame, count: int, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
-) -> list[FusionFrame]:
-    """Randomized family of verified duals of ``w`` used to challenge optimality claims.
-
-    Draws member-wise enlargements of the canonical dual by directions
-    orthogonal to the canonical members, the applicable single-member
-    variants from :func:`expand_optimal_family`, and component-preserving
-    lifts. Refutation by a probe is sound; exhausting probes without finding
-    a better dual is inconclusive.
-    """
-    base = canonical_pair(w, tol)
-    canonical_members = base.dual_candidate.subspaces
-    probes: list[FusionFrame] = [base.dual_candidate]
-    m = w.member_count
-    while len(probes) < count:
-        mode = rng.integers(0, 3)
-        if mode == 0:
-            members = []
-            for can in canonical_members:
-                comp = orthogonal_complement(can)
-                if comp.dim > 0 and rng.random() < 0.6:
-                    coeffs = rng.standard_normal(comp.dim)
-                    direction = comp.basis @ coeffs
-                    extra = Subspace(
-                        w.ambient_dim,
-                        (direction / np.linalg.norm(direction)).reshape(-1, 1),
-                    )
-                    members.append(subspace_sum([can, extra], tol))
-                else:
-                    members.append(can)
-            probes.append(FusionFrame(w.ambient_dim, tuple(members), base.dual_candidate.weights))
-        elif mode == 1 and probes:
-            source = make_dual_pair(w, probes[int(rng.integers(0, len(probes)))], tol)
-            variants = expand_optimal_family(source, int(rng.integers(1, m + 1)))
-            probes.extend(variants[: max(0, count - len(probes))])
-        else:
-            source = make_dual_pair(w, probes[int(rng.integers(0, len(probes)))], tol)
-            probes.append(lift_to_component_preserving(source))
-    return probes[:count]

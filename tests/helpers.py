@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import json
 import math
 from pathlib import Path
 from typing import Sequence
@@ -29,13 +28,18 @@ from fusionframes import (
     FusionFrame,
     Subspace,
     Tolerance,
+    block_mask,
+    bridge_fusion_to_discrete,
     coordinate_subspace,
     classify,
+    discrete_canonical_dual,
+    dual_from_perturbation,
     frame_operator,
     fusion_frame,
     image_subspace,
     matrix_norm,
     orthonormal_basis,
+    partial_erasure_error,
     projector,
     spd_inverse,
     subspace_sum,
@@ -199,15 +203,6 @@ def record_dual_pairs(monkeypatch) -> list:
     return built
 
 
-def expand_variant_count(stdout: str) -> int:
-    """The variants a ``construct --what expand`` report (text or --json) lists, each paired with
-    the frame by ``cli``; 0 for any other report."""
-    if stdout.startswith("{"):
-        return json.loads(stdout)["result"].get("variant_count", 0)
-    head = stdout.partition("\n")[0]
-    return int(head.rpartition(": ")[2]) if head.startswith("expansion variants at member") else 0
-
-
 # --- randomized generators ---------------------------------------------------
 
 
@@ -272,6 +267,11 @@ def inflated_dual(rng: np.random.Generator, w: FusionFrame) -> FusionFrame:
     return FusionFrame(w.ambient_dim, tuple(members), w.weights)
 
 
+def permuted_members(frame: FusionFrame, perm) -> FusionFrame:
+    """The frame whose member k is member ``perm[k - 1] + 1`` of ``frame``, weight included."""
+    return FusionFrame(frame.ambient_dim, tuple(frame.subspaces[p] for p in perm), tuple(frame.weights[p] for p in perm))
+
+
 def certified_random_frame(rng: np.random.Generator, n: int) -> FusionFrame:
     """Rotated template frame that the canonical certificate accepts.
 
@@ -293,6 +293,15 @@ def random_perturbation(rng: np.random.Generator, f, scale: float = 0.5) -> np.n
     nullsp = synthesis_nullspace(f)
     coeff = scale * rng.standard_normal((nullsp.shape[1], f.ambient_dim))
     return nullsp @ coeff
+
+
+def riesz_block_errors(w: FusionFrame, basis, u: np.ndarray) -> list[tuple[float, float]]:
+    """Per member i, the Frobenius errors of erasing bridged block i under the dual perturbed by ``u`` and
+    under the canonical dual; on a Riesz fusion basis every dual of the bridge has the same block errors."""
+    f = bridge_fusion_to_discrete(w, basis, "canonical_weighted")
+    g, canonical = dual_from_perturbation(f, u), discrete_canonical_dual(f)
+    masks = [block_mask(f, i) for i in range(1, w.member_count + 1)]
+    return [tuple(partial_erasure_error(f, h, mask, "frobenius") for h in (g, canonical)) for mask in masks]
 
 
 # --- brute-force erasure reference ------------------------------------------

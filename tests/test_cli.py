@@ -24,7 +24,6 @@ from helpers import (
     OVERCOMPLETE_BRIDGED,
     PRESERVING_RECON,
     SQRT54,
-    expand_variant_count,
     record_canonical_dual_formations,
     record_dual_pairs,
 )
@@ -606,6 +605,14 @@ class TestVerifyDual:
 
 
 class TestErasure:
+    def test_one_member_document_has_nothing_to_erase(self, capsys, tmp_path):
+        # with no --r the report is for r = 1, which no range 1 <= r < m holds when m = 1
+        p = tmp_path / "plane.json"
+        p.write_text(json.dumps({"ambient_dim": 2, "subspaces": [{"spanning_vectors": [[1, 0], [0, 1]]}]}))
+        assert _outcome(capsys, ["erasure", str(p)]) == (
+            1, "", "error: nothing to erase: a worst-case report needs at least 2 members, got 1\n"
+        )
+
     def test_overlap_worst_single(self, capsys):
         report = run_json(capsys, ["erasure", OVERLAP, "--r", "1", "--norm", "frobenius"])
         result = report["result"]
@@ -887,6 +894,14 @@ class TestConstruct:
             assert dual["is_dual"] is True
             assert dual["residual"] <= DEFAULT_TOL.residual_eps
             assert dual["d1_operator"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_parseval_family_refuses_dimension_one(self, capsys, tmp_path):
+        # the one-dimensional Riesz basis bridges to a single vector, which has no erasure to measure
+        p = tmp_path / "line.json"
+        p.write_text(json.dumps({"ambient_dim": 1, "subspaces": [{"spanning_vectors": [[1]]}]}))
+        assert _outcome(capsys, ["construct", str(p), "--what", "parseval-family"]) == (
+            1, "", "error: nothing to erase: the Parseval family needs ambient_dim >= 2, got 1\n"
+        )
 
     @pytest.mark.parametrize("turn", [0.5, 1.1])
     def test_parseval_family_of_nearly_parallel_lines(self, capsys, tmp_path, turn):
@@ -1408,8 +1423,8 @@ class TestParseReuse:
             built.clear()
             code, out, err = _outcome(capsys, [*json_flag, argv[0], path, *argv[1:]])
             assert code == 0, err
-            # construct --what expand also pairs the frame with each of its variants
-            runs.append((len(built) - expand_variant_count(out), out))
+            # construct --what expand reports from the pairs expand_optimal_family verified
+            runs.append((len(built), out))
         assert [document_pairs for document_pairs, _ in runs] == [1, 0, 0]
         assert runs[2][1] == runs[0][1]
         doc = parse_document(path)

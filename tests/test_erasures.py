@@ -48,6 +48,7 @@ from helpers import (
     member_values_reference,
     overlap_extended_dual,
     overlap_frame_r4,
+    permuted_members,
     random_fusion_frame,
     random_perturbation,
     random_subspace,
@@ -454,10 +455,6 @@ def test_pruned_search_matches_brute_force(seed_, fusion, n, m, r_frac, norm, co
     assert report.per_subset_values is None
 
 
-def _permuted(frame: FusionFrame, perm) -> FusionFrame:
-    return FusionFrame(frame.ambient_dim, tuple(frame.subspaces[p] for p in perm), tuple(frame.weights[p] for p in perm))
-
-
 @seed(25)
 @settings(max_examples=60, deadline=None)
 @given(
@@ -478,10 +475,10 @@ def test_member_permutation_permutes_argmax_sets(seed_, n, m, r, norm, canonical
     w = random_fusion_frame(rng, n, m, weighted=True)
     perm = rng.permutation(m)
     if canonical:
-        pairs = canonical_pair(w), canonical_pair(_permuted(w, perm))
+        pairs = canonical_pair(w), canonical_pair(permuted_members(w, perm))
     else:
         v = inflated_dual(rng, w)
-        pairs = make_dual_pair(w, v), make_dual_pair(_permuted(w, perm), _permuted(v, perm))
+        pairs = make_dual_pair(w, v), make_dual_pair(permuted_members(w, perm), permuted_members(v, perm))
     report, permuted = (worst_case_error(pair, r, norm) for pair in pairs)
     original = lambda subset: tuple(sorted(int(perm[k - 1]) + 1 for k in subset))
 
