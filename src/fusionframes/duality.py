@@ -80,7 +80,8 @@ def make_dual_pair(
         recon += components[row]
     for a in (s_inv, components, recon):
         a.setflags(write=False)
-    residual = float(np.linalg.norm(recon - np.eye(n), "fro"))
+    with np.errstate(over="ignore"):  # an overflowing residual is inf, which verify_dual refuses
+        residual = float(np.linalg.norm(recon - np.eye(n), "fro"))
     return DualPair(primal, dual_candidate, tol, s_inv, components, recon, residual)
 
 

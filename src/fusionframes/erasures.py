@@ -206,8 +206,8 @@ def fusion_error_operator(pair: DualPair, mask: ErasureMask) -> np.ndarray:
 
 
 def fusion_partial_error(pair: DualPair, mask: ErasureMask, norm_kind: NormKind) -> float:
-    """Error norm for one fixed, known erasure set (no max over subsets)."""
-    return matrix_norm(fusion_error_operator(pair, mask), norm_kind)
+    """Error norm for one fixed, known erasure set (no max over subsets), measured and refused as a report's subset is."""
+    return float(_sum_norms(fusion_error_operator(pair, mask)[None], norm_kind)[0])
 
 
 def _sum_norms(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
@@ -216,14 +216,17 @@ def _sum_norms(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
     The stack holds subset sums or member-coordinate products
     (:func:`_member_norms`). The operator norm runs the same LAPACK SVD as
     ``matrix_norm``, batched; the Frobenius norm takes the same flat dot
-    product as ``np.linalg.norm``. A non-finite norm is refused, so no
-    search ever compares one.
+    product as ``np.linalg.norm`` on a C-contiguous matrix. A non-finite norm
+    is refused, so no search ever compares one and no report holds one.
     """
     if norm_kind == "operator":
         values = np.linalg.svd(sums, compute_uv=False)[:, 0]
-    else:
+    elif norm_kind == "frobenius":
         flat = sums.reshape(len(sums), -1)
-        values = np.sqrt(np.vecdot(flat, flat))
+        with np.errstate(over="ignore"):  # an overflowing square sum is refused below
+            values = np.sqrt(np.vecdot(flat, flat))
+    else:
+        raise ValueError(f"unknown norm kind {norm_kind!r}")
     if not np.isfinite(values).all():
         raise ValueError("erasure error norm is not finite: the error components overflow")
     return values
@@ -323,11 +326,11 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     """Exact worst-case report over all r-subsets of the m components.
 
     At r = 1 each member is measured once, by ``components.singles`` when
-    set (in member coordinates for a fusion pair), and never searched; the
-    values are listed when m <= ``_TABLE_MAX``. For r >= 2, a report of at
-    most ``_TABLE_MAX`` subsets lists every value, measured in one pass over
-    the r-subsets in lexicographic order; larger ones come from a
-    branch-and-bound search.
+    set (in member coordinates for a fusion pair), else as a 1-subset in the
+    one pass below, and never searched; the values are listed when
+    m <= ``_TABLE_MAX``. For r >= 2, a report of at most ``_TABLE_MAX``
+    subsets lists every value, measured in one pass over the r-subsets in
+    lexicographic order; larger ones come from a branch-and-bound search.
 
     The search walks the lexicographic tree of prefixes P = (p_1 < ... < p_d)
     with one generator per depth. ``level(d, parents)`` gathers the
@@ -395,13 +398,9 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
             f"C({m},{r}) = {count} subsets exceeds the enumeration cap "
             f"{ENUMERATION_CAP}; refusing to sample"
         )
-    if norm_kind not in ("frobenius", "operator"):
-        raise ValueError(f"unknown norm kind {norm_kind!r}")
     if r == 1 or count <= _TABLE_MAX:
         if r == 1 and components.singles is not None:
             values = components.singles(norm_kind)
-        elif r == 1:
-            values = _norms(components, np.arange(m)[:, None], norm_kind)
         else:
             # the index rows stream into one array, freed before the subset
             # tuples are made, so the table is the only copy of its subsets
@@ -525,5 +524,5 @@ def discrete_worst_case(
 def partial_erasure_error(
     f: DiscreteFrame, g: DiscreteFrame, mask: ErasureMask, norm_kind: NormKind
 ) -> float:
-    """Error norm for one fixed, known erasure set of vectors."""
-    return matrix_norm(discrete_error_operator(f, g, mask), norm_kind)
+    """Error norm for one fixed, known erasure set of vectors, measured and refused as a report's subset is."""
+    return float(_sum_norms(discrete_error_operator(f, g, mask)[None], norm_kind)[0])

@@ -66,22 +66,6 @@ def _as_matrix(a) -> np.ndarray:
     return arr
 
 
-def _check_orthonormal_rows(rows: np.ndarray, ranks) -> None:
-    """Refuse unless the first ``ranks`` rows of each ``(k, n)`` block of ``rows`` are orthonormal.
-
-    Entrywise ``|gram - eye| <= 16 n eps`` on each block's rank x rank Gram
-    part; rows past a block's rank must vanish. An n-term dot product rounds
-    by about n eps, and twice-reorthogonalized Gram-Schmidt, Householder QR
-    and the SVD lose at most a small multiple of n eps of orthogonality.
-    """
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("basis has non-finite entries")
-    k, n = rows.shape[-2:]
-    eye = np.eye(k) * (np.arange(k) < np.asarray(ranks)[..., None])[..., None, :]
-    if not (np.abs(rows @ np.swapaxes(rows, -1, -2) - eye) <= 16 * n * np.finfo(float).eps).all():
-        raise ValueError("basis columns are not orthonormal")
-
-
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of R^ambient_dim, given by orthonormal basis columns.
@@ -104,8 +88,13 @@ class Subspace:
             )
         if b.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension exceeds ambient dimension")
-        if b.size:
-            _check_orthonormal_rows(b.T, b.shape[1])
+        if not np.isfinite(b).all():
+            raise ValueError("basis has non-finite entries")
+        # entrywise |B^T B - I| <= 16 n eps: an n-term dot product rounds by about
+        # n eps, and twice-reorthogonalized Gram-Schmidt, Householder QR and the
+        # SVD lose at most a small multiple of n eps of orthogonality
+        if not np.abs(b.T @ b - np.eye(b.shape[1])).max(initial=0.0) <= 16 * self.ambient_dim * np.finfo(float).eps:
+            raise ValueError("basis columns are not orthonormal")
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -195,16 +184,13 @@ def orthonormal_bases(
     if wild.any():
         work[wild] = np.ldexp(work[wild], -np.frexp(peak[wild])[1][:, None, None])
     accepted, ranks = _pivoted_gram_schmidt(work, tol)
-    # one check for the whole stack stands in for each member's Subspace.__post_init__
-    _check_orthonormal_rows(accepted, ranks)
-    return [_checked_subspace(n, accepted[b, :rank].T.copy()) for b, rank in enumerate(ranks)]
+    return [Subspace(n, accepted[b, :rank].T) for b, rank in enumerate(ranks)]
 
 
 def _pivoted_gram_schmidt(work: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """The loop of :func:`orthonormal_bases` on its ``(m, k_max, n)`` stack, which it consumes.
 
-    Returns each block's rank and its accepted rows, zero-padded to ``(m, max rank, n)``:
-    the batched check then forms Gram blocks of at most ``n x n``, however large ``k_max``.
+    Returns each block's accepted rows, zero-padded to ``(m, k_max, n)``, and its rank.
     """
     m = len(work)
     # np.vecdot rounds like a per-row ``q @ w``; einsum, unlike a BLAS
@@ -234,16 +220,7 @@ def _pivoted_gram_schmidt(work: np.ndarray, tol: Tolerance) -> tuple[np.ndarray,
         update = np.vecdot(work, q[:, None])[..., None] * q[:, None]
         np.subtract(work, update, out=work, where=grow[:, None, None])
         norms = np.sqrt(np.vecdot(work, work))
-    return accepted[:, : ranks.max()], ranks
-
-
-def _checked_subspace(ambient_dim: int, basis: np.ndarray) -> Subspace:
-    """``Subspace(ambient_dim, basis)`` for a fresh C-contiguous ``basis`` already checked orthonormal."""
-    basis.setflags(write=False)
-    s = object.__new__(Subspace)
-    object.__setattr__(s, "ambient_dim", ambient_dim)
-    object.__setattr__(s, "basis", basis)
-    return s
+    return accepted, ranks
 
 
 def orthonormal_basis(

@@ -9,6 +9,7 @@ suboptimal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,7 +49,6 @@ from .linalg import (
     frobenius_norm,
     image_subspace,
     orthogonal_complement,
-    projector,
     subspace_contains,
     subspace_intersection,
     subspace_sum,
@@ -150,9 +150,13 @@ def certify_canonical_optimal(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> C
     is optimal, though never the unique one.
     """
     s_inv = _inverse(w, tol)
+    # w_i^2 ||S_W^{-1} P_{W_i}||_F, as P_{W_i} = B_i B_i^T. Scaling every weight leaves
+    # w_i^2 S_W^{-1} alone, but not S_W^{-1}, whose squares may over- or underflow in the
+    # norm; moving 4^e onto it, e the binary exponent of the largest weight, is exact
+    e = math.frexp(max(w.weights))[1]
+    scaled = np.ldexp(s_inv, 2 * e)
     values = [
-        weight**2 * frobenius_norm(s_inv @ sub.basis)  # ||S_W^{-1} P_{W_i}||_F, as P_{W_i} = B_i B_i^T
-        for sub, weight in zip(w.subspaces, w.weights)
+        math.ldexp(weight**2, -2 * e) * frobenius_norm(scaled @ sub.basis) for sub, weight in zip(w.subspaces, w.weights)
     ]
     success = "canonical dual certified 1-loss optimal (not unique)"
     return _split_certificate(w, values, tol, "canonical", False, success)
@@ -271,34 +275,6 @@ def expand_optimal_family(pair: DualPair, i: int) -> list[DualPair]:
     return pairs
 
 
-def _pick_and_complete_basis(
-    members: Sequence[Subspace], ambient_dim: int, tol: Tolerance
-) -> np.ndarray:
-    """One normalized representative per member, completed to an orthonormal basis.
-
-    The representative of each member is the projection of the first standard
-    basis direction that meets it; the rows after them are an orthonormal
-    basis of the complement of their span. Deterministic so constructed
-    fixtures are reproducible.
-    """
-    eye = np.eye(ambient_dim)
-    chosen: list[np.ndarray] = []
-    for s in members:
-        p = projector(s)
-        for k in range(ambient_dim):
-            cand = p @ eye[k]
-            norm = float(np.linalg.norm(cand))
-            if norm > tol.rank_eps:
-                chosen.append(cand / norm)
-                break
-        else:
-            raise ValueError("a member has no nonzero projection of any coordinate direction")
-    # the representatives are orthogonal only to about eps cond(S_W), so their
-    # complement comes straight from the SVD; the caller checks the whole basis
-    u, _, _ = np.linalg.svd(np.array(chosen).T, full_matrices=True)
-    return np.vstack([*chosen, *u[:, len(chosen) :].T])
-
-
 def parseval_optimal_family(
     w: FusionFrame,
     extensions: Sequence[Subspace] | None = None,
@@ -311,10 +287,11 @@ def parseval_optimal_family(
     whitened members, plus two duals: the canonical dual of F and the dual
     built from ``extensions`` (members must contain the whitened subspaces;
     omitted, they are the whitened subspaces themselves).
-    When ``basis`` is omitted it is constructed deterministically with one
-    representative inside each whitened member, which guarantees the unit
-    worst single-erasure error; an explicit basis is validated against the
-    same property.
+    When ``basis`` is omitted its first rows are the first basis vector of
+    each nonzero whitened member, one representative inside each, which
+    guarantees the unit worst single-erasure error; the rest is an
+    orthonormal basis of the complement of their span. An explicit basis is
+    validated against the same property.
 
     Returns ``(F, duals, parseval_residual, checks)`` with the values found
     while checking the output: F's residual as its own dual, and per dual
@@ -337,7 +314,11 @@ def parseval_optimal_family(
         if not subspace_contains(outer, inner, tol):
             raise ValueError(f"extension {idx} does not contain the whitened member")
     if basis is None:
-        basis = _pick_and_complete_basis(whitened, w.ambient_dim, tol)
+        # the representatives are orthogonal only to about eps cond(S_W), so their
+        # complement comes straight from the SVD; the whole basis is checked below
+        chosen = np.array([s.basis[:, 0] for s in whitened if not s.is_zero])
+        u, _, _ = np.linalg.svd(chosen.T, full_matrices=True)
+        basis = np.vstack([chosen, u[:, len(chosen) :].T])
     b = _check_orthonormal_basis(basis, w.ambient_dim, tol)
     ones = [1.0] * w.member_count
     # the rows of bridge_fusion_to_discrete's parseval_sqrt mode, from the members whitened above

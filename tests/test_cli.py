@@ -1000,6 +1000,44 @@ class TestConstruct:
         )
 
 
+# lines e1, e2, (1, 1) in R^2 at weight 1e-100: S_W^{-1} is about 1e200, so its squares overflow
+_TINY_LINES = {"ambient_dim": 2, "subspaces": [{"spanning_vectors": [v], "weight": 1e-100} for v in ([1, 0], [0, 1], [1, 1])]}
+# the second component, 5e199 in R^1, is finite; its square, and the reconstruction's, are not
+_OVERFLOWING_PAIR = {
+    "ambient_dim": 1,
+    "subspaces": [{"spanning_vectors": [[2]], "weight": 1e-100}, {"spanning_vectors": [[1]], "weight": 1e-100}],
+    "dual": {"subspaces": [{"spanning_vectors": [[1]]}, {"spanning_vectors": [[1]], "weight": 1e100}]},
+}
+
+
+class TestFreshProcessStderr:
+    """Refusals seen as a user sees them: pytest turns a RuntimeWarning into an error, a fresh process prints it."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["erasure", "{doc}", "--fixed", "2"], "erasure error norm is not finite: the error components overflow"),
+            (["erasure", "{doc}"], "erasure error norm is not finite: the error components overflow"),
+            (["certify", "{doc}", "--which", "dual"], "pair is not a verified dual (residual inf)"),
+            (["certify", PRESERVING, "--which", "dual"], "pair is not a verified dual (residual 7.849e-01)"),
+        ],
+        ids=["fixed", "worst-case", "certify-dual", "fixture"],
+    )
+    def test_refusal_is_one_error_line(self, tmp_path, argv, message):
+        doc = tmp_path / "pair.json"
+        doc.write_text(json.dumps(_OVERFLOWING_PAIR))
+        assert _fresh_process([a.format(doc=doc) for a in argv]) == (1, "", f"error: {message}\n")
+
+    def test_canonical_certificate_of_tiny_weights(self, tmp_path):
+        # the extremal value was inf, every member extremal and the verdict certified_optimal
+        doc = tmp_path / "lines.json"
+        doc.write_text(json.dumps(_TINY_LINES))
+        code, out, err = _fresh_process(["certify", str(doc), "--which", "canonical"])
+        assert (code, err) == (0, "")
+        assert "extremal value c:    0.790569415042\nlambda1 (extremal):  {1, 2}\n" in out
+        assert "verdict:             not_applicable\n" in out
+
+
 class TestReportContracts:
     def test_json_reports_are_reproducible(self, capsys):
         first = main(["--json", "erasure", OVERLAP, "--r", "2"])

@@ -32,6 +32,7 @@ from fusionframes import (
     halving_dual,
     make_dual_pair,
     matrix_norm,
+    orthonormal_basis,
     partial_erasure_error,
     transport_by_unitary,
     worst_case_error,
@@ -883,6 +884,55 @@ def test_non_finite_components_are_refused(norm, bad, m, r):
     components = erasures._Components(m, 2, take)
     with pytest.raises(ValueError, match="not finite|did not converge"):
         erasures._worst_report(components, r, norm)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_fixed_set_values_are_the_table_values(rng, norm):
+    # a fixed set is measured as the worst-case table measures the same subset, bit for bit
+    w = random_fusion_frame(rng, 4, 5, weighted=True)
+    pair = make_dual_pair(w, inflated_dual(rng, w))
+    f = discrete_frame(rng.standard_normal((6, 3)))
+    g = discrete_canonical_dual(f)
+    tables = worst_case_error(pair, 2, norm).per_subset_values, discrete_worst_case(f, g, 2, norm).per_subset_values
+    for subset, value in tables[0]:
+        mask = ErasureMask(5, subset)
+        assert fusion_partial_error(pair, mask, norm) == value == matrix_norm(fusion_error_operator(pair, mask), norm)
+    for subset, value in tables[1]:
+        assert partial_erasure_error(f, g, ErasureMask(6, subset), norm) == value
+
+
+def test_fixed_sets_whose_norm_overflows_are_refused():
+    # the erased component is 5e199 in R^1 (and g_1 f_1^T = 1e200): finite, but its
+    # square is not, so the Frobenius value is refused, as every report refuses it
+    w = fusion_frame([orthonormal_basis([[2.0]]), orthonormal_basis([[1.0]])], [1e-100, 1e-100])
+    pair = make_dual_pair(w, fusion_frame([orthonormal_basis([[1.0]])] * 2, [1.0, 1e100]))
+    f, g = discrete_frame([[1e100], [1.0]]), discrete_frame([[1e100], [1.0]])
+    refusals = [
+        lambda: fusion_partial_error(pair, ErasureMask(2, [2]), "frobenius"),
+        lambda: worst_case_error(pair, 1, "frobenius"),
+        lambda: partial_erasure_error(f, g, ErasureMask(2, [1]), "frobenius"),
+        lambda: discrete_worst_case(f, g, 1, "frobenius"),
+    ]
+    for refused in refusals:
+        with pytest.raises(ValueError, match="erasure error norm is not finite"):
+            refused()
+    assert fusion_partial_error(pair, ErasureMask(2, [2]), "operator") == pytest.approx(5e199, rel=1e-15)
+    assert partial_erasure_error(f, g, ErasureMask(2, [1]), "operator") == 1e200
+
+
+def test_unknown_norm_kind_is_refused(rng):
+    pair = canonical_pair(random_fusion_frame(rng, 3, 4))
+    f = discrete_frame(rng.standard_normal((4, 2)))
+    calls = [
+        lambda: worst_case_error(pair, 1, "nuclear"),
+        lambda: worst_case_error(pair, 2, "nuclear"),
+        lambda: fusion_partial_error(pair, ErasureMask(4, [1]), "nuclear"),
+        lambda: discrete_worst_case(f, f, 1, "nuclear"),
+        lambda: partial_erasure_error(f, f, ErasureMask(4, [1]), "nuclear"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown norm kind 'nuclear'"):
+            call()
 
 
 def test_mask_validation():

@@ -200,7 +200,7 @@ def test_orthonormal_bases_match_one_block_runs(case):
 @settings(max_examples=150, deadline=None)
 @given(case=_block_lists())
 def test_public_constructor_accepts_every_returned_member(case):
-    # the one batched check of the result stack admits only what Subspace(...) admits
+    # every member is built by the public constructor, so rebuilding one changes no bit
     n, blocks = case
     for s in orthonormal_bases(blocks, ambient_dim=n):
         again = Subspace(n, s.basis)
@@ -221,29 +221,6 @@ class TestOrthonormalBases:
         monkeypatch.setattr(linalg, "_pivoted_gram_schmidt", corrupted)
         with pytest.raises(ValueError, match="basis columns are not orthonormal"):
             orthonormal_bases([rng.standard_normal((2, 4)), rng.standard_normal((4, 4))])
-
-    def test_rows_past_the_rank_must_vanish(self, monkeypatch):
-        original = linalg._pivoted_gram_schmidt
-
-        def padded_row_set(work, tol):
-            accepted, ranks = original(work, tol)
-            accepted[0, 1, 0] = 1e-3
-            return accepted, ranks
-
-        monkeypatch.setattr(linalg, "_pivoted_gram_schmidt", padded_row_set)
-        with pytest.raises(ValueError, match="basis columns are not orthonormal"):
-            orthonormal_bases([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
-
-    def test_members_skip_the_per_member_check(self, rng, monkeypatch):
-        # one check of the stack, cut to the largest rank: a block of 9 rows in R^5 adds no 9 x 9 Gram block
-        checked = []
-        original = linalg._check_orthonormal_rows
-        monkeypatch.setattr(
-            linalg, "_check_orthonormal_rows", lambda rows, ranks: checked.append(rows.shape) or original(rows, ranks)
-        )
-        got = orthonormal_bases([rng.standard_normal((k, 5)) for k in (1, 3, 9, 2)])
-        assert [s.dim for s in got] == [1, 3, 5, 2]
-        assert checked == [(4, 5, 5)]
 
     def test_every_member_zero(self):
         # no block has a row, so there is no norm to take a maximum of

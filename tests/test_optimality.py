@@ -13,7 +13,6 @@ from fusionframes import optimality
 from fusionframes import (
     DEFAULT_TOL,
     FusionFrame,
-    Subspace,
     Tolerance,
     bridge_fusion_to_discrete,
     canonical_pair,
@@ -33,7 +32,6 @@ from fusionframes import (
     orthonormal_basis,
     lift_to_component_preserving,
     parseval_optimal_family,
-    projector,
     spd_inv_sqrt,
     subspace_intersection,
     subspace_sum,
@@ -99,6 +97,15 @@ class TestCanonicalCertificate:
         assert cert.lambda1 == (2,)
         assert cert.verdict == "not_applicable"
         assert cert.intersection_dim == 1
+
+    @pytest.mark.parametrize("k", [-499, -300, -260, 0, 300, 497])
+    def test_extremal_value_keeps_under_weight_scaling(self, k):
+        # S_W^{-1} is 4**-k times its unit-weight self; its squares used to overflow to c = inf
+        # at k <= -260 and underflow to c = 0 at k >= 300, both certified
+        lines = [orthonormal_basis([v]) for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])]
+        certificate = certify_canonical_optimal(fusion_frame(lines, [2.0**k] * 3))
+        assert certificate.c_value == 0.7905694150420948
+        assert (certificate.lambda1, certificate.verdict) == ((1, 2), "not_applicable")
 
     def test_non_frame_rejected(self):
         with pytest.raises(ValueError, match="span"):
@@ -417,19 +424,34 @@ class TestParsevalFamily:
         assert [ok for ok, _, _ in checks] == [True, True]
 
     def test_constructed_basis_completes_the_representatives(self, rng):
-        # one representative per whitened member, then the orthogonal complement of their span
+        # the constructed basis starts with each whitened member's first basis vector,
+        # which its projection keeps: every one is a row of F
         for _ in range(5):
             n = int(rng.integers(3, 6))
             w = random_riesz_basis(rng, n, int(rng.integers(2, min(4, n) + 1)))
-            whitened = _whitened_members(w, DEFAULT_TOL)
-            basis = optimality._pick_and_complete_basis(whitened, n, DEFAULT_TOL)
-            m = len(whitened)
-            assert np.abs(basis @ basis.T - np.eye(n)).max() < 1e-12
-            for row, s in zip(basis[:m], whitened):
-                assert np.linalg.norm(row - projector(s) @ row) < 1e-12
-            rest = orthogonal_complement(Subspace(n, basis[:m].T))
-            assert np.array_equal(basis[m:], rest.basis.T)
-            assert np.array_equal(optimality._pick_and_complete_basis(whitened, n, DEFAULT_TOL), basis)
+            f, duals, parseval_residual, checks = parseval_optimal_family(w)
+            assert parseval_residual <= 1e-12
+            assert np.abs(f.vectors.T @ f.vectors - np.eye(n)).max() < 1e-12
+            for ok, _, d1 in checks:
+                assert ok
+                assert d1 == pytest.approx(1.0, abs=1e-9)
+            for s in _whitened_members(w, DEFAULT_TOL):
+                assert np.linalg.norm(f.vectors - s.basis[:, 0], axis=1).min() < 1e-12
+            again, again_duals, _, _ = parseval_optimal_family(w)
+            assert np.array_equal(again.vectors, f.vectors)
+            assert all(np.array_equal(a.vectors, b.vectors) for a, b in zip(again_duals, duals))
+
+    def test_zero_member(self):
+        # the zero member has no representative: its bridged rows are all zero
+        w = fusion_frame([coordinate_subspace(2, [1]), coordinate_subspace(2, [2]), orthonormal_basis([[0.0, 0.0]])])
+        assert classify(w).is_orthonormal_fusion_basis
+        f, duals, parseval_residual, checks = parseval_optimal_family(w)
+        assert parseval_residual == 0.0
+        assert checks == [(True, 0.0, 1.0)] * 2
+        assert np.array_equal(f.vectors[[0, 3]], np.eye(2))
+        assert not np.any(np.delete(f.vectors, [0, 3], axis=0))
+        for g in duals:
+            assert np.array_equal(g.vectors, f.vectors)
 
     @pytest.mark.parametrize("turn", [0.5, 1.1])
     def test_constructed_basis_for_nearly_parallel_lines(self, turn):
