@@ -270,7 +270,8 @@ def spd_inv_sqrt(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm of ``a``; refuses non-finite entries, which are scanned for only when the norm is not finite."""
     arr = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(arr, "fro")) if arr.ndim == 2 else math.nan
+    # squares summed in C order whatever the memory layout, as erasures._sum_norms sums them
+    norm = float(np.linalg.norm(np.ascontiguousarray(arr), "fro")) if arr.ndim == 2 else math.nan
     if not math.isfinite(norm):
         _as_matrix(arr)  # raises for a non-matrix or a non-finite entry; finite entries may overflow to inf
     return norm

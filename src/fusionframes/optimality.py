@@ -97,8 +97,44 @@ def _argmax_split(values: Sequence[float]) -> tuple[float, tuple[int, ...], tupl
 
 
 def _span_dim(w: FusionFrame, indices: Sequence[int], tol: Tolerance) -> int:
-    """Dimension of the members' span: singular values of their stacked basis rows above ``rank_eps``."""
-    rows = np.vstack([np.zeros((0, w.ambient_dim)), *(w.subspaces[i - 1].basis.T for i in indices)])
+    """Dimension of the members' span: singular values of their stacked basis rows above ``rank_eps``.
+
+    The N x n stack R of the members' basis rows is first screened on its
+    Gram: when N >= n and ``cholesky(fl(R^T R) - tau I)`` succeeds, the count
+    is n and no SVD is taken. Otherwise the SVD counts. The screen only ever
+    answers "full"; it never counts a deficient rank from the Gram, whose
+    rounding (about eps N) hides every singular value below about sqrt(eps N).
+
+    Slack: let u = eps / 2. Every row is a unit vector within 16 n eps, so
+    ||R||_F^2 is about N. (i) The SVD returns the exact singular values of
+    some R + E with ||E||_2 <= p u ||R||_2, p a modest function of N and n;
+    for p <= 4 n N that is at most delta = 2 n N^(3/2) eps, so by Weyl's
+    inequality the SVD counts all n values once sigma_min(R) exceeds
+    rank_eps + delta. (ii) The Gram rounds to R^T R + F with
+    |F| <= gamma_N |R|^T |R|, so ||F||_2 <= gamma_N ||R||_F^2, about N^2 u.
+    (iii) A Cholesky that succeeds on A = fl(Gram - tau I) returns C with
+    C^T C = A + D and |D| <= gamma_(n+1) |C|^T |C| (Higham, Thm 10.3), so
+    lambda_min(A) >= -||D||_2 >= -gamma_(n+1) tr(C^T C), about -(n + 1) N u;
+    squaring the cutoff and shifting the diagonal round tau by about 3 u tau.
+    Success thus gives lambda_min(R^T R) >= tau - (N + n + 1) N u - 3 u tau,
+    and since it needs tau below tr(Gram) / n, about N / n, that is above
+    (rank_eps + delta)^2 for ``tau = (rank_eps + delta)^2 + 4 (n^2 + N) N eps``:
+    the screen returns n only where the SVD would, at any ``rank_eps``. One
+    too large to square makes tau infinite, and the Cholesky fails at once.
+    """
+    n = w.ambient_dim
+    rows = np.vstack([np.zeros((0, n)), *(w.subspaces[i - 1].basis.T for i in indices)])
+    big_n = len(rows)
+    if big_n >= n:
+        eps = float(np.finfo(float).eps)
+        cutoff = tol.rank_eps + 2 * n * big_n**1.5 * eps
+        shifted = rows.T @ rows
+        shifted.flat[:: n + 1] -= cutoff * cutoff + 4 * (n * n + big_n) * big_n * eps
+        try:
+            np.linalg.cholesky(shifted)
+            return n
+        except np.linalg.LinAlgError:
+            pass
     return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol.rank_eps))
 
 

@@ -304,6 +304,32 @@ def riesz_block_errors(w: FusionFrame, basis, u: np.ndarray) -> list[tuple[float
     return [tuple(partial_erasure_error(f, h, mask, "frobenius") for h in (g, canonical)) for mask in masks]
 
 
+def planted_span_frame(rng: np.random.Generator, n: int, count: int, sigma: float) -> FusionFrame:
+    """``count`` lines in R^n whose unit basis rows stack to a matrix with a singular value ``sigma``.
+
+    The stack is [A, c]: c has norm ``sigma`` and A's columns are orthogonal
+    to c, so sigma is a singular value exactly, the smallest one unless A's
+    own rows (random directions in R^(n-1)) span less. Row i is
+    (d_i a_i, alpha u_i / d_i), with a the rows of a Gaussian matrix made
+    orthogonal to the unit vector u; d_i solves d^2 |a_i|^2 + alpha^2 u_i^2 / d^2 = 1
+    and alpha is iterated until |c| = sigma. Coordinates are then permuted
+    and signed, which is exact.
+    """
+    u = rng.standard_normal(count)
+    u /= np.linalg.norm(u)
+    a = rng.standard_normal((count, n - 1))
+    a -= np.outer(u, u @ a)
+    a2 = np.einsum("ij,ij->i", a, a)
+    alpha = sigma
+    for _ in range(50):
+        d2 = (1 + np.sqrt(1 - 4 * a2 * alpha**2 * u**2)) / (2 * a2)
+        alpha = sigma / np.linalg.norm(u / np.sqrt(d2))
+    d = np.sqrt(d2)
+    rows = np.column_stack([d[:, None] * a, alpha * u / d])
+    rows = rows[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+    return fusion_frame([Subspace(n, row[:, None]) for row in rows])
+
+
 # --- brute-force erasure reference ------------------------------------------
 
 
@@ -470,3 +496,9 @@ def orthonormal_basis_one_block(
     if not rank:
         return zero_subspace(ambient_dim)
     return Subspace(ambient_dim, accepted[:rank].T)
+
+
+def span_dim_reference(w: FusionFrame, indices: Sequence[int], tol: Tolerance) -> int:
+    """``optimality._span_dim`` as it counted before its Gram screen: always by SVD."""
+    rows = np.vstack([np.zeros((0, w.ambient_dim)), *(w.subspaces[i - 1].basis.T for i in indices)])
+    return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol.rank_eps))

@@ -920,6 +920,15 @@ def test_fixed_sets_whose_norm_overflows_are_refused():
     assert partial_erasure_error(f, g, ErasureMask(2, [1]), "operator") == 1e200
 
 
+def test_frobenius_norm_of_a_transposed_matrix_rounds_as_the_batched_sum(rng):
+    # np.linalg.norm sums in memory order; the batched norm, and so every report, in C order.
+    # Summed in memory order, about 29% of these transposes differed in the last bits
+    for _ in range(1500):
+        n = int(rng.integers(1, 70))
+        x = rng.standard_normal((n, n)).T
+        assert matrix_norm(x, "frobenius") == erasures._sum_norms(x[None], "frobenius")[0]
+
+
 def test_unknown_norm_kind_is_refused(rng):
     pair = canonical_pair(random_fusion_frame(rng, 3, 4))
     f = discrete_frame(rng.standard_normal((4, 2)))

@@ -52,11 +52,14 @@ from helpers import (
     orthobasis_frame_r3,
     overlap_frame_r4,
     permuted_members,
+    planted_span_frame,
     random_fusion_frame,
     random_perturbation,
     random_riesz_basis,
+    random_subspace,
     random_unitary,
     riesz_block_errors,
+    span_dim_reference,
 )
 from fusionframes.discrete import _whitened_members
 
@@ -610,6 +613,42 @@ def test_certificate_span_counts_match_the_built_spans(seed_, n, m):
             h1, h2 = (subspace_sum([subs[i - 1] for i in side], tol, ambient_dim=n) for side in (cert.lambda1, cert.lambda2))
             expected = (h1.dim, h2.dim, subspace_intersection(h1, h2, tol).dim)
             assert (cert.h1_dim, cert.h2_dim, cert.intersection_dim) == expected
+
+
+@seed(29)
+@settings(max_examples=150, deadline=None)
+@given(
+    seed_=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    rank_eps=st.sampled_from([DEFAULT_TOL.rank_eps, 1e-3, 1e-12]),
+    plant=st.sampled_from([1 - 1e-6, 1 + 1e-6, 1 - 1e-3, 1 + 1e-3, 10.0, None]),
+    data=st.data(),
+)
+def test_span_dim_counts_as_the_svd(seed_, n, rank_eps, plant, data):
+    # a singular value planted at rank_eps, just off it and well above (None: at 0.01, where the
+    # screen also passes for the small rank_eps); the Gram screen may only answer "all n", and
+    # only where the SVD counts all n above rank_eps
+    count = data.draw(st.integers(n - 1, 30 * n), label="count")
+    sigma = 0.01 if plant is None else plant * rank_eps
+    w = planted_span_frame(np.random.default_rng(seed_), n, count, sigma)
+    tol = Tolerance(rank_eps, DEFAULT_TOL.residual_eps)
+    indices = range(1, count + 1)
+    assert optimality._span_dim(w, indices, tol) == span_dim_reference(w, indices, tol)
+
+
+def test_spanning_side_is_counted_without_an_svd(monkeypatch):
+    # a (64, 200, 8) frame: its complementary side stacks 1,592 rows that span R^64
+    rng = np.random.default_rng(2901)
+    w = fusion_frame([random_subspace(rng, 64, 8) for _ in range(200)], list(0.5 + rng.random(200)))
+    cert = certify_canonical_optimal(w)
+    assert 8 * len(cert.lambda2) >= 64
+    svd, shapes = np.linalg.svd, []
+    monkeypatch.setattr(optimality.np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+    assert optimality._span_dim(w, cert.lambda2, DEFAULT_TOL) == 64
+    assert shapes == []
+    # the whole certificate takes one SVD, of the extremal side's stack of fewer than 64 rows
+    certify_canonical_optimal(w)
+    assert shapes == [(8 * len(cert.lambda1), 64)]
 
 
 @seed(27)
