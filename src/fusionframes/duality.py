@@ -16,6 +16,7 @@ from .fusion import FusionFrame, _inverse, canonical_dual
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _frobenius_norms,
     image_subspace,
     orthonormal_bases,
     projector,
@@ -80,8 +81,8 @@ def make_dual_pair(
         recon += components[row]
     for a in (s_inv, components, recon):
         a.setflags(write=False)
-    with np.errstate(over="ignore"):  # an overflowing residual is inf, which verify_dual refuses
-        residual = float(np.linalg.norm(recon - np.eye(n), "fro"))
+    # squares beyond the float range are summed rescaled; only a non-finite entry gives inf or nan, which verify_dual refuses
+    residual = float(_frobenius_norms((recon - np.eye(n))[None])[0])
     return DualPair(primal, dual_candidate, tol, s_inv, components, recon, residual)
 
 

@@ -26,7 +26,12 @@ is the maximum over all C(m, r) subsets, proved rather than sampled, with
 complete argmax sets. For r >= 2, values are bitwise those of summing each
 subset onto a zero matrix in index order and measuring it, so they do not
 depend on the search order or the pruning; fusion values at r = 1 are those
-of the member-coordinate products. Memory holds one batch of prefix sums per
+of the member-coordinate products. Every value comes from the batched norm
+kernels of :mod:`~fusionframes.linalg` that :func:`matrix_norm` runs on one
+matrix: the operator norm is the square root of the top eigenvalue of the
+matrix's Gram on its smaller side, the Frobenius norm that of one flat dot
+product, and a matrix whose squares leave the float range is measured again
+after an exact power-of-two rescale. Memory holds one batch of prefix sums per
 level of the tree, the levels sharing a fixed byte budget, so it does not
 grow with C(m, r). The operations refuse rather than sample once the subset
 count exceeds the cap.
@@ -34,9 +39,11 @@ count exceeds the cap.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Literal
@@ -45,7 +52,7 @@ import numpy as np
 
 from .discrete import DiscreteFrame
 from .duality import DualPair
-from .linalg import DEFAULT_TOL, Tolerance, frobenius_norm, operator_norm
+from .linalg import DEFAULT_TOL, Tolerance, _frobenius_norms, _top_singular_values, frobenius_norm, operator_norm
 
 __all__ = [
     "NormKind",
@@ -214,17 +221,17 @@ def _sum_norms(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
     """:func:`matrix_norm` of each matrix in the stack ``sums``, rounding identically.
 
     The stack holds subset sums or member-coordinate products
-    (:func:`_member_norms`). The operator norm runs the same LAPACK SVD as
-    ``matrix_norm``, batched; the Frobenius norm takes the same flat dot
-    product as ``np.linalg.norm`` on a C-contiguous matrix. A non-finite norm
-    is refused, so no search ever compares one and no report holds one.
+    (:func:`_member_norms`). Both norms run the batched kernels behind
+    ``matrix_norm``, in which each matrix rounds as it does alone: the
+    operator norm is the square root of the top eigenvalue of the smaller
+    Gram, the Frobenius norm that of one flat dot product in C order. A
+    non-finite norm is refused, so no search ever compares one and no report
+    holds one.
     """
     if norm_kind == "operator":
-        values = np.linalg.svd(sums, compute_uv=False)[:, 0]
+        values = _top_singular_values(sums)
     elif norm_kind == "frobenius":
-        flat = sums.reshape(len(sums), -1)
-        with np.errstate(over="ignore"):  # an overflowing square sum is refused below
-            values = np.sqrt(np.vecdot(flat, flat))
+        values = _frobenius_norms(sums)
     else:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     if not np.isfinite(values).all():
@@ -245,18 +252,30 @@ def _gain_band(norms: np.ndarray, r: int) -> np.ndarray:
 
     top_t(> j) sums the t largest of ``norms[j + 1:]``, added largest first
     onto 0.0. Row t holds only the m - r + 1 members j that the search can
-    extend at depth r - t, so the band never takes r x m entries. Only the
-    search calls it, so 2 <= r < m.
+    extend at depth r - t, so the band never takes r x m entries. The r - 1
+    largest of each tail are kept in one sorted array of doubles, copied
+    into one row per member, and each block of rows within the chunk budget
+    is summed by one running sum along the rows. Only the search calls it,
+    so 2 <= r < m.
     """
     m = len(norms)
     band = np.empty((r, m - r + 1))
     band[0] = norms[r - 1 :] + 0.0
-    top = np.empty(0)  # the r - 1 largest of norms[j + 1:], descending
+    rows = min(m - 1, max(1, _CHUNK_BYTES // (8 * (r - 1))))
+    tops = np.zeros((rows, r - 1))  # row of member j: the r - 1 largest of norms[j + 1:], descending
+    kept = array("d")  # the same, negated and ascending
+    negated = (-norms).tolist()
     for j in range(m - 2, -1, -1):
-        x = norms[j + 1]
-        top = np.insert(top, len(top) - top[::-1].searchsorted(x, "right"), x)[: r - 1]
-        t = np.arange(max(1, r - 1 - j), min(r - 1, m - 1 - j) + 1)
-        band[t, j - r + 1 + t] = norms[j] + np.cumsum(top[: t[-1]])[t - 1]
+        bisect.insort(kept, negated[j + 1])
+        del kept[r - 1 :]
+        np.negative(np.frombuffer(kept), out=tops[j % rows, : len(kept)])
+        if j % rows == 0:
+            # member j + a takes top_t for t from max(1, r - 1 - j - a) to min(r - 1, m - 1 - j - a)
+            members = np.arange(j, min(j + rows, m - 1))
+            t = np.maximum(1, r - 1 - members)[:, None] + np.arange(min(r - 1, m - r + 1))
+            a, c = (t <= np.minimum(r - 1, m - 1 - members)[:, None]).nonzero()
+            t, js = t[a, c], members[a]
+            band[t, js - r + 1 + t] = norms[js] + np.cumsum(tops[: len(members)], axis=1)[a, t - 1]
     return band
 
 
@@ -366,8 +385,20 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     members + D, each elementwise addition erring by at most u times its
     result, so ||D|| <= 2 r u sqrt(n) T in either norm (an n x n matrix has
     ||X||_2 <= ||X||_F <= sqrt(n) ||X||_2). (ii) A computed norm is within
-    p(n) eps of the true one, relatively: p(n) <= n^2 / 2 + 2 for the flat
-    dot product, and O(n^2) for the backward-stable SVD. This enters three
+    p(n) eps of the true one, relatively. For the flat dot product,
+    p(n) <= n^2 / 2 + 2. The operator norm of an n x n matrix A is
+    sqrt(lambda_max) of G = fl(A^T A): forming G errs by at most
+    gamma_n |A|^T |A|, whose 2-norm is at most gamma_n n ||A||_2^2
+    (||(|A|)||_2 <= ||A||_F <= sqrt(n) ||A||_2); ``eigvalsh`` is backward
+    stable, its top eigenvalue exact for G + E with
+    ||E||_2 <= c_n u ||G||_2, and c_n <= 4 n^2 covers Householder
+    tridiagonalization with room to spare. By Weyl, lambda_max moves by
+    at most (gamma_n n + c_n u (1 + gamma_n n)) ||A||_2^2 <=
+    (1.01 n^2 + 4.1 n^2) u ||A||_2^2 while n u <= 0.01; the square root
+    halves that relative error and rounds once more, so
+    p(n) <= 1.3 n^2 + 0.5, and the rescale of a wild matrix is exact.
+    A Gram whose trace is at least 2^-968 loses at most n^3 2^-107
+    ||A||_2^2, far below u ||A||_2^2, to underflow. This enters three
     times: for S_P, for the c_j and for the leaf. (iii) The bound and the
     test add at most r + 1 computed nonnegative numbers (one prefix norm
     and at most one norm per member) and the slack,

@@ -9,7 +9,6 @@ suboptimal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -186,14 +185,8 @@ def certify_canonical_optimal(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> C
     is optimal, though never the unique one.
     """
     s_inv = _inverse(w, tol)
-    # w_i^2 ||S_W^{-1} P_{W_i}||_F, as P_{W_i} = B_i B_i^T. Scaling every weight leaves
-    # w_i^2 S_W^{-1} alone, but not S_W^{-1}, whose squares may over- or underflow in the
-    # norm; moving 4^e onto it, e the binary exponent of the largest weight, is exact
-    e = math.frexp(max(w.weights))[1]
-    scaled = np.ldexp(s_inv, 2 * e)
-    values = [
-        math.ldexp(weight**2, -2 * e) * frobenius_norm(scaled @ sub.basis) for sub, weight in zip(w.subspaces, w.weights)
-    ]
+    # w_i^2 ||S_W^{-1} P_{W_i}||_F, as P_{W_i} = B_i B_i^T; frobenius_norm rescales squares past the float range
+    values = [weight**2 * frobenius_norm(s_inv @ sub.basis) for sub, weight in zip(w.subspaces, w.weights)]
     success = "canonical dual certified 1-loss optimal (not unique)"
     return _split_certificate(w, values, tol, "canonical", False, success)
 

@@ -1002,7 +1002,8 @@ class TestConstruct:
 
 # lines e1, e2, (1, 1) in R^2 at weight 1e-100: S_W^{-1} is about 1e200, so its squares overflow
 _TINY_LINES = {"ambient_dim": 2, "subspaces": [{"spanning_vectors": [v], "weight": 1e-100} for v in ([1, 0], [0, 1], [1, 1])]}
-# the second component, 5e199 in R^1, is finite; its square, and the reconstruction's, are not
+# the second component, 5e199 in R^1, is finite; its square, and the reconstruction's, are not,
+# so its norms and the dual residual are taken rescaled
 _OVERFLOWING_PAIR = {
     "ambient_dim": 1,
     "subspaces": [{"spanning_vectors": [[2]], "weight": 1e-100}, {"spanning_vectors": [[1]], "weight": 1e-100}],
@@ -1016,17 +1017,27 @@ class TestFreshProcessStderr:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["erasure", "{doc}", "--fixed", "2"], "erasure error norm is not finite: the error components overflow"),
-            (["erasure", "{doc}"], "erasure error norm is not finite: the error components overflow"),
-            (["certify", "{doc}", "--which", "dual"], "pair is not a verified dual (residual inf)"),
+            (["certify", "{doc}", "--which", "dual"], "pair is not a verified dual (residual 5.000e+199)"),
             (["certify", PRESERVING, "--which", "dual"], "pair is not a verified dual (residual 7.849e-01)"),
         ],
-        ids=["fixed", "worst-case", "certify-dual", "fixture"],
+        ids=["certify-dual", "fixture"],
     )
     def test_refusal_is_one_error_line(self, tmp_path, argv, message):
         doc = tmp_path / "pair.json"
         doc.write_text(json.dumps(_OVERFLOWING_PAIR))
         assert _fresh_process([a.format(doc=doc) for a in argv]) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("norm", ["frobenius", "operator"])
+    @pytest.mark.parametrize(
+        "argv, line", [(["--fixed", "2"], "value:        5e+199\n"), ([], "worst value:  5e+199\n")], ids=["fixed", "worst-case"]
+    )
+    def test_values_past_the_square_range_are_reported(self, tmp_path, argv, line, norm):
+        # the Frobenius value was refused as "not finite", with its overflow warning silenced
+        doc = tmp_path / "pair.json"
+        doc.write_text(json.dumps(_OVERFLOWING_PAIR))
+        code, out, err = _fresh_process(["erasure", str(doc), "--norm", norm, *argv])
+        assert (code, err) == (0, "")
+        assert line in out
 
     def test_canonical_certificate_of_tiny_weights(self, tmp_path):
         # the extremal value was inf, every member extremal and the verdict certified_optimal

@@ -129,6 +129,14 @@ class TestVerifyDual:
         assert residual > 0.1
         assert np.abs(recon - PRESERVING_RECON).max() < 1e-12
 
+    def test_residual_whose_square_overflows(self):
+        # in R^1 the components 5e99 and 5e199 reconstruct 5e199 + 5e99: finite, though
+        # its square is not; the residual was inf, and `verify-dual` printed "residual: inf"
+        w = fusion_frame([orthonormal_basis([[2.0]]), orthonormal_basis([[1.0]])], [1e-100, 1e-100])
+        pair = make_dual_pair(w, fusion_frame([orthonormal_basis([[1.0]])] * 2, [1.0, 1e100]))
+        assert pair.duality_residual == pytest.approx(5e199, rel=1e-15)
+        assert not verify_dual(pair)[0]
+
     def test_extended_family_verifies_for_any_parameters(self, rng):
         w = overlap_frame_r4()
         for _ in range(5):

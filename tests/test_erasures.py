@@ -323,21 +323,21 @@ class TestEngineMatchesBruteForce:
         assert_matches_brute_force(report, pair, 5, norm)
 
 
-def counting_svd(monkeypatch):
-    """Route ``np.linalg.svd`` through a wrapper; returns the list of matrix counts per call."""
+def counting_operator_norms(monkeypatch):
+    """Route the engine's operator-norm kernel through a wrapper; returns the list of matrix counts per call."""
     batches = []
-    svd = np.linalg.svd
+    kernel = erasures._top_singular_values
 
-    def counted(a, *args, **kwargs):
-        batches.append(len(a))
-        return svd(a, *args, **kwargs)
+    def counted(stack):
+        batches.append(len(stack))
+        return kernel(stack)
 
-    monkeypatch.setattr(erasures.np.linalg, "svd", counted)
+    monkeypatch.setattr(erasures, "_top_singular_values", counted)
     return batches
 
 
 class TestGramScreen:
-    """Operator-norm searches that must skip most SVDs without losing a tied subset."""
+    """Operator-norm searches that must skip most norm evaluations without losing a tied subset."""
 
     def test_operator_norm_equal_to_frobenius_norm(self, rng, monkeypatch):
         # parallel f_k and parallel g_k make every subset sum rank one, so
@@ -350,7 +350,7 @@ class TestGramScreen:
         f = discrete_frame(a[:, None] * u)
         g = discrete_frame(np.tile(v, (m, 1)))
         assert math.comb(m, r) > max(4096, m * m)
-        batches = counting_svd(monkeypatch)
+        batches = counting_operator_norms(monkeypatch)
         report = discrete_worst_case(f, g, r, "operator")
         assert sum(batches) < math.comb(m, r)
         components = discrete_components_reference(f, g)
@@ -391,7 +391,7 @@ class TestGramScreen:
         m = 40
         subs = [random_subspace(rng, 6, 2) for _ in range(m)]
         pair = canonical_pair(fusion_frame(subs, 0.5 + rng.random(m)))
-        batches = counting_svd(monkeypatch)
+        batches = counting_operator_norms(monkeypatch)
         report = worst_case_error(pair, 4, "operator")
         assert sum(batches) < math.comb(m, 4)
         # C(40, 2) = 780 subsets keep the table, so every one is measured
@@ -706,7 +706,7 @@ class TestSingleMemberValues:
     @pytest.mark.parametrize("m", [9, 5000], ids=["table", "past-table"])
     def test_no_search_and_no_dense_sums(self, rng, monkeypatch, m, norm):
         # past the table size too, every member is measured once, as an n x k_max
-        # product: no bound, no greedy leaf, no n x n sum, and no SVD input wider than k_max
+        # product: no bound, no greedy leaf, no n x n sum, and no operator-norm input wider than k_max
         w = random_fusion_frame(rng, 4, m, weighted=True)
         pair = canonical_pair(w)
         k_max = max(sub.dim for sub in w.subspaces)
@@ -714,8 +714,8 @@ class TestSingleMemberValues:
             monkeypatch.setattr(erasures, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
         rows = counting_norms(monkeypatch)
         shapes = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(erasures.np.linalg, "svd", lambda a, *args, **kw: (shapes.append(a.shape), svd(a, *args, **kw))[1])
+        kernel = erasures._top_singular_values
+        monkeypatch.setattr(erasures, "_top_singular_values", lambda stack: (shapes.append(stack.shape), kernel(stack))[1])
         report = worst_case_error(pair, 1, norm)
         assert sum(rows) == m
         assert all(shape[-1] <= k_max for shape in shapes)
@@ -807,7 +807,7 @@ def test_discrete_worst_case_forms_rank_one_components_per_chunk(rng):
     f = discrete_frame(rng.standard_normal((2048, 32)))
     g = discrete_frame(rng.standard_normal((2048, 32)))
     report, peak = traced_peak(lambda: discrete_worst_case(f, g, 1, "operator"))
-    oracle = max(np.linalg.norm(np.outer(g.vectors[k], f.vectors[k]), 2) for k in range(2048))
+    oracle = max(matrix_norm(np.outer(g.vectors[k], f.vectors[k]), "operator") for k in range(2048))
     assert report.worst_value == oracle
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
@@ -863,6 +863,25 @@ def test_gain_band_matches_the_full_tail_table(rng):
                     assert band[t].tolist() == (norms[j] + tails[t, j + 1]).tolist()
 
 
+@pytest.mark.parametrize("chunk", [None, 40], ids=["one-block", "blocks-of-1-to-5-rows"])
+def test_gain_band_is_bitwise_the_brute_force_band(rng, monkeypatch, chunk):
+    # each entry as the bound adds it: norms[j] + ((0.0 + a_1) + a_2) + ..., a_1 >= a_2 >= ... the tail
+    # after j sorted afresh; ties come from quarter steps and zeros
+    if chunk:
+        monkeypatch.setattr(erasures, "_CHUNK_BYTES", chunk)
+    for m in (2, 3, 5, 12, 40, 150):
+        for norms in (rng.random(m), rng.integers(0, 4, m) / 4.0, np.zeros(m)):
+            for r in sorted({2, 3, m // 2, m - 1} & set(range(2, m))):
+                reference = np.empty((r, m - r + 1))
+                for t, i in itertools.product(range(r), range(m - r + 1)):
+                    j = r - 1 - t + i
+                    total = 0.0
+                    for x in sorted(norms[j + 1 :].tolist(), reverse=True)[:t]:
+                        total += x
+                    reference[t, i] = norms[j] + total
+                assert erasures._gain_band(norms, r).tobytes() == reference.tobytes()
+
+
 def test_gain_band_of_a_deep_tree_is_small(rng):
     # the full 5999 x 6001 table of Python floats would take hundreds of MB
     norms = rng.random(6000)
@@ -901,23 +920,27 @@ def test_fixed_set_values_are_the_table_values(rng, norm):
         assert partial_erasure_error(f, g, ErasureMask(6, subset), norm) == value
 
 
-def test_fixed_sets_whose_norm_overflows_are_refused():
-    # the erased component is 5e199 in R^1 (and g_1 f_1^T = 1e200): finite, but its
-    # square is not, so the Frobenius value is refused, as every report refuses it
+@pytest.mark.parametrize("norm", NORMS)
+def test_values_whose_squares_overflow_are_measured(norm):
+    # the erased component is 5e199 in R^1 (and g_1 f_1^T = 1e200): finite, and so are its
+    # norms, though its square is not; every path measures it, where the Frobenius norm was refused
     w = fusion_frame([orthonormal_basis([[2.0]]), orthonormal_basis([[1.0]])], [1e-100, 1e-100])
     pair = make_dual_pair(w, fusion_frame([orthonormal_basis([[1.0]])] * 2, [1.0, 1e100]))
     f, g = discrete_frame([[1e100], [1.0]]), discrete_frame([[1e100], [1.0]])
-    refusals = [
-        lambda: fusion_partial_error(pair, ErasureMask(2, [2]), "frobenius"),
-        lambda: worst_case_error(pair, 1, "frobenius"),
-        lambda: partial_erasure_error(f, g, ErasureMask(2, [1]), "frobenius"),
-        lambda: discrete_worst_case(f, g, 1, "frobenius"),
-    ]
-    for refused in refusals:
-        with pytest.raises(ValueError, match="erasure error norm is not finite"):
-            refused()
-    assert fusion_partial_error(pair, ErasureMask(2, [2]), "operator") == pytest.approx(5e199, rel=1e-15)
-    assert partial_erasure_error(f, g, ErasureMask(2, [1]), "operator") == 1e200
+    assert fusion_partial_error(pair, ErasureMask(2, [2]), norm) == pytest.approx(5e199, rel=1e-15)
+    assert worst_case_error(pair, 1, norm).worst_value == pytest.approx(5e199, rel=1e-15)
+    assert partial_erasure_error(f, g, ErasureMask(2, [1]), norm) == 1e200
+    assert discrete_worst_case(f, g, 1, norm).worst_value == 1e200
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("entry", [5e199, 1e-170])
+def test_sums_whose_squares_leave_the_float_range(norm, entry):
+    # both norms of the all-`entry` 3 x 3 sum are 3 * entry; its squares overflow (5e199),
+    # which the Frobenius norm refused, or underflow to 0 (1e-170), where it gave 0.0
+    value = erasures._sum_norms(np.full((1, 3, 3), entry), norm)[0]
+    assert value == pytest.approx(3 * entry, rel=4 * np.finfo(float).eps)
+    assert value == matrix_norm(np.full((3, 3), entry), norm)
 
 
 def test_frobenius_norm_of_a_transposed_matrix_rounds_as_the_batched_sum(rng):

@@ -7,7 +7,9 @@ meant to alter a report lists the ops whose reports differ, writing nothing, wit
 
     PYTHONPATH=src python tests/test_fixture_golden.py --diff
 
-then regenerates the file with
+(under each op's argv, every differing line, old -> new, with the distance
+in units in the last place of each number that changed, so a last-bit drift
+reads apart from a real change of output), then regenerates the file with
 
     PYTHONPATH=src python tests/test_fixture_golden.py
 
@@ -17,9 +19,13 @@ and names the changed reports in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import json
+import math
 import os
+import re
+import struct
 import sys
 from pathlib import Path
 
@@ -87,6 +93,46 @@ def changed_ops(entries: list[dict]) -> list[list[str]]:
     return [entry["argv"] for entry in entries if golden.get(" ".join(entry["argv"])) != entry]
 
 
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan")
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance between two finite doubles in units in the last place, across zero too."""
+    ka, kb = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (a, b))
+    ka, kb = (k if k >= 0 else -(k & (2**63 - 1)) for k in (ka, kb))
+    return abs(ka - kb)
+
+
+def _line_change(old: str, new: str) -> str:
+    """``old -> new``, followed by the ulp distance of each changed number when only numbers changed."""
+    shown = f"{old!r} -> {new!r}"
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return shown
+    pairs = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new)) if a != b]
+    if not all(math.isfinite(x) for pair in pairs for x in pair):
+        return shown
+    return f"{shown}  ({', '.join(f'{_ulps(a, b)} ulp' for a, b in pairs)})"
+
+
+def report_changes(old: dict | None, new: dict) -> list[str]:
+    """The differing parts of one op's report against its golden entry: each changed line of
+    stdout and stderr as ``old -> new`` with its ulp distances, or the changed exit status."""
+    if old is None:
+        return ["  not in the golden file"]
+    lines = [f"  exit: {old['exit']} -> {new['exit']}"] if old["exit"] != new["exit"] else []
+    for stream in ("stdout", "stderr"):
+        a, b = old[stream].splitlines(), new[stream].splitlines()
+        for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+            if tag == "equal":
+                continue
+            paired = min(i2 - i1, j2 - j1) if tag == "replace" else 0
+            for k in range(paired):
+                lines.append(f"  {stream} line {i1 + k + 1}: {_line_change(a[i1 + k], b[j1 + k])}")
+            lines += [f"  {stream} line {i + 1} removed: {a[i]!r}" for i in range(i1 + paired, i2)]
+            lines += [f"  {stream} line {i1 + paired + 1} added: {line!r}" for line in b[j1 + paired : j2]]
+    return lines
+
+
 def _text_ops() -> list[list[str]]:
     """argv of each text op whose golden report exits 0."""
     golden = _golden()
@@ -105,6 +151,29 @@ def test_diff_lists_the_changed_ops_only():
     assert changed_ops(entries) == []
     entries[3] = {**entries[3], "stdout": entries[3]["stdout"] + " "}
     assert changed_ops(entries) == [entries[3]["argv"]]
+
+
+def test_diff_prints_each_changed_line_with_its_ulps():
+    old = {"argv": ["op"], "exit": 0, "stdout": 'a\n "value": 0.5,\nworst: 1.25 and 2\nz\n', "stderr": ""}
+    new = {
+        "argv": ["op"],
+        "exit": 1,
+        "stdout": 'a\n "value": 0.5000000000000001,\nworst: 1.5 and 2\nlabel: x\nz\nextra\n',
+        "stderr": "error: x\n",
+    }
+    assert report_changes(old, new) == [
+        "  exit: 0 -> 1",
+        "  stdout line 2: ' \"value\": 0.5,' -> ' \"value\": 0.5000000000000001,'  (1 ulp)",
+        f"  stdout line 3: 'worst: 1.25 and 2' -> 'worst: 1.5 and 2'  ({2**50} ulp)",
+        "  stdout line 4 added: 'label: x'",
+        "  stdout line 5 added: 'extra'",
+        "  stderr line 1 added: 'error: x'",
+    ]
+    assert report_changes(new, {**new, "stdout": new["stdout"].replace("label: x", "label: y")}) == [
+        "  stdout line 4: 'label: x' -> 'label: y'"
+    ]
+    assert report_changes(None, new) == ["  not in the golden file"]
+    assert _ulps(-0.0, 0.0) == 0 and _ulps(-5e-324, 5e-324) == 2
 
 
 @pytest.mark.parametrize("argv", fixture_ops(), ids=" ".join)
@@ -146,7 +215,8 @@ def test_each_frame_operator_is_decomposed_once(name, monkeypatch):
         monkeypatch.setattr(module, attr, build)
     for attr in ("eigh", "eigvalsh"):
         def decompose(a, *args, _original=getattr(np.linalg, attr), **kwargs):
-            decomposed.append(a)
+            if np.ndim(a) == 2:  # a frame operator; the operator norm decomposes (b, k, k) Gram stacks
+                decomposed.append(a)
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, attr, decompose)
@@ -216,8 +286,11 @@ if __name__ == "__main__":
     os.chdir(ROOT)
     entries = [run_op(argv) for argv in fixture_ops()]
     if sys.argv[1:]:
+        golden = _golden()
         for argv in changed_ops(entries):
-            print(" ".join(argv))
+            key = " ".join(argv)
+            print(key)
+            print("\n".join(report_changes(golden.get(key), next(e for e in entries if e["argv"] == argv))))
     else:
         GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {len(entries)} ops to {GOLDEN}", file=sys.stderr)

@@ -331,6 +331,13 @@ class TestNorms:
     def test_frobenius_zero(self):
         assert frobenius_norm(np.zeros((3, 3))) == 0.0
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0, 0)], ids=["2x0", "0x3", "0x0"])
+    def test_frobenius_of_empty_matrices_is_plus_zero(self, shape):
+        # a zero member's basis is n x 0; its sum of squares, 0, is below the
+        # safe range, so the empty matrix takes the rescale path's zero branch
+        value = frobenius_norm(np.zeros(shape))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_frobenius_refuses_non_finite_entries(self, entry):
         a = np.eye(3)
@@ -338,9 +345,18 @@ class TestNorms:
         with pytest.raises(ValueError, match="non-finite"):
             frobenius_norm(a)
 
-    def test_frobenius_of_finite_entries_may_overflow(self):
-        with np.errstate(over="ignore"):
-            assert frobenius_norm(np.full((2, 2), 1e200)) == math.inf
+    def test_frobenius_of_finite_entries_does_not_overflow(self):
+        # the squares, 1e400, overflow; the norm, 2e200, does not
+        assert frobenius_norm(np.full((2, 2), 1e200)) == 2e200
+
+    @pytest.mark.parametrize("norm", [frobenius_norm, operator_norm], ids=["frobenius", "operator"])
+    @pytest.mark.parametrize("entry", [5e199, 1e-170])
+    def test_norms_whose_squares_leave_the_float_range(self, norm, entry):
+        # both norms of the all-`entry` 3 x 3 matrix are 3 * entry; the squares
+        # overflow (5e199) or underflow to 0 (1e-170), and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(np.full((3, 3), entry)) == pytest.approx(3 * entry, rel=4 * np.finfo(float).eps)
 
     def test_frobenius_refuses_non_matrices(self):
         for a in (np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)):
@@ -362,6 +378,65 @@ class TestNorms:
             a = rng.standard_normal((4, 4))
             oracle = np.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
             assert operator_norm(a) == pytest.approx(oracle, abs=1e-8)
+
+
+@st.composite
+def _norm_stacks(draw):
+    """(b, p, q) stacks, square, tall or wide: Gaussian, rank-deficient, zero, or with
+    top singular values tied or nearly tied, each matrix scaled by 2**0 or 2**±600."""
+    p, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["gauss", "deficient", "zero", "tied"]))
+        if kind == "gauss":
+            a = rng.standard_normal((p, q))
+        elif kind == "deficient":
+            rank = draw(st.integers(0, min(p, q) - 1))
+            a = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, q))
+        elif kind == "zero":
+            a = np.zeros((p, q))
+        else:
+            k = min(p, q)
+            s = rng.random(k) * 0.5
+            s[: draw(st.integers(1, k))] = 1.0 - draw(st.sampled_from([0.0, 1e-15, 1e-8])) * rng.random()
+            a = (random_unitary(rng, p)[:, :k] * s) @ random_unitary(rng, q)[:, :k].T
+        mats.append(np.ldexp(a, draw(st.sampled_from([0, 600, -600]))))
+    return np.stack(mats)
+
+
+@seed(30)
+@settings(max_examples=200, deadline=None)
+@given(stack=_norm_stacks())
+def test_top_singular_values_agree_with_the_svd(stack):
+    # within the kernel's written bound, (1.3 n^2 + 0.5) eps, and the SVD's own rounding
+    values = linalg._top_singular_values(stack.copy())
+    reference = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    n = max(stack.shape[1:])
+    assert np.all(np.abs(values - reference) <= 4 * n * n * np.finfo(float).eps * reference)
+    # a zero matrix gives +0.0, never -0.0 or nan
+    zero = ~stack.any(axis=(1, 2))
+    assert np.array_equal(values[zero], np.zeros(zero.sum())) and not np.signbit(values).any()
+    # each matrix rounds as it does alone, which is what makes report values equal matrix_norm;
+    # so does the Frobenius kernel, also on the matrices scaled by 2**600, whose squares overflow
+    frobenius = linalg._frobenius_norms(stack)
+    for b in range(len(stack)):
+        assert linalg._top_singular_values(stack[b : b + 1].copy())[0] == values[b]
+        assert operator_norm(stack[b]) == values[b]
+        assert frobenius_norm(stack[b]) == frobenius[b] >= values[b] * (1 - 4 * n * n * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5)])
+def test_top_singular_values_of_non_finite_entries(rng, bad, shape):
+    # the poisoned matrix gets a non-finite value, its neighbours their own; operator_norm refuses it
+    stack = rng.standard_normal((3, *shape))
+    stack[1, -1, 0] = bad
+    values = linalg._top_singular_values(stack.copy())
+    assert not np.isfinite(values[1])
+    assert values[0] == operator_norm(stack[0]) and values[2] == operator_norm(stack[2])
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm(stack[1])
 
 
 class TestContainment:

@@ -110,6 +110,22 @@ class TestCanonicalCertificate:
         assert certificate.c_value == 0.7905694150420948
         assert (certificate.lambda1, certificate.verdict) == ((1, 2), "not_applicable")
 
+    def test_zero_member(self):
+        # the zero member's basis is 2 x 0, so its value is the norm of an empty matrix, 0
+        w = fusion_frame([coordinate_subspace(2, [1]), coordinate_subspace(2, [2]), orthonormal_basis([[0.0, 0.0]])])
+        assert dataclasses.asdict(certify_canonical_optimal(w)) == {
+            "kind": "canonical",
+            "c_value": 1.0,
+            "lambda1": (1, 2),
+            "lambda2": (3,),
+            "h1_dim": 2,
+            "h2_dim": 0,
+            "intersection_dim": 0,
+            "lambda_side_riesz": False,
+            "verdict": "certified_optimal",
+            "notes": "canonical dual certified 1-loss optimal (not unique); nontrivial fusion frame",
+        }
+
     def test_non_frame_rejected(self):
         with pytest.raises(ValueError, match="span"):
             certify_canonical_optimal(fusion_frame([coordinate_subspace(2, [1])]))
