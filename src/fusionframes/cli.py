@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
@@ -373,6 +373,11 @@ def _bridged(doc: ParsedDocument, basis: np.ndarray):
 # --- commands: each returns one result dict, which --json writes and _text renders
 
 
+def _field_dict(record) -> dict:
+    """A flat dataclass's fields by name, their values shared rather than deep-copied as ``asdict`` copies them."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _cmd_classify(doc: ParsedDocument, args) -> dict:
     cls = classify(doc.frame, doc.tol)
     if not cls.is_frame:
@@ -389,7 +394,7 @@ def _cmd_classify(doc: ParsedDocument, args) -> dict:
         summary = f"fusion frame, not Riesz, bounds ({_fmt(cls.lower_bound)}, {_fmt(cls.upper_bound)})"
     return {
         "summary": summary,
-        **asdict(cls),
+        **_field_dict(cls),
         "nontrivial": is_nontrivial(doc.frame),
         "member_dims": [s.dim for s in doc.frame.subspaces],
     }
@@ -459,7 +464,7 @@ def _cmd_certify(doc: ParsedDocument, args) -> dict:
         cert = certify_dual_optimal(doc._pair[0])
     else:
         cert = certify_tight_uniform(doc._pair[0])
-    return asdict(cert)
+    return _field_dict(cert)
 
 
 def _cmd_construct(doc: ParsedDocument, args) -> dict:

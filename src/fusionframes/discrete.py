@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .fusion import FusionFrame, _image_frame, _inverse, _Spectral
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, projector
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, _frobenius_norms, projector
 
 __all__ = [
     "DiscreteFrame",
@@ -99,7 +99,7 @@ def verify_discrete_dual(
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     recon = g.vectors.T @ f.vectors
-    residual = float(np.linalg.norm(recon - np.eye(f.ambient_dim), "fro"))
+    residual = float(_frobenius_norms((recon - np.eye(f.ambient_dim))[None])[0])
     return residual <= tol.residual_eps, residual
 
 
@@ -113,7 +113,7 @@ def perturbation_residual(f: DiscreteFrame, u: np.ndarray) -> float:
         raise ValueError(f"perturbation must be a {f.count} x {f.ambient_dim} array, got {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("perturbation has non-finite entries")
-    return float(np.linalg.norm(u.T @ f.vectors, "fro"))
+    return float(_frobenius_norms((u.T @ f.vectors)[None])[0])
 
 
 def dual_from_perturbation(

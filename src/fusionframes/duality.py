@@ -125,7 +125,7 @@ def left_inverse_residual(a: np.ndarray, w: FusionFrame) -> float:
     total = np.zeros((n, n))
     for block, sub, weight in zip(a, w.subspaces, w.weights):
         total += block @ (weight * projector(sub))
-    return float(np.linalg.norm(total - np.eye(n), "fro"))
+    return float(_frobenius_norms((total - np.eye(n))[None])[0])
 
 
 def component_preserving_check(

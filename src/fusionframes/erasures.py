@@ -164,21 +164,18 @@ def _member_norms(pair: DualPair, norm_kind: NormKind) -> np.ndarray:
 
     E_i ends in proj_{W_i} = B_i B_i^T, so these equal ``||E_i||`` in both
     norms, up to the rounding of the stored E_i outside W_i, which grows with
-    cond(S_W). The n x k_max products are formed and measured by
-    :func:`_sum_norms` one chunk of members at a time.
+    cond(S_W). The bases are the frame's padded basis stack; the n x k_max
+    products are formed and measured by :func:`_sum_norms` one chunk of
+    members at a time.
     """
-    stack, subspaces = pair.components, pair.primal.subspaces
-    n, k = pair.primal.ambient_dim, max(sub.dim for sub in subspaces)
+    stack, bases = pair.components, pair.primal._basis_stack
+    n, k = bases.shape[1:]
     rows = max(1, _CHUNK_BYTES // (8 * n * k))
     values = []
     for lo in range(0, len(stack), rows):
-        chunk = stack[lo : lo + rows]
-        bases = np.zeros((len(chunk), n, k))
-        for b, sub in zip(bases, subspaces[lo : lo + rows]):
-            b[:, : sub.dim] = sub.basis
         # an overflowing component gives a non-finite product, which _sum_norms refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            products = chunk @ bases
+            products = stack[lo : lo + rows] @ bases[lo : lo + rows]
         values.append(_sum_norms(products, norm_kind))
     return np.concatenate(values)
 

@@ -7,6 +7,7 @@ as 0) so callers can diagnose bad inputs instead of losing them.
 Each frame decomposes S_W once, in ``FusionFrame.spectrum``: the bounds, the
 frame test, S_W^{-1} and S_W^{-1/2} all read that one spectrum, and each of
 the two inverse forms is formed from it at most once per frame.
+Its member bases are likewise stacked once, zero-padded, on first use.
 """
 
 from __future__ import annotations
@@ -110,6 +111,25 @@ class FusionFrame(_Spectral):
 
     def _operator(self) -> np.ndarray:
         return frame_operator(self)
+
+    @cached_property
+    def _member_dims(self) -> np.ndarray:
+        """The member dimensions k_i, read-only."""
+        dims = np.array([s.dim for s in self.subspaces], dtype=np.intp)
+        dims.setflags(write=False)
+        return dims
+
+    @cached_property
+    def _basis_stack(self) -> np.ndarray:
+        """The members' orthonormal bases as one read-only ``(m, n, k_max)`` array, each zero-padded to k_max.
+
+        ``_basis_stack[i, :, :k_i]`` is member i + 1's basis; every per-member product reads it.
+        """
+        stack = np.zeros((self.member_count, self.ambient_dim, int(self._member_dims.max())))
+        for b, sub in zip(stack, self.subspaces):
+            b[:, : sub.dim] = sub.basis
+        stack.setflags(write=False)
+        return stack
 
     def member(self, i: int) -> tuple[Subspace, float]:
         """Member ``i`` (1-based) as a (subspace, weight) pair."""

@@ -45,7 +45,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    frobenius_norm,
+    _frobenius_norms,
     image_subspace,
     orthogonal_complement,
     subspace_contains,
@@ -91,14 +91,16 @@ class Certificate:
 def _argmax_split(values: Sequence[float]) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     c = max(values)
     lambda1 = tuple(i for i, v in enumerate(values, start=1) if v >= c * (1.0 - _TIE_REL))
-    lambda2 = tuple(i for i in range(1, len(values) + 1) if i not in lambda1)
+    extremal = set(lambda1)
+    lambda2 = tuple(i for i in range(1, len(values) + 1) if i not in extremal)
     return float(c), lambda1, lambda2
 
 
 def _span_dim(w: FusionFrame, indices: Sequence[int], tol: Tolerance) -> int:
     """Dimension of the members' span: singular values of their stacked basis rows above ``rank_eps``.
 
-    The N x n stack R of the members' basis rows is first screened on its
+    The N x n stack R of the members' basis rows, gathered from the frame's
+    basis stack without its padding, is first screened on its
     Gram: when N >= n and ``cholesky(fl(R^T R) - tau I)`` succeeds, the count
     is n and no SVD is taken. Otherwise the SVD counts. The screen only ever
     answers "full"; it never counts a deficient rank from the Gram, whose
@@ -121,8 +123,11 @@ def _span_dim(w: FusionFrame, indices: Sequence[int], tol: Tolerance) -> int:
     the screen returns n only where the SVD would, at any ``rank_eps``. One
     too large to square makes tau infinite, and the Cholesky fails at once.
     """
-    n = w.ambient_dim
-    rows = np.vstack([np.zeros((0, n)), *(w.subspaces[i - 1].basis.T for i in indices)])
+    n, stack = w.ambient_dim, w._basis_stack
+    sel = np.asarray(indices, dtype=np.intp) - 1
+    # row (at, col) is column col of member sel[at]'s basis, member by member as their rows stack
+    at, col = (np.arange(stack.shape[2]) < w._member_dims[sel, None]).nonzero()
+    rows = np.ascontiguousarray(stack[sel[at], :, col])
     big_n = len(rows)
     if big_n >= n:
         eps = float(np.finfo(float).eps)
@@ -185,8 +190,17 @@ def certify_canonical_optimal(w: FusionFrame, tol: Tolerance = DEFAULT_TOL) -> C
     is optimal, though never the unique one.
     """
     s_inv = _inverse(w, tol)
-    # w_i^2 ||S_W^{-1} P_{W_i}||_F, as P_{W_i} = B_i B_i^T; frobenius_norm rescales squares past the float range
-    values = [weight**2 * frobenius_norm(s_inv @ sub.basis) for sub, weight in zip(w.subspaces, w.weights)]
+    stack, dims = w._basis_stack, w._member_dims
+    # ||S_W^{-1} P_{W_i}||_F = ||S_W^{-1} B_i||_F, as P_{W_i} = B_i B_i^T: one batched product per member
+    # dimension k, each n x k product measured unpadded, as it rounds alone; the kernel rescales squares
+    # past the float range
+    norms = np.empty(w.member_count)
+    for k in set(dims.tolist()):
+        sel = dims == k
+        norms[sel] = _frobenius_norms(s_inv @ (stack[:, :, :k] if sel.all() else stack[sel, :, :k]))
+    if not np.isfinite(norms).all():
+        raise ValueError("matrix has non-finite entries")
+    values = [weight**2 * norm for weight, norm in zip(w.weights, norms.tolist())]
     success = "canonical dual certified 1-loss optimal (not unique)"
     return _split_certificate(w, values, tol, "canonical", False, success)
 

@@ -147,6 +147,14 @@ class TestVerifyDual:
         with pytest.raises(ValueError, match="lengths"):
             verify_discrete_dual(discrete_frame(np.eye(3)), discrete_frame(np.eye(3)[:2]))
 
+    def test_residual_past_the_float_range_of_squares_is_finite(self):
+        # g_k f_k is about 1e200 each: the residual's square, 4e400, overflows, so it is summed rescaled
+        f, g = discrete_frame([[1e-100], [1e-100]]), discrete_frame([[1e300], [1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_discrete_dual(f, g) == (False, 2.0000000000000003e200)
+            assert perturbation_residual(f, g.vectors) == 2.0000000000000003e200
+
 
 class TestPerturbations:
     def test_zero_perturbation_gives_canonical(self):

@@ -234,6 +234,13 @@ class TestComponentPreserving:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 component_preserving_check(w, v, blocks)
 
+    def test_residual_past_the_float_range_of_squares_is_finite(self):
+        # each block adds about 1e200 in R^1: the residual's square, 4e400, overflows, so it is summed rescaled
+        w = fusion_frame([full_subspace(1), full_subspace(1)], [1e-100, 1e-100])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert left_inverse_residual(np.full((2, 1, 1), 1e300), w) == 2.0000000000000003e200
+
     def test_invalid_left_inverse_rejected(self):
         w, v, _ = preserving_pair_r3()
         bad = np.array((np.eye(3), np.eye(3)))
