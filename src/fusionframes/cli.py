@@ -508,8 +508,11 @@ def _cmd_construct(doc: ParsedDocument, args) -> dict:
             "variants": entries,
         }
 
-    # parseval-family
+    # parseval-family: the dual section's members are the extensions, which carry no weights
     extensions = None if doc.dual is None else list(doc.dual.subspaces)
+    for k, weight in enumerate(doc.dual.weights if doc.dual else ()):
+        if abs(weight - 1.0) > doc.tol.residual_eps:
+            raise DocumentError(f"dual.subspaces[{k}].weight: the Parseval family requires unit weights, got {weight:.12g}")
     f, duals, parseval_residual, checks = parseval_optimal_family(doc.frame, extensions, doc.tol, basis=doc.basis)
     compacted, kept = compact_nonzero(f, doc.tol)
     return {

@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .fusion import FusionFrame, _image_frame, _inverse, _Spectral
+from .fusion import FusionFrame, _inverse, _Spectral
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, _frobenius_norms, projector
 
 __all__ = [
@@ -31,11 +31,10 @@ __all__ = [
     "bridge_fusion_to_discrete",
     "bridge_dual_to_discrete",
     "compact_nonzero",
-    "halving_perturbation",
     "halving_dual",
 ]
 
-BridgeMode = Literal["canonical_weighted", "parseval_sqrt"]
+BridgeMode = Literal["canonical_weighted"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +156,6 @@ def _check_orthonormal_basis(basis: Sequence, ambient_dim: int, tol: Tolerance, 
     return b
 
 
-def _whitened_members(w: FusionFrame, tol: Tolerance) -> tuple[Subspace, ...]:
-    """The members S_W^{-1/2} W_i; for a Riesz fusion basis they are mutually orthogonal."""
-    return _image_frame(_inverse(w, tol, root=True), w, tol).subspaces
-
-
 def _bridge_rows(
     members: Sequence[Subspace], weights: Sequence[float], xs: Sequence[np.ndarray]
 ) -> DiscreteFrame:
@@ -180,19 +174,16 @@ def bridge_fusion_to_discrete(
 ) -> DiscreteFrame:
     """Turn a fusion frame into a labeled discrete frame over an orthonormal basis.
 
-    ``canonical_weighted`` emits w_i * proj_{W_i} S_W^{-1} e_j over all (i, j);
-    ``parseval_sqrt`` emits proj onto S_W^{-1/2} W_i of e_j and requires unit
-    weights. Rows are ordered i-major, j-minor; labels are 1-based (i, j).
+    Emits w_i * proj_{W_i} S_W^{-1} e_j over all (i, j), i-major and j-minor,
+    with 1-based (i, j) labels. ``mode`` accepts only ``"canonical_weighted"``;
+    it stays for callers that pass ``mode`` and ``tol`` positionally. The
+    Parseval frame of a Riesz fusion basis is ``parseval_optimal_family``'s.
     """
     b = _check_orthonormal_basis(basis, w.ambient_dim, tol)
-    if mode == "canonical_weighted":
-        s_inv = _inverse(w, tol)
-        return _bridge_rows(w.subspaces, w.weights, [s_inv @ e for e in b])
-    if mode == "parseval_sqrt":
-        if any(abs(weight - 1.0) > tol.residual_eps for weight in w.weights):
-            raise ValueError("parseval_sqrt mode requires unit weights")
-        return _bridge_rows(_whitened_members(w, tol), [1.0] * w.member_count, b)
-    raise ValueError(f"unknown bridge mode {mode!r}")
+    if mode != "canonical_weighted":
+        raise ValueError(f"unknown bridge mode {mode!r}")
+    s_inv = _inverse(w, tol)
+    return _bridge_rows(w.subspaces, w.weights, [s_inv @ e for e in b])
 
 
 def bridge_dual_to_discrete(
@@ -221,15 +212,14 @@ def compact_nonzero(
     )
 
 
-def halving_perturbation(
-    f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Perturbation (a count x n array) that halves the canonical dual on the ``lost`` indices (1-based).
+def halving_dual(f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL) -> DiscreteFrame:
+    """Dual {S_F^{-1} f_k + u_k} that halves the canonical dual on the ``lost`` indices (1-based).
 
-    Rows in ``lost`` are fixed to minus half the canonical dual vector; the
-    remaining rows solve the dual relation by minimum-norm least squares.
-    Raises when the fixed rows make the relation unsatisfiable (for instance
-    when a lost vector is the only one supported on some coordinate).
+    Rows of the perturbation u in ``lost`` are fixed to minus half the
+    canonical dual vector; the remaining rows solve the dual relation by
+    minimum-norm least squares. Raises when the fixed rows make the relation
+    unsatisfiable (for instance when a lost vector is the only one supported
+    on some coordinate).
     """
     lost_set = sorted(set(int(k) for k in lost))
     for k in lost_set:
@@ -251,10 +241,4 @@ def halving_perturbation(
             "halving construction is infeasible for the lost set "
             f"{lost_set} (residual {residual:.3e})"
         )
-    return u
-
-
-def halving_dual(f: DiscreteFrame, lost: Sequence[int], tol: Tolerance = DEFAULT_TOL) -> DiscreteFrame:
-    """Dual frame built from :func:`halving_perturbation`, which has checked the dual relation."""
-    u = halving_perturbation(f, lost, tol)
-    return DiscreteFrame(f.ambient_dim, discrete_canonical_dual(f, tol).vectors + u, f.labels)
+    return DiscreteFrame(f.ambient_dim, canonical.vectors + u, f.labels)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .discrete import DiscreteFrame
 from .duality import DualPair
-from .linalg import DEFAULT_TOL, Tolerance, _frobenius_norms, _top_singular_values, frobenius_norm, operator_norm
+from .linalg import DEFAULT_TOL, Tolerance, _as_matrix, _frobenius_norms, _top_singular_values
 
 __all__ = [
     "NormKind",
@@ -118,12 +118,20 @@ class ErasureReport:
     per_subset_values: tuple[tuple[tuple[int, ...], float], ...] | None = None
 
 
-def matrix_norm(a: np.ndarray, norm_kind: NormKind) -> float:
+def _norm_kernel(norm_kind: NormKind) -> Callable[[np.ndarray], np.ndarray]:
+    """The batched kernel of ``norm_kind``, which measures each matrix of a ``(b, p, q)`` stack."""
     if norm_kind == "frobenius":
-        return frobenius_norm(a)
+        return _frobenius_norms
     if norm_kind == "operator":
-        return operator_norm(a)
+        return _top_singular_values
     raise ValueError(f"unknown norm kind {norm_kind!r}")
+
+
+def matrix_norm(a: np.ndarray, norm_kind: NormKind) -> float:
+    """Norm of the matrix ``a`` from its kernel: +0.0 if empty, inf past the float range; refuses non-finite entries."""
+    kernel = _norm_kernel(norm_kind)
+    a = _as_matrix(a)
+    return float(kernel(a[None])[0]) if a.size else 0.0
 
 
 def block_mask(f: DiscreteFrame, i: int) -> ErasureMask:
@@ -225,12 +233,7 @@ def _sum_norms(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
     non-finite norm is refused, so no search ever compares one and no report
     holds one.
     """
-    if norm_kind == "operator":
-        values = _top_singular_values(sums)
-    elif norm_kind == "frobenius":
-        values = _frobenius_norms(sums)
-    else:
-        raise ValueError(f"unknown norm kind {norm_kind!r}")
+    values = _norm_kernel(norm_kind)(sums)
     if not np.isfinite(values).all():
         raise ValueError("erasure error norm is not finite: the error components overflow")
     return values

@@ -26,8 +26,6 @@ __all__ = [
     "projector",
     "spd_inverse",
     "spd_inv_sqrt",
-    "frobenius_norm",
-    "operator_norm",
     "subspace_contains",
     "subspaces_equal",
     "subspace_intersection",
@@ -265,25 +263,6 @@ def spd_inv_sqrt(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symmetric inverse square root of a symmetric positive definite matrix."""
     eigvals, eigvecs = _spd_eigh(a, tol, "spd_inv_sqrt")
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """Frobenius norm of ``a``; refuses non-finite entries, which are scanned for only when the norm is not finite."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        _as_matrix(arr)  # raises
-    norm = float(_frobenius_norms(arr[None])[0])
-    if not math.isfinite(norm):
-        _as_matrix(arr)  # raises for a non-finite entry
-    return norm
-
-
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value of ``a``."""
-    a = _as_matrix(a)
-    if a.size == 0:
-        return 0.0
-    return float(_top_singular_values(a[None])[0])
 
 
 # a sum of squares in this range neither overflows nor loses more than 2**-107

@@ -18,7 +18,6 @@ from .discrete import (
     DiscreteFrame,
     _bridge_rows,
     _check_orthonormal_basis,
-    _whitened_members,
     discrete_canonical_dual,
     verify_discrete_dual,
 )
@@ -318,6 +317,11 @@ def expand_optimal_family(pair: DualPair, i: int) -> list[DualPair]:
     return pairs
 
 
+def _whitened_members(w: FusionFrame, tol: Tolerance) -> tuple[Subspace, ...]:
+    """The members S_W^{-1/2} W_i; for a Riesz fusion basis they are mutually orthogonal."""
+    return _image_frame(_inverse(w, tol, root=True), w, tol).subspaces
+
+
 def parseval_optimal_family(
     w: FusionFrame,
     extensions: Sequence[Subspace] | None = None,
@@ -364,7 +368,7 @@ def parseval_optimal_family(
         basis = np.vstack([chosen, u[:, len(chosen) :].T])
     b = _check_orthonormal_basis(basis, w.ambient_dim, tol)
     ones = [1.0] * w.member_count
-    # the rows of bridge_fusion_to_discrete's parseval_sqrt mode, from the members whitened above
+    # rows proj_{S_W^{-1/2} W_i} e_j, from the members whitened above
     f = _bridge_rows(whitened, ones, b)
     parseval_residual = verify_discrete_dual(f, f, tol)[1]  # F is its own dual iff Parseval
     if parseval_residual > max(tol.residual_eps, 1e-9):

@@ -28,6 +28,7 @@ from fusionframes import (
     halving_dual,
     image_subspace,
     make_dual_pair,
+    parseval_optimal_family,
     partial_erasure_error,
     projector,
     spd_inv_sqrt,
@@ -129,7 +130,7 @@ def test_criterion_03_component_preserving_non_dual():
 def test_criterion_04_orthobasis_parseval_bridge():
     crit = Criterion(4, "orthonormal fusion basis bridges to a Parseval frame with unit error")
     w = orthobasis_frame_r3()
-    f = bridge_fusion_to_discrete(w, np.eye(3), "parseval_sqrt")
+    f = parseval_optimal_family(w, basis=np.eye(3))[0]
     s_f = f.vectors.T @ f.vectors
     crit.check(np.linalg.norm(s_f - np.eye(3), "fro") < 1e-12, "Parseval residual")
     compacted, kept = compact_nonzero(f)

@@ -18,9 +18,9 @@ from fusionframes import (
     canonical_pair,
     certify_canonical_optimal,
     classify,
-    frobenius_norm,
     fusion_frame,
     make_dual_pair,
+    matrix_norm,
     zero_subspace,
 )
 from fusionframes import cli, optimality
@@ -68,7 +68,7 @@ def test_basis_stack_is_read_only_zero_padded_and_built_once(w):
 @given(w=frames)
 def test_canonical_certificate_values_are_the_per_member_norms(w):
     s_inv = _inverse(w, DEFAULT_TOL)
-    expected = [weight**2 * frobenius_norm(s_inv @ sub.basis) for sub, weight in zip(w.subspaces, w.weights)]
+    expected = [weight**2 * matrix_norm(s_inv @ sub.basis, "frobenius") for sub, weight in zip(w.subspaces, w.weights)]
     with mock.patch.object(optimality, "_argmax_split", wraps=optimality._argmax_split) as split:
         cert = certify_canonical_optimal(w)
     assert split.call_args.args[0] == expected

@@ -627,7 +627,7 @@ class TestErasure:
         result = report["result"]
         assert result["mode"] == "fixed-discrete"
         assert result["halving_feasible"] is True
-        assert result["ratio"] == pytest.approx(2.0, rel=1e-9)
+        assert result["ratio"] == 2.0
 
     @pytest.mark.parametrize("scale", [1e-10, 1e-5, 1e5, 1e10])
     @pytest.mark.parametrize("fixture", ["overcomplete_r3", "orthobasis_r3"])
@@ -705,7 +705,7 @@ class TestErasure:
 
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_bridged_fixed_forms_the_canonical_dual_once(self, capsys, monkeypatch, flags):
-        # cli._bridged, halving_perturbation and dual_from_perturbation each formed it: 3 before
+        # cli._bridged and halving_dual both read the one canonical dual of the compacted frame
         formed = record_canonical_dual_formations(monkeypatch)
         assert main([*flags, "erasure", OVERCOMPLETE, "--fixed", "1,2"]) == 0
         assert "ratio" in capsys.readouterr().out
@@ -894,6 +894,34 @@ class TestConstruct:
             assert dual["is_dual"] is True
             assert dual["residual"] <= DEFAULT_TOL.residual_eps
             assert dual["d1_operator"] == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _orthobasis_with_dual_weights(tmp_path, weights):
+        raw = json.loads(open(ORTHOBASIS).read())
+        for entry, weight in zip(raw["dual"]["subspaces"], weights):
+            entry["weight"] = weight
+        p = tmp_path / "orthobasis_weighted_dual.json"
+        p.write_text(json.dumps(raw))
+        return str(p)
+
+    @pytest.mark.parametrize(
+        "weights, refusal",
+        [((5, 5), "dual.subspaces[0].weight: the Parseval family requires unit weights, got 5"),
+         ((1, "1/3"), "dual.subspaces[1].weight: the Parseval family requires unit weights, got 0.333333333333")],
+        ids=["both-5", "second-third"],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_parseval_family_refuses_non_unit_dual_weights(self, capsys, tmp_path, weights, refusal, flags):
+        # the dual section's members become the family's extensions, which carry no weights: a weight
+        # other than 1 would go unread, and a document that fails verify-dual would print a family
+        argv = [*flags, "construct", self._orthobasis_with_dual_weights(tmp_path, weights), "--what", "parseval-family"]
+        assert _outcome(capsys, argv) == _fresh_process(argv) == (1, "", f"error: {refusal}\n")
+
+    def test_parseval_family_takes_dual_weights_within_residual_eps_as_unit(self, capsys, tmp_path):
+        p = self._orthobasis_with_dual_weights(tmp_path, (1, "1000000000001/1000000000000"))
+        argv = ["construct", p, "--what", "parseval-family"]
+        assert _outcome(capsys, argv) == _outcome(capsys, ["construct", ORTHOBASIS, "--what", "parseval-family"])
+        assert run_json(capsys, argv)["result"] == run_json(capsys, [*argv[:1], ORTHOBASIS, *argv[2:]])["result"]
 
     def test_parseval_family_refuses_dimension_one(self, capsys, tmp_path):
         # the one-dimensional Riesz basis bridges to a single vector, which has no erasure to measure

@@ -3,15 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fusionframes import (
     DEFAULT_TOL,
+    ErasureMask,
     Tolerance,
     bridge_dual_to_discrete,
     bridge_fusion_to_discrete,
     canonical_dual,
     compact_nonzero,
-    coordinate_subspace,
     discrete_canonical_dual,
     discrete_frame,
     discrete_frame_operator,
@@ -20,9 +22,9 @@ from fusionframes import (
     full_subspace,
     fusion_frame,
     halving_dual,
-    halving_perturbation,
     make_dual_pair,
     parseval_optimal_family,
+    partial_erasure_error,
     perturbation_residual,
     projector,
     spd_inverse,
@@ -117,7 +119,7 @@ class TestCanonicalDual:
         assert formed == [f]
 
     def test_halving_dual_shares_the_canonical_dual(self, monkeypatch):
-        # halving_perturbation and dual_from_perturbation each read it: 2 formations before
+        # halving_dual reads the frame's one canonical dual and forms none of its own
         f = discrete_frame(OVERCOMPLETE_BRIDGED)
         formed = record_canonical_dual_formations(monkeypatch)
         g = halving_dual(f, [1, 2])
@@ -224,7 +226,7 @@ class TestBridge:
 
     def test_orthobasis_parseval_bridge(self):
         w = orthobasis_frame_r3()
-        f = bridge_fusion_to_discrete(w, np.eye(3), "parseval_sqrt")
+        f = parseval_optimal_family(w, basis=np.eye(3))[0]
         compacted, kept = compact_nonzero(f)
         assert kept == (1, 3, 4, 5, 6)
         assert np.abs(compacted.vectors - ORTHOBASIS_BRIDGED).max() < 1e-12
@@ -250,20 +252,22 @@ class TestBridge:
         w = orthobasis_frame_r3()
         basis = np.eye(3)
         basis[1, 2] = entry
-        calls = [lambda mode=mode: bridge_fusion_to_discrete(w, basis, mode) for mode in ("canonical_weighted", "parseval_sqrt")]
-        calls += [lambda: bridge_dual_to_discrete(w, basis), lambda: parseval_optimal_family(w, basis=basis)]
+        calls = [
+            lambda: bridge_fusion_to_discrete(w, basis, "canonical_weighted"),
+            lambda: bridge_dual_to_discrete(w, basis),
+            lambda: parseval_optimal_family(w, basis=basis),
+        ]
         for call in calls:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=error):
                     call()
 
-    def test_parseval_sqrt_requires_unit_weights(self):
-        w = fusion_frame(
-            [coordinate_subspace(2, [1]), coordinate_subspace(2, [2])], [1.0, 2.0]
-        )
-        with pytest.raises(ValueError, match="unit weights"):
-            bridge_fusion_to_discrete(w, np.eye(2), "parseval_sqrt")
+    def test_parseval_sqrt_mode_is_refused(self):
+        # the Parseval frame comes from parseval_optimal_family, which checks its hypotheses
+        w = orthobasis_frame_r3()
+        with pytest.raises(ValueError, match="unknown bridge mode 'parseval_sqrt'"):
+            bridge_fusion_to_discrete(w, np.eye(3), "parseval_sqrt")
 
     def test_dual_bridge_matches_display(self):
         g = bridge_dual_to_discrete(orthobasis_alt_dual(), np.eye(3))
@@ -273,7 +277,7 @@ class TestBridge:
 
     def test_dual_bridge_of_canonical_parseval_is_frame_itself(self):
         w = orthobasis_frame_r3()
-        f = bridge_fusion_to_discrete(w, np.eye(3), "parseval_sqrt")
+        f = parseval_optimal_family(w, basis=np.eye(3))[0]
         g = bridge_dual_to_discrete(canonical_dual(w), np.eye(3))
         assert np.abs(f.vectors - g.vectors).max() < 1e-9
 
@@ -299,7 +303,7 @@ class TestBridgeInvariants:
     def test_riesz_parseval_bridge(self, rng):
         for _ in range(8):
             w = random_riesz_basis(rng, int(rng.integers(3, 6)), int(rng.integers(2, 4)))
-            f = bridge_fusion_to_discrete(w, np.eye(w.ambient_dim), "parseval_sqrt")
+            f = parseval_optimal_family(w)[0]
             s_f = discrete_frame_operator(f)
             assert np.abs(s_f - np.eye(w.ambient_dim)).max() < 1e-9
 
@@ -339,7 +343,7 @@ class TestHalving:
         # the free rows solve an underdetermined system; re-solving with the
         # pseudoinverse must reproduce them
         f = discrete_frame(OVERCOMPLETE_BRIDGED)
-        u = halving_perturbation(f, [3, 5])
+        u = halving_dual(f, [3, 5]).vectors - discrete_canonical_dual(f).vectors
         lost = [2, 4]
         free = [k for k in range(7) if k not in lost]
         rhs = -f.vectors[lost].T @ u[lost]
@@ -350,7 +354,7 @@ class TestHalving:
         # the dual relation for the seven-vector frame collapses to two
         # aggregate equations plus a forced-zero final row
         f = discrete_frame(OVERCOMPLETE_BRIDGED)
-        u = halving_perturbation(f, [1, 2])
+        u = halving_dual(f, [1, 2]).vectors - discrete_canonical_dual(f).vectors
         first = 5 * u[0] + u[1] + 2 * u[4] - u[5]
         second = u[0] + 3 * u[1] + u[2] + 3 * u[3] - 2 * u[4] + u[5]
         assert np.abs(first).max() < 1e-12
@@ -361,12 +365,40 @@ class TestHalving:
         f = discrete_frame(OVERCOMPLETE_BRIDGED)
         for pair in ([1, 7], [6, 7]):
             with pytest.raises(ValueError, match="infeasible"):
-                halving_perturbation(f, pair)
+                halving_dual(f, pair)
 
     def test_index_range(self):
         f = discrete_frame(OVERCOMPLETE_BRIDGED)
         with pytest.raises(ValueError, match="range"):
-            halving_perturbation(f, [0])
+            halving_dual(f, [0])
+
+    def test_ratio_is_exactly_two(self):
+        # each lost row is c - c/2 = c/2 exactly, so each lost component, their sum and both of
+        # its norms halve exactly: the ratio that erasure --fixed reports is 2.0, not about 2
+        feasible = []
+
+        @seed(32)
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(2, 5), st.integers(2, 4), st.integers(0, 2**32 - 1), st.data())
+        def check(n, m, draw_seed, data):
+            rng = np.random.default_rng(draw_seed)
+            bridged = bridge_fusion_to_discrete(random_fusion_frame(rng, n, m, weighted=True), random_unitary(rng, n).T)
+            f, _ = compact_nonzero(bridged)
+            canonical = discrete_canonical_dual(f)
+            lost = data.draw(st.sets(st.integers(1, f.count), min_size=1, max_size=min(3, f.count)))
+            try:
+                halved = halving_dual(f, lost)
+            except ValueError:
+                return
+            mask = ErasureMask(f.count, lost)
+            for norm in ("frobenius", "operator"):
+                value_c = partial_erasure_error(f, canonical, mask, norm)
+                value_h = partial_erasure_error(f, halved, mask, norm)
+                assert value_h == value_c / 2 and value_c / value_h == 2.0
+            feasible.append(sorted(lost))
+
+        check()
+        assert len(feasible) >= 200
 
 
 def test_compact_nonzero_without_labels():

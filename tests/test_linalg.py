@@ -12,10 +12,9 @@ from fusionframes import (
     Subspace,
     Tolerance,
     coordinate_subspace,
-    frobenius_norm,
     full_subspace,
     image_subspace,
-    operator_norm,
+    matrix_norm,
     orthogonal_complement,
     orthonormal_basis,
     orthonormal_bases,
@@ -323,19 +322,19 @@ class TestSpdInvSqrt:
 
 class TestNorms:
     def test_frobenius_identity(self):
-        assert frobenius_norm(np.eye(4)) == pytest.approx(2.0)
+        assert matrix_norm(np.eye(4), "frobenius") == pytest.approx(2.0)
 
     def test_frobenius_worked_value(self):
-        assert frobenius_norm(np.diag([1.0, 0.5, 0, 0])) == pytest.approx(SQRT54, abs=1e-12)
+        assert matrix_norm(np.diag([1.0, 0.5, 0, 0]), "frobenius") == pytest.approx(SQRT54, abs=1e-12)
 
     def test_frobenius_zero(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
+        assert matrix_norm(np.zeros((3, 3)), "frobenius") == 0.0
 
     @pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0, 0)], ids=["2x0", "0x3", "0x0"])
     def test_frobenius_of_empty_matrices_is_plus_zero(self, shape):
         # a zero member's basis is n x 0; its sum of squares, 0, is below the
         # safe range, so the empty matrix takes the rescale path's zero branch
-        value = frobenius_norm(np.zeros(shape))
+        value = matrix_norm(np.zeros(shape), "frobenius")
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
@@ -343,33 +342,33 @@ class TestNorms:
         a = np.eye(3)
         a[1, 2] = entry
         with pytest.raises(ValueError, match="non-finite"):
-            frobenius_norm(a)
+            matrix_norm(a, "frobenius")
 
     def test_frobenius_of_finite_entries_does_not_overflow(self):
         # the squares, 1e400, overflow; the norm, 2e200, does not
-        assert frobenius_norm(np.full((2, 2), 1e200)) == 2e200
+        assert matrix_norm(np.full((2, 2), 1e200), "frobenius") == 2e200
 
-    @pytest.mark.parametrize("norm", [frobenius_norm, operator_norm], ids=["frobenius", "operator"])
+    @pytest.mark.parametrize("kind", ["frobenius", "operator"])
     @pytest.mark.parametrize("entry", [5e199, 1e-170])
-    def test_norms_whose_squares_leave_the_float_range(self, norm, entry):
+    def test_norms_whose_squares_leave_the_float_range(self, kind, entry):
         # both norms of the all-`entry` 3 x 3 matrix are 3 * entry; the squares
         # overflow (5e199) or underflow to 0 (1e-170), and no warning is raised
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert norm(np.full((3, 3), entry)) == pytest.approx(3 * entry, rel=4 * np.finfo(float).eps)
+            assert matrix_norm(np.full((3, 3), entry), kind) == pytest.approx(3 * entry, rel=4 * np.finfo(float).eps)
 
     def test_frobenius_refuses_non_matrices(self):
         for a in (np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)):
             with pytest.raises(ValueError, match="expected a matrix"):
-                frobenius_norm(a)
+                matrix_norm(a, "frobenius")
 
     def test_operator_identity(self):
-        assert operator_norm(np.eye(6)) == pytest.approx(1.0)
+        assert matrix_norm(np.eye(6), "operator") == pytest.approx(1.0)
 
     def test_operator_rank_one(self, rng):
         g = rng.standard_normal(4)
         f = rng.standard_normal(4)
-        assert operator_norm(np.outer(g, f)) == pytest.approx(
+        assert matrix_norm(np.outer(g, f), "operator") == pytest.approx(
             np.linalg.norm(g) * np.linalg.norm(f)
         )
 
@@ -377,7 +376,7 @@ class TestNorms:
         for _ in range(10):
             a = rng.standard_normal((4, 4))
             oracle = np.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
-            assert operator_norm(a) == pytest.approx(oracle, abs=1e-8)
+            assert matrix_norm(a, "operator") == pytest.approx(oracle, abs=1e-8)
 
 
 @st.composite
@@ -422,21 +421,21 @@ def test_top_singular_values_agree_with_the_svd(stack):
     frobenius = linalg._frobenius_norms(stack)
     for b in range(len(stack)):
         assert linalg._top_singular_values(stack[b : b + 1].copy())[0] == values[b]
-        assert operator_norm(stack[b]) == values[b]
-        assert frobenius_norm(stack[b]) == frobenius[b] >= values[b] * (1 - 4 * n * n * np.finfo(float).eps)
+        assert matrix_norm(stack[b], "operator") == values[b]
+        assert matrix_norm(stack[b], "frobenius") == frobenius[b] >= values[b] * (1 - 4 * n * n * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5)])
 def test_top_singular_values_of_non_finite_entries(rng, bad, shape):
-    # the poisoned matrix gets a non-finite value, its neighbours their own; operator_norm refuses it
+    # the poisoned matrix gets a non-finite value, its neighbours their own; matrix_norm refuses it
     stack = rng.standard_normal((3, *shape))
     stack[1, -1, 0] = bad
     values = linalg._top_singular_values(stack.copy())
     assert not np.isfinite(values[1])
-    assert values[0] == operator_norm(stack[0]) and values[2] == operator_norm(stack[2])
+    assert values[0] == matrix_norm(stack[0], "operator") and values[2] == matrix_norm(stack[2], "operator")
     with pytest.raises(ValueError, match="non-finite"):
-        operator_norm(stack[1])
+        matrix_norm(stack[1], "operator")
 
 
 class TestContainment:

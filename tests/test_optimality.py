@@ -61,7 +61,7 @@ from helpers import (
     riesz_block_errors,
     span_dim_reference,
 )
-from fusionframes.discrete import _whitened_members
+from fusionframes.optimality import _whitened_members
 
 
 def repeated_line_frame():

@@ -3,7 +3,9 @@
 The traced benchmark wraps each function in a module's ``__all__`` through
 ``getattr``, so an entry left behind by a removed class or function would
 otherwise fail only in the traced run. The README's library-only list must
-name exactly the public functions that no command reaches.
+name exactly the public functions that no command reaches, and every bare
+name it puts in backticks must be a current public name; other code names
+are written qualified, as ``np.linalg.eigvalsh``.
 """
 
 import ast
@@ -89,5 +91,8 @@ def test_readme_library_only_list_names_every_function_no_command_reaches():
     unreached = {attr for name, attr in public - _reached_from_cli(scopes)}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     paragraph = re.search(r"^Library-only API:.*?(?=^Conventions worth knowing:)", readme, re.S | re.M).group(0)
-    named = set(re.findall(r"`([A-Za-z_]\w*)`", paragraph)) & {attr for _, attr in public}
+    bare = set(re.findall(r"`([A-Za-z_]\w*)`", paragraph))
+    listed = {attr for name in LIBRARY for attr in importlib.import_module(f"fusionframes.{name}").__all__}
+    assert bare <= listed, f"README names {sorted(bare - listed)}, which are not public names"
+    named = bare & {attr for _, attr in public}
     assert named == unreached, f"README names {sorted(named - unreached)} in excess, misses {sorted(unreached - named)}"
