@@ -21,7 +21,10 @@ prefixes. By the triangle inequality, which holds for both norms, no subset
 below a prefix P can exceed ``||S_P||`` plus the largest component norms still
 available. A prefix whose bound, widened by a written rounding slack, falls
 below the tie window of an exact value already found is skipped with its
-whole subtree; every other subset is summed and measured exactly. The result
+whole subtree. Under the operator norm a prefix, and a leaf before it is
+measured, is bounded by a few squarings of its Gram rather than measured by
+``eigvalsh``; every subset that can reach the tie window is summed and
+measured exactly. The result
 is the maximum over all C(m, r) subsets, proved rather than sampled, with
 complete argmax sets. For r >= 2, values are bitwise those of summing each
 subset onto a zero matrix in index order and measuring it, so they do not
@@ -52,7 +55,7 @@ import numpy as np
 
 from .discrete import DiscreteFrame
 from .duality import DualPair
-from .linalg import DEFAULT_TOL, Tolerance, _as_matrix, _frobenius_norms, _top_singular_values
+from .linalg import DEFAULT_TOL, Tolerance, _as_matrix, _frobenius_norms, _top_singular_bounds, _top_singular_values
 
 __all__ = [
     "NormKind",
@@ -239,12 +242,31 @@ def _sum_norms(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
     return values
 
 
-def _norms(components: _Components, idx: np.ndarray, norm_kind: NormKind) -> np.ndarray:
-    """Per row of ``idx``, the norm of the subset's sum, one chunk of sums at a time."""
+def _sum_bounds(sums: np.ndarray, norm_kind: NormKind) -> np.ndarray:
+    """An upper bound on the norm of each matrix in the stack ``sums``, up to rounding, refused as :func:`_sum_norms` refuses.
+
+    The Frobenius norm, one flat dot product, is its own bound: it is
+    :func:`_sum_norms`. The operator norm's bound is
+    :func:`~fusionframes.linalg._top_singular_bounds`, at most rank^(1/32)
+    times the norm and much cheaper than its ``eigvalsh``; its computed
+    value is at least ``||X||_2 (1 - p'(n) eps)``, p'(n) <= 0.6 n^2 + 2.
+    """
+    if norm_kind == "frobenius":
+        return _sum_norms(sums, norm_kind)
+    values = _top_singular_bounds(sums)
+    if not np.isfinite(values).all():
+        raise ValueError("erasure error norm is not finite: the error components overflow")
+    return values
+
+
+def _norms(components: _Components, idx: np.ndarray, norm_kind: NormKind, bounds: bool = False) -> np.ndarray:
+    """Per row of ``idx``, the norm of the subset's sum (its :func:`_sum_bounds` if ``bounds``), one chunk of sums at a time."""
+    measure = _sum_bounds if bounds else _sum_norms
     rows = max(1, _CHUNK_BYTES // (8 * components.dim**2))
-    return np.concatenate(
-        [_sum_norms(_chunk_sums(components, idx[lo : lo + rows]), norm_kind) for lo in range(0, len(idx), rows)]
-    )
+    values = np.empty(len(idx))
+    for lo in range(0, len(idx), rows):
+        values[lo : lo + rows] = measure(_chunk_sums(components, idx[lo : lo + rows]), norm_kind)
+    return values
 
 
 def _gain_band(norms: np.ndarray, r: int) -> np.ndarray:
@@ -286,7 +308,9 @@ def _greedy_leaf(components: _Components, norms: np.ndarray, r: int, norm_kind: 
     by one outsider, taking the best such swap (the first, position by
     position, among equals), while that raises the value. The swaps are
     formed for a group of positions at a time, each group's index rows
-    within the chunk budget.
+    within the chunk budget, and bounded (:func:`_sum_bounds`); under the
+    operator norm only the swaps whose bound exceeds the current value are
+    measured exactly, since no other can raise it by more than rounding.
     """
     chosen = np.sort(np.argsort(norms, kind="stable")[-r:])
     best = float(_norms(components, chosen[None, :], norm_kind)[0])
@@ -299,9 +323,12 @@ def _greedy_leaf(components: _Components, norms: np.ndarray, r: int, norm_kind: 
             swaps = np.repeat(current[None, :], len(positions) * len(rest), axis=0)
             swaps[np.arange(len(swaps)), np.repeat(positions, len(rest))] = np.tile(rest, len(positions))
             swaps.sort(axis=1)
-            values = _norms(components, swaps, norm_kind)
-            k = int(values.argmax())
-            if values[k] > best:
+            values = _norms(components, swaps, norm_kind, bounds=True)
+            if norm_kind == "operator":
+                swaps = swaps[values > best]
+                values = _norms(components, swaps, norm_kind)
+            if len(values) and values.max() > best:
+                k = int(values.argmax())
                 best, chosen = float(values[k]), swaps[k]
         if chosen is current:  # no swap raised the value
             break
@@ -355,14 +382,21 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     with one generator per depth. ``level(d, parents)`` gathers the
     children of the batches that ``parents``, the generator of depth d - 1,
     yields into one batch of its own, across as many parent batches as it
-    takes, measures it and yields it once it is full, or once ``parents`` is
+    takes, bounds it and yields it once it is full, or once ``parents`` is
     exhausted. Each parent batch is used up before the next is asked for, so
     the leaves (the r-subsets, from depth r) arrive in lexicographic order,
     and deep trees still move in full batches. A child's sum is its parent's
     sum plus its own member, so every subset sum is built as
-    ``_chunk_sums`` builds it, (0 + E_{p_1}) + E_{p_2} + ..., and every leaf
-    value is :func:`_sum_norms` of it: for r >= 2 each reported value equals
-    :func:`matrix_norm` of that subset's sum bit for bit, in either path.
+    ``_chunk_sums`` builds it, (0 + E_{p_1}) + E_{p_2} + ..., and every
+    reported leaf value is :func:`_sum_norms` of it: for r >= 2 each
+    reported value equals :func:`matrix_norm` of that subset's sum bit for
+    bit, in either path. A prefix carries :func:`_sum_bounds` of its sum in
+    place of its norm: the norm itself under Frobenius, and under the
+    operator norm a bound from three squarings of its Gram, which is within
+    a factor rank^(1/32) of the norm and far cheaper than ``eigvalsh``. A
+    leaf is then measured exactly only if that bound, plus ``slack``,
+    reaches ``floor * (1 - _TIE_REL)``; no other leaf can enter the tie
+    window or raise the floor.
     The bound below uses the dense norms ``||E_j||`` of the stored
     components, not the member-coordinate values: it must dominate the norm
     of each stored matrix the search adds, and ``||E_j B_j||`` can fall below
@@ -372,7 +406,8 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
 
     Bound: a leaf below P adds t more members after p_d to S_P, so by the
     triangle inequality, in either norm, its value is at most
-    ``||S_P|| + ||E_j|| + top_{t-1}(> j)`` for its next member j, where
+    ``b_P + ||E_j|| + top_{t-1}(> j)`` for its next member j, b_P the bound
+    carried for S_P (at least ``||S_P||``), where
     top_s(> j) sums the s largest ``||E_i||`` with i > j. A child (P, j)
     whose bound plus ``slack`` is below ``floor * (1 - _TIE_REL)`` is pruned
     before its sum is formed. The floor starts at the exact value of one
@@ -398,19 +433,26 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     halves that relative error and rounds once more, so
     p(n) <= 1.3 n^2 + 0.5, and the rescale of a wild matrix is exact.
     A Gram whose trace is at least 2^-968 loses at most n^3 2^-107
-    ||A||_2^2, far below u ||A||_2^2, to underflow. This enters three
-    times: for S_P, for the c_j and for the leaf. (iii) The bound and the
+    ||A||_2^2, far below u ||A||_2^2, to underflow. The computed operator
+    bound b_P is at least ``||S_P||_2 (1 - p'(n) eps)`` with
+    p'(n) <= 0.6 n^2 + 2 (derived in
+    :func:`~fusionframes.linalg._top_singular_bounds`), so it falls short
+    of the true norm by no more than the exact kernel can. This enters
+    three times: for S_P, for the c_j and for the leaf. (iii) The bound and the
     test add at most r + 1 computed nonnegative numbers (one prefix norm
     and at most one norm per member) and the slack,
     erring by at most 2 (r + 2) u T. So the computed value of any leaf
     below P exceeds the computed bound by at most
     2 (3 p(n) + r sqrt(n) + r + 2) eps T, which the slack
-    ``32 eps (n^2 + r^2) T`` covers for every p(n) up to 4 n^2. A leaf whose
+    ``32 eps (n^2 + r^2) T`` covers for every p(n) up to 4 n^2. (iv) A
+    leaf L is left unmeasured when its computed bound b_L plus the slack
+    is below the tie window: its computed value exceeds b_L by at most
+    (p(n) + p'(n)) eps 2 T, well inside the slack. A leaf whose
     computed value is in the final tie window is therefore never pruned:
     the reported worst value and argmax sets are those of exhaustive
     enumeration, proved over every subset, not sampled.
 
-    A prefix is stored as its sum, its last member, its norm and its colex
+    A prefix is stored as its sum, its last member, its bound and its colex
     rank sum_k C(p_k, k); a child's rank is its parent's plus C(j, d + 1).
     The search keeps the rank and value of every leaf that reached the floor
     when measured, and reads the subsets back (:func:`_unrank`) once it is
@@ -463,13 +505,21 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     worst = _greedy_leaf(components, norms, r, norm_kind)
 
     def level(d: int, parents: Iterable[tuple]) -> Iterable[tuple]:
-        """Batches (sums, last members, colex ranks, norms) of the depth-d children of ``parents`` that can reach the tie window."""
+        """Batches (sums, last members, colex ranks, bounds) of the depth-d children of ``parents`` that can reach the tie window.
+
+        At depth r the batch holds only the leaves measured exactly, with their exact values.
+        """
         k = rows[d]
         sums, last, ranks = np.empty((k, n, n)), np.empty(k, dtype=np.intp), np.empty(k, dtype=np.int64)
         size = 0
 
         def batch():
-            return sums[:size], last[:size], ranks[:size], _sum_norms(sums[:size], norm_kind)
+            done, values = sums[:size], _sum_bounds(sums[:size], norm_kind)
+            if d < r or norm_kind == "frobenius":
+                return done, last[:size], ranks[:size], values
+            # a leaf is measured exactly only if its bound reaches the tie window
+            near = (values + slack >= worst * (1.0 - _TIE_REL)).nonzero()[0]
+            return done[near], last[near], ranks[near], _sum_norms(done[near], norm_kind)
 
         for up_sums, up_last, up_ranks, up_norms in parents:
             for lo in range(0, len(up_last), windows[d - 1]):
@@ -508,7 +558,7 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     sys.setrecursionlimit(limit + r)
     try:
         for _, _, ranks, values in batches:
-            worst = max(worst, float(values.max()))
+            worst = max(worst, float(values.max(initial=worst)))
             hit = values >= worst * (1.0 - _TIE_REL)
             kept.append((ranks[hit], values[hit]))
     finally:

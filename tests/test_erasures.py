@@ -2,8 +2,12 @@ import dataclasses
 import inspect
 import itertools
 import math
+import re
 import sys
 import tracemalloc
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from fusionframes import (
     bridge_dual_to_discrete,
     bridge_fusion_to_discrete,
     canonical_pair,
+    compact_nonzero,
     coordinate_subspace,
     discrete_canonical_dual,
     discrete_error_operator,
@@ -672,6 +677,149 @@ class TestBranchAndBound:
         assert sum(rows) < math.comb(m, 5) / 10
 
 
+def stacked_components(stack):
+    """The engine's components of a fusion pair whose component stack is ``stack``, any (m, n, n) array."""
+    return erasures._fusion_components(SimpleNamespace(components=stack, primal=SimpleNamespace(ambient_dim=stack.shape[1])))
+
+
+def readme_count(subsets):
+    """The number of matrices that README.md says the seeded search over ``subsets`` (such as "C(40, 5) = 658,008") measures."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (count,) = re.findall(r"([\d,]+) matrices for\s+" + r"\s+".join(map(re.escape, subsets.split())), readme)
+    return int(count.replace(",", ""))
+
+
+class TestSearchBounds:
+    """Prefixes carry bounds, operator-norm ones from squarings of the Gram; only leaves that can reach the tie window are measured."""
+
+    def test_pruning_of_a_large_enumeration_is_the_readme_count(self, rng, monkeypatch):
+        # test_prunes_most_of_a_large_enumeration's (6, 40, 2) frame at r = 5: C(40, 5) = 658,008
+        # subsets; README.md states the count, read here so that it cannot go stale
+        m = 40
+        subs = [random_subspace(rng, 6, 2) for _ in range(m)]
+        pair = canonical_pair(fusion_frame(subs, 0.5 + rng.random(m)))
+        rows = counting_norms(monkeypatch)
+        worst_case_error(pair, 5, "frobenius")
+        assert sum(rows) == readme_count("C(40, 5) = 658,008") == 7965
+
+    def test_pruning_of_an_operator_norm_search(self, rng, monkeypatch):
+        # the same frame at r = 4 under the operator norm: C(40, 4) = 91,390 subsets
+        m = 40
+        subs = [random_subspace(rng, 6, 2) for _ in range(m)]
+        pair = canonical_pair(fusion_frame(subs, 0.5 + rng.random(m)))
+        rows = counting_norms(monkeypatch)
+        report = worst_case_error(pair, 4, "operator")
+        # 2,777 matrices when every prefix was measured by eigvalsh; README.md states the count
+        assert sum(rows) == readme_count("C(40, 4) = 91,390") == 68
+        monkeypatch.setattr(erasures, "_TABLE_MAX", 10**6)
+        listed = worst_case_error(pair, 4, "operator")
+        assert (listed.worst_value, listed.argmax_subsets) == (report.worst_value, report.argmax_subsets)
+
+    def test_pruning_of_a_bridged_operator_search(self, rng, monkeypatch):
+        # a bridged (4, 5, 2) frame: 20 rank-one components in R^4 at r = 4 (4,845 subsets)
+        w = fusion_frame([random_subspace(rng, 4, 2) for _ in range(5)], 0.5 + rng.random(5))
+        f, _ = compact_nonzero(bridge_fusion_to_discrete(w, random_unitary(rng, 4)))
+        g = discrete_canonical_dual(f)
+        rows = counting_norms(monkeypatch)
+        report = discrete_worst_case(f, g, 4, "operator")
+        # 1,098 matrices when every prefix was measured by eigvalsh
+        assert sum(rows) == 43
+        worst, argmax, _ = brute_force_worst(discrete_components_reference(f, g), 4, "operator")
+        assert (report.worst_value, report.argmax_subsets) == (worst, argmax)
+
+    @seed(34)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed_=st.integers(0, 2**32 - 1),
+        stacked=st.booleans(),
+        n=st.integers(1, 4),
+        m=st.integers(4, 9),
+        r_frac=st.floats(0.0, 1.0),
+        norm=st.sampled_from(NORMS),
+        excess=st.sampled_from([0.0, 1e-15, 1e-13, 1e-10]),
+        large=st.floats(1.0, 1e6),
+    )
+    def test_near_cancelling_components_match_brute_force(self, seed_, stacked, n, m, r_frac, norm, excess, large):
+        # every third component is -(1 + excess) times the one before, so a prefix holding
+        # both nearly cancels: its sum is far smaller than its members, and its bound must
+        # still cover it
+        rng = np.random.default_rng(seed_)
+        r = 2 + int(r_frac * (m - 3))
+        if stacked:
+            stack = rng.standard_normal((m, n, n))
+            for k in range(1, m, 3):
+                stack[k - 1] *= large
+                stack[k] = -(1 + excess) * stack[k - 1]
+            source, search = list(stack), lambda: erasures._worst_report(stacked_components(stack), r, norm)
+        else:
+            fv, gv = rng.standard_normal((2, m, n))
+            for k in range(1, m, 3):
+                fv[k - 1] *= large
+                fv[k], gv[k] = fv[k - 1], -(1 + excess) * gv[k - 1]
+            f, g = discrete_frame(fv), discrete_frame(gv)
+            source, search = discrete_components_reference(f, g), lambda: discrete_worst_case(f, g, r, norm)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(erasures, "_TABLE_MAX", 0)
+            report = search()
+        worst, argmax, _ = brute_force_worst(source, r, norm)
+        assert (report.worst_value, report.argmax_subsets) == (worst, argmax)
+
+    @seed(35)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed_=st.integers(0, 2**32 - 1),
+        stacked=st.booleans(),
+        n=st.integers(1, 4),
+        norm=st.sampled_from(NORMS),
+        log_excess=st.floats(-11.0, -6.0),
+        scale=st.floats(0.5, 2.0),
+    )
+    def test_a_cancelling_prefix_above_the_worst_leaf_is_kept(self, seed_, stacked, n, norm, log_excess, scale):
+        # components a_k X for a = (1, -(1 - e), 3, 3, 3, -1): the worst 5-subset is the first
+        # five, 9 + e, and every bound on its path is an equality up to rounding, through the
+        # prefix (1, 2), whose sum e X cancels to far below its members
+        rng = np.random.default_rng(seed_)
+        e = 10.0**log_excess
+        a = scale * np.array([1.0, -(1.0 - e), 3.0, 3.0, 3.0, -1.0])
+        if stacked:
+            stack = a[:, None, None] * rng.standard_normal((n, n))
+            source, search = list(stack), lambda: erasures._worst_report(stacked_components(stack), 5, norm)
+        else:
+            f, g = discrete_frame(a[:, None] * rng.standard_normal(n)), discrete_frame(np.tile(rng.standard_normal(n), (6, 1)))
+            source, search = discrete_components_reference(f, g), lambda: discrete_worst_case(f, g, 5, norm)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(erasures, "_TABLE_MAX", 0)
+            report = search()
+        worst, argmax, _ = brute_force_worst(source, 5, norm)
+        assert (report.worst_value, report.argmax_subsets) == (worst, argmax)
+        assert argmax[0] == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("entry", [5e199, 1e-170])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["all-wild", "mixed"])
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "rank-one"])
+    def test_sums_with_wild_squares_are_bounded_and_measured(self, rng, monkeypatch, norm, entry, mixed, stacked):
+        # entries about ``entry``: their squares over- or underflow (the range of
+        # test_sums_whose_squares_leave_the_float_range), so prefix bounds and leaf values are
+        # taken again after a rescale; mixed with unit-scale components, some sums are wild
+        # and some are not
+        m, n, r = 9, 3, 3
+        scale = np.where(rng.random(m) < 0.5, entry, 1.0) if mixed else np.full(m, entry)
+        if stacked:
+            stack = scale[:, None, None] * rng.standard_normal((m, n, n))
+            source, search = list(stack), lambda: erasures._worst_report(stacked_components(stack), r, norm)
+        else:
+            root = np.sqrt(scale)[:, None]
+            f, g = discrete_frame(root * rng.standard_normal((m, n))), discrete_frame(root * rng.standard_normal((m, n)))
+            source, search = discrete_components_reference(f, g), lambda: discrete_worst_case(f, g, r, norm)
+        monkeypatch.setattr(erasures, "_TABLE_MAX", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = search()
+        worst, argmax, _ = brute_force_worst(source, r, norm)
+        assert (report.worst_value, report.argmax_subsets) == (worst, argmax)
+
+
 class TestSingleMemberValues:
     """r = 1 on a fusion pair: ||E_i B_i|| in member coordinates, each member measured once."""
 
@@ -843,10 +991,18 @@ def test_greedy_leaf_measures_fitting_swaps_at_once(rng, monkeypatch):
         discrete_frame(rng.standard_normal((m, 3))), discrete_frame(rng.standard_normal((m, 3)))
     )
     norms = erasures._norms(components, np.arange(m)[:, None], "operator")
+    bounded = []
+    bounds = erasures._sum_bounds
+    monkeypatch.setattr(erasures, "_sum_bounds", lambda sums, kind: (bounded.append(len(sums)), bounds(sums, kind))[1])
     rows = counting_norms(monkeypatch)
-    erasures._greedy_leaf(components, norms, r, "operator")
-    # the start, then one call of all r (m - r) swaps per step
-    assert rows[0] == 1 and set(rows[1:]) == {r * (m - r)}
+    value = erasures._greedy_leaf(components, norms, r, "operator")
+    # the start, then one call that bounds all r (m - r) swaps per step; only
+    # the swaps whose bound beats the current value are measured exactly
+    assert rows[0] == 1 and set(bounded) == {r * (m - r)}
+    assert len(bounded) >= 2 and sum(rows[1:]) < r * (m - r)
+    # every swap measured exactly takes the same steps
+    monkeypatch.setattr(erasures, "_sum_bounds", erasures._sum_norms)
+    assert erasures._greedy_leaf(components, norms, r, "operator") == value
 
 
 def test_gain_band_matches_the_full_tail_table(rng):

@@ -425,6 +425,40 @@ def test_top_singular_values_agree_with_the_svd(stack):
         assert matrix_norm(stack[b], "frobenius") == frobenius[b] >= values[b] * (1 - 4 * n * n * np.finfo(float).eps)
 
 
+@seed(34)
+@settings(max_examples=200, deadline=None)
+@given(stack=_norm_stacks())
+def test_top_singular_bounds_are_close_upper_bounds(stack):
+    # at least ||A||_2 less the written rounding, (0.6 n^2 + 2) eps, and at most rank^(1/32) ||A||_2
+    # with the SVD's own rounding; tied top values are where the bound is loosest
+    bounds = linalg._top_singular_bounds(stack.copy())
+    svd = np.linalg.svd(stack, compute_uv=False)
+    reference = svd[:, 0]
+    n, eps = max(stack.shape[1:]), np.finfo(float).eps
+    rank = np.maximum(1, (svd > svd[:, :1] * 1e-12).sum(axis=1))
+    assert np.all(bounds >= reference * (1 - (0.6 * n * n + 2 + 4 * n * n) * eps))
+    assert np.all(bounds <= reference * rank ** (1 / 32) * (1 + 4 * n * n * eps))
+    zero = ~stack.any(axis=(1, 2))
+    assert np.array_equal(bounds[zero], np.zeros(zero.sum())) and not np.signbit(bounds).any()
+    for b in range(len(stack)):
+        assert linalg._top_singular_bounds(stack[b : b + 1].copy())[0] == bounds[b]
+
+
+def test_top_singular_bounds_of_rank_one_and_non_finite_matrices(rng):
+    # a rank-one matrix has one singular value, which the bound meets up to rounding;
+    # a non-finite entry gives a non-finite bound and leaves its neighbours alone
+    n = 6
+    a = np.outer(rng.standard_normal(n), rng.standard_normal(n))[None]
+    assert linalg._top_singular_bounds(a)[0] == pytest.approx(np.linalg.norm(a[0], 2), rel=4 * n * n * np.finfo(float).eps)
+    for bad in (math.nan, math.inf):
+        stack = rng.standard_normal((3, n, n))
+        stack[1, 0, 0] = bad
+        bounds = linalg._top_singular_bounds(stack.copy())
+        assert not np.isfinite(bounds[1])
+        assert bounds[0] == linalg._top_singular_bounds(stack[:1])[0]
+        assert bounds[2] == linalg._top_singular_bounds(stack[2:])[0]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5)])
 def test_top_singular_values_of_non_finite_entries(rng, bad, shape):
