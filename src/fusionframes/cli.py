@@ -276,11 +276,18 @@ class _Encoded(str):
     """JSON text already encoded at the depth it is written at; ``_json_chunks`` writes it verbatim."""
 
 
+class _Table(list):
+    """An erasure report's per-subset rows, ``{"subset": [...], "value": v}`` with one subset length,
+    which ``_json_chunks`` writes from one row template. The indices are ints and the values ints or
+    finite Python floats (``_sum_norms`` refuses the rest), so ``%d`` and ``%r`` give ``json.dumps``' text."""
+
+
 def _json_chunks(x, level: int, out: list[str]) -> None:
     """Append ``json.dumps(x, sort_keys=True, indent=2)`` (ndarrays as lists) to ``out`` in pieces,
-    each line after the first indented ``level`` steps more. Lists of plain numbers and of records go
-    to the C encoder's compact form, whose ``", "`` separators become line breaks. Any other value,
-    such as a boolean, None, a non-finite float or an empty container, is ``json.dumps(x)``."""
+    each line after the first indented ``level`` steps more. A non-empty ``_Table`` is one piece, each
+    row its template filled. Lists of plain numbers go to the C encoder's compact form, whose ``", "``
+    separators become line breaks. Any other value, such as a boolean, None, a non-finite float or an
+    empty container, is ``json.dumps(x)``."""
     if isinstance(x, np.ndarray):
         x = x.tolist()
     if isinstance(x, dict) and x:
@@ -294,9 +301,18 @@ def _json_chunks(x, level: int, out: list[str]) -> None:
     elif isinstance(x, (list, tuple)) and x:
         inner = "\n" + "  " * (level + 1)
         close = "\n" + "  " * level
-        if set(map(type, x)) <= _PLAIN_NUMBERS:
+        if type(x) is _Table:
+            field, item = ("\n" + "  " * (level + d) for d in (2, 3))
+            subset = "[" + item + ("," + item).join(["%d"] * len(x[0]["subset"])) + field + "]"
+            row = "{" + field + '"subset": ' + subset + "," + field + '"value": %r' + inner + "}"
+            slots: list = []
+            for r in x:
+                slots += r["subset"]
+                slots.append(r["value"])
+            out.append("[" + inner + ("," + inner).join([row] * len(x)) % tuple(slots) + close + "]")
+        elif set(map(type, x)) <= _PLAIN_NUMBERS:
             out += ("[", inner, json.dumps(x)[1:-1].replace(", ", "," + inner), close, "]")
-        elif not _json_records(x, level, out):
+        else:
             sep = "[" + inner
             for v in x:
                 out.append(sep)
@@ -313,42 +329,6 @@ def _json_chunks(x, level: int, out: list[str]) -> None:
         out.append(float.__repr__(x))
     else:
         out.append(json.dumps(x))
-
-
-def _json_records(rows, level: int, out: list[str]) -> bool:
-    """Write a list of records that share one set of ``str`` keys, one C-encoder call per column.
-
-    Every column must hold plain numbers only, or non-empty lists of plain
-    numbers only; returns False, having written nothing, for any other list.
-    """
-    first = rows[0]
-    if type(first) is not dict or not first or not all(type(k) is str for k in first):
-        return False
-    keys = first.keys()
-    if set(map(type, rows)) != {dict} or not all(map(keys.__eq__, map(dict.keys, rows))):
-        return False
-    row_in, field_in, item_in = ("\n" + "  " * (level + d) for d in (1, 2, 3))
-    fields, columns = [], []
-    for key in sorted(keys):
-        column = [row[key] for row in rows]
-        kinds = set(map(type, column))
-        name = _json_str(key).replace("%", "%%") + ": "
-        if kinds <= _PLAIN_NUMBERS:
-            fields.append(name + "%s")
-            columns.append(json.dumps(column)[1:-1].split(", "))
-        elif kinds <= {list, tuple} and all(column) and set(map(type, chain.from_iterable(column))) <= _PLAIN_NUMBERS:
-            # "]," + item_in + "[" can only fall between two rows' lists
-            fields.append(name + "[" + item_in + "%s" + field_in + "]")
-            text = json.dumps(column)[2:-2].replace(", ", "," + item_in)
-            columns.append(text.split("]," + item_in + "["))
-        else:
-            return False
-    body = "{" + field_in + ("," + field_in).join(fields) + row_in + "}"
-    filled = zip(*columns)
-    out.append("[" + row_in + body % next(filled))
-    out += map(("," + row_in + body).__mod__, filled)
-    out.append("\n" + "  " * level + "]")
-    return True
 
 
 def _frame_document(frame: FusionFrame) -> dict:
@@ -420,7 +400,7 @@ def _cmd_erasure(doc: ParsedDocument, args) -> dict:
             "dual_source": dual_source,
             "worst_value": report.worst_value,
             "argmax_subsets": [list(s) for s in report.argmax_subsets],
-            "table": [{"subset": list(s), "value": v} for s, v in (report.per_subset_values or ())],
+            "table": _Table({"subset": list(s), "value": v} for s, v in (report.per_subset_values or ())),
         }
 
     if not subset:

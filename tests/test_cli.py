@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -49,7 +50,8 @@ _LEAVES = _NUMBERS | st.none() | st.booleans() | st.text(max_size=5) | _ARRAYS
 
 @st.composite
 def _record_lists(draw):
-    """Lists of records with one key set; each column draws from one kind, so most go column by column."""
+    """Lists of records with one key set, each column drawn from one kind: the erasure table's shape as a
+    plain list, which the writer walks record by record."""
     keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))
     kinds = [_NUMBERS, st.lists(_NUMBERS, max_size=3), st.lists(_LEAVES, min_size=1, max_size=2), _LEAVES]
     columns = {key: draw(st.sampled_from(kinds)) for key in keys}
@@ -99,14 +101,33 @@ def _assert_writes_as_json_dumps(value) -> None:
     assert _written(value) == json.dumps(_lists(value), sort_keys=True, indent=2)
 
 
+# table values whose shortest repr json.dumps must reproduce: zero, the least subnormal, a repeating
+# binary fraction and the greatest finite float
+_TABLE_VALUES = (0.0, 5e-324, 1 / 3, 1.7976931348623157e308)
+
+
+def _table(r: int, m: int, rows: int, values=_TABLE_VALUES) -> "cli._Table":
+    """The first ``rows`` r-subsets of 1..m in lexicographic order, as an erasure table cycling through ``values``."""
+    subsets = itertools.islice(itertools.combinations(range(1, m + 1), r), rows)
+    return cli._Table({"subset": list(s), "value": v} for s, v in zip(subsets, itertools.cycle(values)))
+
+
+def _assert_table_writes_as_json_dumps(table, level: int) -> None:
+    """The writer's text for ``table`` at depth ``level`` is ``json.dumps``' with every line after the first indented."""
+    out: list[str] = []
+    cli._json_chunks(table, level, out)
+    assert "".join(out) == json.dumps(list(table), sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+
+
 def _assert_report_types(x, where="result") -> None:
-    """Every value in a command result is one the ``--json`` writer handles: a dict with ``str`` keys,
-    a list or tuple, a float ndarray, or a ``str``, ``int``, ``float``, ``bool`` or ``None``."""
+    """Every value in a command result is one the ``--json`` writer handles: a dict with ``str`` keys, a
+    list, tuple or erasure ``_Table`` (each row checked too), a float ndarray, or a ``str``, ``int``,
+    ``float``, ``bool`` or ``None``."""
     if type(x) is dict:
         for k, v in x.items():
             assert type(k) is str, (where, k)
             _assert_report_types(v, f"{where}.{k}")
-    elif type(x) in (list, tuple):
+    elif type(x) in (list, tuple, cli._Table):
         for i, v in enumerate(x):
             _assert_report_types(v, f"{where}[{i}]")
     elif type(x) is np.ndarray:
@@ -1155,6 +1176,34 @@ class TestReportContracts:
     def test_json_writer_matches_json_dumps_on_generated_trees(self, value):
         _assert_writes_as_json_dumps(value)
 
+    @pytest.mark.parametrize("level", range(4))
+    @pytest.mark.parametrize(
+        "r, m, rows",
+        [(1, 4096, 4096), (1, 3, 3), (2, 6, 15), (3, 7, 35), (4, 8, 70), (5, 9, 126), (3, 30, 1), (5, 6, 1)],
+        ids=str,
+    )
+    def test_table_writer_matches_json_dumps(self, r, m, rows, level):
+        # (1, 4096) has four-digit indices; the last two are one-row tables
+        table = _table(r, m, rows)
+        assert len(table) == rows
+        _assert_table_writes_as_json_dumps(table, level)
+
+    @pytest.mark.parametrize("level", range(4))
+    def test_empty_table_writes_as_empty_list(self, level):
+        out: list[str] = []
+        cli._json_chunks(cli._Table(), level, out)
+        assert out == ["[]"]
+
+    @seed(35)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.integers(1, 5),
+        values=st.lists(st.floats(min_value=0, allow_infinity=False), min_size=1, max_size=8),
+        level=st.integers(0, 3),
+    )
+    def test_table_writer_matches_json_dumps_on_generated_values(self, r, values, level):
+        _assert_table_writes_as_json_dumps(_table(r, r + 8, len(values), values), level)
+
     @pytest.mark.parametrize(
         "value",
         [
@@ -1207,12 +1256,21 @@ class TestReportContracts:
         assert len(json.loads(written)["result"]["table"]) == 200
 
     def test_large_erasure_table_matches_json_dumps(self, tmp_path):
-        # C(30, 3) = 4,060 table rows, written column by column
+        # C(30, 3) = 4,060 table rows, written from one row template
         p = tmp_path / "table.json"
         p.write_text(json.dumps(_random_document(8, 30, 3, seed=613)))
         args = cli._build_parser().parse_args(["--json", "erasure", str(p), "--r", "3", "--norm", "operator"])
         written = _assert_report_matches_json_dumps(args)
         assert len(json.loads(written)["result"]["table"]) == 4060
+
+    def test_large_erasure_table_is_one_piece(self, tmp_path):
+        # main writes each piece separately, so the table must not be a piece per row
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps(_random_document(8, 30, 3, seed=613)))
+        args = cli._build_parser().parse_args(["--json", "erasure", str(p), "--r", "3"])
+        chunks = cli._report(args)
+        assert len(json.loads("".join(chunks))["result"]["table"]) == 4060
+        assert len(chunks) < 100
 
     def test_digest_present(self, capsys):
         report = run_json(capsys, ["classify", OVERLAP])
