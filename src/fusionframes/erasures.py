@@ -202,8 +202,11 @@ def _rank_one_components(f: DiscreteFrame, g: DiscreteFrame) -> _Components:
 def _chunk_sums(components: _Components, idx: np.ndarray) -> np.ndarray:
     """Per row of ``idx``, the indexed components added in row order onto a zero matrix."""
     sums = np.zeros((len(idx), components.dim, components.dim))
-    for j in range(idx.shape[1]):
-        sums += components.take(idx[:, j])
+    # a sum past the float range becomes inf, or nan where a rank-one product overflowed to -inf,
+    # which _sum_norms and _sum_bounds refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(idx.shape[1]):
+            sums += components.take(idx[:, j])
     return sums
 
 
@@ -498,8 +501,10 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     windows = [max(k // (s + 1), _CHUNK_BYTES // (64 * (s + 1) * r), 1) for k in rows[1:]]
     steps = np.arange(1, s + 2)
     norms = _norms(components, np.arange(m)[:, None], norm_kind)
-    gain = _gain_band(norms, r)  # row r - d: own norm + r - d largest after, at depth d
-    slack = 32.0 * np.finfo(float).eps * (n * n + r * r) * float(np.sort(norms)[-r:].sum())
+    # an infinite bound or slack only stops pruning; every measured sum is refused if not finite
+    with np.errstate(over="ignore"):
+        gain = _gain_band(norms, r)  # row r - d: own norm + r - d largest after, at depth d
+        slack = 32.0 * np.finfo(float).eps * (n * n + r * r) * float(np.sort(norms)[-r:].sum())
     # the running worst value is the floor; it starts at the exact value of
     # a leaf that the search is bound to measure again
     worst = _greedy_leaf(components, norms, r, norm_kind)
@@ -557,10 +562,12 @@ def _worst_report(components: _Components, r: int, norm_kind: NormKind) -> Erasu
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + r)
     try:
-        for _, _, ranks, values in batches:
-            worst = max(worst, float(values.max(initial=worst)))
-            hit = values >= worst * (1.0 - _TIE_REL)
-            kept.append((ranks[hit], values[hit]))
+        # the generators run in this context: bounds and prefix sums may overflow, as above
+        with np.errstate(over="ignore"):
+            for _, _, ranks, values in batches:
+                worst = max(worst, float(values.max(initial=worst)))
+                hit = values >= worst * (1.0 - _TIE_REL)
+                kept.append((ranks[hit], values[hit]))
     finally:
         sys.setrecursionlimit(limit)
     ranks, values = map(np.concatenate, zip(*kept))

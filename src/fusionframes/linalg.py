@@ -1,9 +1,9 @@
 """Dense real matrix/vector kernel and subspace calculus.
 
-Everything operates on plain ``numpy`` float64 arrays. A subspace is carried
-as a matrix with orthonormal columns; the zero subspace has zero columns and
-is a first-class value. All values are treated as immutable and every
-function here is pure, so concurrent use is safe.
+Everything operates on plain ``numpy`` float64 arrays, treated as immutable;
+every function here is pure, so concurrent use is safe. A subspace is carried
+as a matrix with orthonormal columns. The zero subspace has zero columns and
+needs no special case: numpy's n x 0 algebra answers it exactly.
 """
 
 from __future__ import annotations
@@ -233,8 +233,6 @@ def orthonormal_basis(
 
 def projector(s: Subspace) -> np.ndarray:
     """Orthogonal projection matrix onto ``s`` (zero matrix for the zero subspace)."""
-    if s.is_zero:
-        return np.zeros((s.ambient_dim, s.ambient_dim))
     return s.basis @ s.basis.T
 
 
@@ -402,8 +400,6 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
 def subspace_contains(outer: Subspace, inner: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``inner`` is contained in ``outer`` within ``residual_eps``."""
     _check_same_ambient(outer, inner)
-    if inner.is_zero:
-        return True
     residual = inner.basis - projector(outer) @ inner.basis
     return float(np.linalg.norm(residual, "fro")) <= tol.residual_eps
 
@@ -417,7 +413,7 @@ def subspace_intersection(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
     """Orthonormal basis of a ∩ b via the nullspace of the stacked complement projectors."""
     _check_same_ambient(a, b)
     n = a.ambient_dim
-    if a.is_zero or b.is_zero:
+    if a.is_zero or b.is_zero:  # at rank_eps >= 1 the SVD below would count rank 0 and return R^n
         return zero_subspace(n)
     eye = np.eye(n)
     stacked = np.vstack([eye - projector(a), eye - projector(b)])
@@ -447,10 +443,6 @@ def subspace_sum(
 def orthogonal_complement(s: Subspace) -> Subspace:
     """Orthogonal complement; its projector is I minus the projector of ``s``."""
     n = s.ambient_dim
-    if s.is_zero:
-        return full_subspace(n)
-    if s.dim == n:
-        return zero_subspace(n)
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
     return Subspace(n, u[:, s.dim :])
 
@@ -462,6 +454,4 @@ def image_subspace(u: np.ndarray, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> 
         raise ValueError(
             f"operator must be {s.ambient_dim} x {s.ambient_dim}, got {u.shape}"
         )
-    if s.is_zero:
-        return zero_subspace(s.ambient_dim)
     return orthonormal_basis((u @ s.basis).T, tol, ambient_dim=s.ambient_dim)

@@ -1076,6 +1076,39 @@ class TestFreshProcessStderr:
         doc.write_text(json.dumps(_OVERFLOWING_PAIR))
         assert _fresh_process([a.format(doc=doc) for a in argv]) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "content, argv, message",
+        [
+            ({"ambient_dim": 2, "subspaces": [5]}, ["classify", "{doc}"], "subspaces[0]: expected an object with spanning_vectors"),
+            (
+                {"ambient_dim": 2, "subspaces": [{"spanning_vectors": []}]},
+                ["classify", "{doc}"],
+                "subspaces[0].spanning_vectors: expected a non-empty list",
+            ),
+            ([1], ["classify", "{doc}"], "{doc}: top level must be an object"),
+            (
+                {"ambient_dim": 2, "subspaces": [{"spanning_vectors": [[1, 0]]}, {"spanning_vectors": [[0, 1]]}], "basis": [[1, 0]]},
+                ["classify", "{doc}"],
+                "basis: expected 2 vectors",
+            ),
+            (None, ["classify", "{doc}"], "cannot read {doc}: [Errno 2] No such file or directory: '{doc}'"),
+            ("directory", ["classify", "{doc}"], "cannot read {doc}: [Errno 21] Is a directory: '{doc}'"),
+            (None, ["construct", OVERLAP, "--what", "expand", "--index", "9"], "member index 9 out of range 1..3"),
+        ],
+        ids=["member-not-object", "empty-spanning-vectors", "top-level-not-object", "basis-count", "missing-file", "directory", "expand-index"],
+    )
+    def test_document_and_index_refusals_are_one_error_line(self, tmp_path, capsys, content, argv, message):
+        # in this process and in a fresh one: exit 1, no output and exactly one error line
+        doc = tmp_path / "doc.json"
+        if content == "directory":
+            doc.mkdir()
+        elif content is not None:
+            doc.write_text(json.dumps(content))
+        args, line = [a.format(doc=doc) for a in argv], f"error: {message.format(doc=doc)}\n"
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", line)
+        assert _fresh_process(args) == (1, "", line)
+
     @pytest.mark.parametrize("norm", ["frobenius", "operator"])
     @pytest.mark.parametrize(
         "argv, line", [(["--fixed", "2"], "value:        5e+199\n"), ([], "worst value:  5e+199\n")], ids=["fixed", "worst-case"]

@@ -1099,6 +1099,60 @@ def test_sums_whose_squares_leave_the_float_range(norm, entry):
     assert value == matrix_norm(np.full((3, 3), entry), norm)
 
 
+def overflowing_pair(m: int, c3: float | None = None):
+    """Vectors f_k = (1, u_k) and g_k = (c_k, 0) in R^2, c_1 = 1e308 and c_2 = -1e308, which cancel.
+
+    Every component g_k f_k^T is finite. With ``c3`` = 9e307 the sum over {1, 3} is not.
+    """
+    rng = np.random.default_rng(0)
+    f = np.column_stack([np.ones(m), rng.uniform(-1.0, 1.0, m)])
+    c = rng.uniform(0.1, 1.0, m)
+    c[:2] = 1e308, -1e308
+    if c3 is not None:
+        c[2] = c3
+    return discrete_frame(f), discrete_frame(np.column_stack([c, np.zeros(m)]))
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("m", [20, 92], ids=["table", "pruned"])
+def test_bounds_past_the_float_range_keep_the_exact_report(norm, m):
+    # the tail sums, the slack and the prefix bounds overflow to inf, which only stops pruning;
+    # no sum that is measured overflows, and no RuntimeWarning is raised
+    f, g = overflowing_pair(m)
+    components = discrete_components_reference(f, g)
+    report = discrete_worst_case(f, g, 2, norm)
+    assert report.worst_value == 1.100905367703579e308
+    assert_matches_brute_force(report, components, 2, norm)
+    assert partial_erasure_error(f, g, ErasureMask(m, [1, 3]), norm) == matrix_norm(components[0] + components[2], norm)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("m", [20, 92], ids=["table", "pruned"])
+def test_sums_past_the_float_range_give_the_one_refusal(norm, m):
+    f, g = overflowing_pair(m, c3=9e307)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(sum(discrete_components_reference(f, g)[i] for i in (0, 2))).all()
+    with pytest.raises(ValueError, match="^erasure error norm is not finite: ") as refused:
+        discrete_worst_case(f, g, 2, norm)
+    if (m, norm) == (92, "operator"):
+        # the search bounds the swaps of its greedy leaf first, so the refusal is the bound's own
+        assert refused.traceback[-1].name == "_sum_bounds"
+    with pytest.raises(ValueError, match="^erasure error norm is not finite: "):
+        partial_erasure_error(f, g, ErasureMask(m, [1, 3]), norm)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("m", [3, 92], ids=["table", "pruned"])
+def test_rank_one_products_past_the_float_range_give_the_one_refusal(norm, m):
+    # g_1 f_1^T overflows to inf and g_2 f_2^T to -inf, so their sum is nan
+    f = discrete_frame([[1e200]] * 2 + [[1.0]] * (m - 2))
+    g = discrete_frame([[1e200], [-1e200]] + [[1.0]] * (m - 2))
+    with pytest.raises(ValueError, match="^erasure error norm is not finite: "):
+        discrete_worst_case(f, g, 2, norm)
+    with pytest.raises(ValueError, match="^erasure error norm is not finite: "):
+        partial_erasure_error(f, g, ErasureMask(m, [1, 2]), norm)
+
+
 def test_frobenius_norm_of_a_transposed_matrix_rounds_as_the_batched_sum(rng):
     # np.linalg.norm sums in memory order; the batched norm, and so every report, in C order.
     # Summed in memory order, about 29% of these transposes differed in the last bits

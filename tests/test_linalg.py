@@ -561,6 +561,41 @@ class TestImageSubspace:
         assert image_subspace(np.diag([1.0, 0.0, 1.0]), s).dim == 1
 
 
+def _exactly(a: np.ndarray, expected: np.ndarray) -> bool:
+    """Bit for bit: equal, of the same shape, and free of -0.0 (which ``np.array_equal`` calls equal to +0.0)."""
+    return np.array_equal(a, expected) and not np.signbit(a).any()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+class TestZeroAndFullSubspaces:
+    """The zero and full subspaces take the general path through numpy's empty-array algebra, exactly."""
+
+    def test_projector_of_zero_is_the_zero_matrix(self, n):
+        assert _exactly(projector(zero_subspace(n)), np.zeros((n, n)))
+
+    def test_complements(self, n):
+        assert _exactly(orthogonal_complement(zero_subspace(n)).basis, np.eye(n))
+        assert _exactly(orthogonal_complement(full_subspace(n)).basis, np.zeros((n, 0)))
+
+    def test_image_of_zero_is_zero(self, n, rng):
+        invertible = random_spd(rng, n) @ random_unitary(rng, n)
+        for u in (invertible, np.zeros((n, n))):
+            assert _exactly(image_subspace(u, zero_subspace(n)).basis, np.zeros((n, 0)))
+
+    def test_zero_lies_in_every_subspace(self, n):
+        for outer in (zero_subspace(n), coordinate_subspace(n, [n]), full_subspace(n)):
+            assert subspace_contains(outer, zero_subspace(n))
+
+    # at rank_eps 2.0 every singular value of the stacked complement projectors counts as zero,
+    # so only the explicit zero-subspace case keeps an intersection with {0} zero
+    @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(rank_eps=2.0)])
+    def test_intersection_with_zero_is_zero(self, n, tol):
+        zero = zero_subspace(n)
+        for s in (zero, coordinate_subspace(n, [n]), full_subspace(n)):
+            assert _exactly(subspace_intersection(s, zero, tol).basis, np.zeros((n, 0)))
+            assert _exactly(subspace_intersection(zero, s, tol).basis, np.zeros((n, 0)))
+
+
 class TestKernelProperties:
     def test_projector_idempotent_symmetric(self, rng):
         for _ in range(25):

@@ -23,6 +23,7 @@ from fusionframes import (
     coordinate_subspace,
     discrete_worst_case,
     expand_optimal_family,
+    frame_bounds,
     frame_operator,
     full_subspace,
     fusion_frame,
@@ -40,6 +41,7 @@ from fusionframes import (
     verify_discrete_dual,
     verify_dual,
     worst_case_error,
+    zero_subspace,
 )
 from helpers import (
     FIXTURES,
@@ -61,6 +63,7 @@ from helpers import (
     riesz_block_errors,
     span_dim_reference,
 )
+from fusionframes.erasures import _member_norms
 from fusionframes.optimality import _whitened_members
 
 
@@ -686,6 +689,45 @@ def test_member_permutation_permutes_certificate_splits(seed_, n, m, certified):
     ):
         assert (original(moved.lambda1), original(moved.lambda2)) == (cert.lambda1, cert.lambda2)
         assert same(moved) == same(cert)
+
+
+@seed(37)
+@settings(max_examples=80, deadline=None)
+@given(
+    seed_=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    zero_weights=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+)
+def test_appending_a_zero_member_changes_nothing(seed_, n, m, zero_weights):
+    # a zero member adds exact zeros to S_W, to the reconstruction and to every sum: each old
+    # quantity keeps its bits, its own single-erasure value is +0.0, and it joins lambda2
+    rng = np.random.default_rng(seed_)
+    while True:
+        subs = [random_subspace(rng, n, int(k)) for k in rng.integers(1, n + 1, size=m)]
+        w = fusion_frame(subs, list(0.5 + 1.5 * rng.random(m)))
+        if classify(w).is_frame:
+            break
+    zero = zero_subspace(n)
+    widened = FusionFrame(n, (*w.subspaces, zero), (*w.weights, zero_weights[0]))
+    pair = canonical_pair(w)
+    dual = pair.dual_candidate
+    document_dual = FusionFrame(n, (*dual.subspaces, zero), (*dual.weights, zero_weights[1]))
+    assert frame_bounds(widened) == frame_bounds(w)
+    kept = operator.attrgetter("c_value", "lambda1", "h1_dim", "h2_dim", "intersection_dim", "verdict")
+    joined = lambda cert: cert.lambda2 + (m + 1,)
+    before, after = certify_canonical_optimal(w), certify_canonical_optimal(widened)
+    assert (kept(after), after.lambda2) == (kept(before), joined(before))
+    for grown in (canonical_pair(widened), make_dual_pair(widened, document_dual)):
+        assert verify_dual(grown)[1] == verify_dual(pair)[1]
+        for kind in ("frobenius", "operator"):
+            report = worst_case_error(grown, 1, kind)
+            values = [*_member_norms(pair, kind).tolist(), 0.0]
+            assert report.per_subset_values == tuple(((i,), v) for i, v in enumerate(values, start=1))
+            assert not np.signbit(report.per_subset_values[-1][1])
+            assert report.argmax_subsets == (worst_case_error(pair, 1, kind).argmax_subsets if m > 1 else ((1,),))
+        before, after = certify_dual_optimal(pair), certify_dual_optimal(grown)
+        assert (kept(after), after.lambda2) == (kept(before), joined(before))
 
 
 class TestProbeSoundness:
